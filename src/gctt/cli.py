@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .conversion import FuelExhausted
 from .eval import act, eval_term, readback
 from .parser import ParseError, parse_interval, parse_module, parse_term
 from .syntax import ModuleFile, term_str
@@ -93,11 +92,6 @@ class Loader:
             checked = self.checker.check_module(module, imports)
         except GcttTypeError as exc:
             raise CliError(exc.render(str(path)), EXIT_TYPE_ERROR)
-        except FuelExhausted:
-            raise CliError(
-                f"{path}: conversion fuel exhausted (raise --fuel)",
-                EXIT_TYPE_ERROR,
-            )
         self.checked[module.name] = checked
         return checked
 
@@ -171,7 +165,7 @@ def cmd_normalize(args) -> int:
         subs = renamed
         checker = Checker(fuel=args.fuel)
         try:
-            ty = checker.infer(check_ctx, term)
+            ty = checker.infer_top(check_ctx, term)
         except GcttTypeError as exc:
             raise CliError(exc.render("<expr>"), EXIT_TYPE_ERROR)
         value = eval_term(check_ctx.env, term)

@@ -1,22 +1,21 @@
 """Judgemental equality on values.
 
 Conversion is type-directed where a type is available (eta for functions,
-pairs, paths, and glue) and structural otherwise.  Delayed substitutions are
-compared through `canon_ds`, the fixpoint of weakening, next-substitution and
-a deterministic ordering of independent bindings.  Equality under a face
-restriction is checked clause by clause.
+pairs, paths, and glue) and structural otherwise.  Later types and nexts are
+compared on values, up to weakening, exchange, next-substitution and eta
+(`_conv_later`).  Equality under a face restriction is checked clause by
+clause.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
-from . import syntax as S
 from .interval import (
     Face,
     IVar,
     clause_assignment,
-    clause_face,
     dm_equal,
     face_clauses,
     face_equal,
@@ -50,15 +49,15 @@ from .eval import (
     Value,
     act,
     apply_v,
+    canon_later_value,
+    ds_binder_type_deps,
     fresh_iname,
     fst_v,
     papp_v,
     probe_var,
-    readback_value,
     snd_v,
     unglue_v,
 )
-from .syntax import Term
 
 
 class FuelExhausted(Exception):
@@ -83,61 +82,6 @@ FUEL = _Fuel()
 
 
 # ---------------------------------------------------------------------------
-# Canonical delayed substitutions (term level)
-
-
-def canon_ds(entries: list, body: Term) -> tuple[list, Term]:
-    """Fixpoint of weakening (drop unused bindings), next-substitution
-    (inline bindings of the form `next ds' t` whose ds' matches a
-    subsequence of the preceding prefix), and sorting of bindings by their
-    printed form."""
-    entries = list(entries)
-    while True:
-        changed = False
-        fv = S.free_names(body)[0]
-        kept = [(x, u) for x, u in entries if x in fv]
-        if len(kept) != len(entries):
-            entries = kept
-            changed = True
-        for i, (x, u) in enumerate(entries):
-            ren = _match_prefix(u, entries[:i])
-            if ren is not None:
-                inner = S.subst_terms(u.body, ren) if ren else u.body
-                body = S.subst_term(body, x, inner)
-                del entries[i]
-                changed = True
-                break
-        key_sorted = sorted(entries, key=_entry_key)
-        if key_sorted != entries:
-            entries = key_sorted
-            changed = True
-        if not changed:
-            return entries, body
-
-
-def _entry_key(entry):
-    return S.term_str(S.alpha_canonical(entry[1]))
-
-
-def _match_prefix(u: Term, prefix: list):
-    """If u is `next ds' t` with ds' matching a subsequence of the prefix
-    (terms alpha-equal, in order), return the renaming of ds' binders to
-    prefix binders; otherwise None."""
-    if not isinstance(u, S.Next):
-        return None
-    ren = {}
-    pos = 0
-    for y, w in u.subst:
-        while pos < len(prefix) and not S.alpha_equal(prefix[pos][1], w):
-            pos += 1
-        if pos == len(prefix):
-            return None
-        ren[y] = S.Var(name=prefix[pos][0])
-        pos += 1
-    return ren
-
-
-# ---------------------------------------------------------------------------
 # Conversion
 
 
@@ -158,24 +102,14 @@ def conv(used: frozenset, a: Value, b: Value,
             i = IVar(fresh_iname())
             return conv(used, papp_v(a, i), papp_v(b, i), sp)
         case VGlueT(face=phi, partial=p, base=base):
-            if not conv(used, unglue_v(a), unglue_v(b), base):
-                return False
-            for cl in face_clauses(phi):
-                asg = clause_assignment(cl)
-                if not conv(used, act(a, asg), act(b, asg), act(p, asg)):
-                    return False
-            return True
+            return (conv(used, unglue_v(a), unglue_v(b), base)
+                    and _conv_clauses(used, face_clauses(phi), a, b, p))
     if isinstance(a, VSystem) or isinstance(b, VSystem):
         clauses = set()
         for v in (a, b):
             if isinstance(v, VSystem):
                 clauses.update(cl for cl, _ in v.branches)
-        for cl in sorted(clauses, key=sorted):
-            asg = clause_assignment(cl)
-            if not conv(used, act(a, asg), act(b, asg),
-                        act(ty, asg) if ty is not None else None):
-                return False
-        return True
+        return _conv_clauses(used, sorted(clauses, key=sorted), a, b, ty)
     return _conv_structural(used, a, b)
 
 
@@ -205,48 +139,141 @@ def _conv_structural(used: frozenset, a: Value, b: Value) -> bool:
         case (VSuc(pred=p1), VSuc(pred=p2)):
             return conv(used, p1, p2)
         case (VLaterT(), VLaterT()) | (VNext(), VNext()):
-            return (S.alpha_canonical(readback_value(used, a))
-                    == S.alpha_canonical(readback_value(used, b)))
+            return _conv_later(used, a, b)
         case (VGlueT(face=f1, partial=p1, equiv=e1, base=b1),
               VGlueT(face=f2, partial=p2, equiv=e2, base=b2)):
-            if not face_equal(f1, f2) or not conv(used, b1, b2):
-                return False
-            for cl in face_clauses(f1):
-                asg = clause_assignment(cl)
-                if not conv(used, act(p1, asg), act(p2, asg), VUniv()):
-                    return False
-                if not conv(used, act(e1, asg), act(e2, asg)):
-                    return False
-            return True
+            return (face_equal(f1, f2) and conv(used, b1, b2)
+                    and _conv_clauses(used, face_clauses(f1), p1, p2, VUniv())
+                    and _conv_clauses(used, face_clauses(f1), e1, e2))
         case (VGlueIntro(face=f1, partial=p1, base=b1),
               VGlueIntro(face=f2, partial=p2, base=b2)):
-            if not conv(used, b1, b2):
-                return False
             clauses = set(face_clauses(f1)) | set(face_clauses(f2))
-            for cl in sorted(clauses, key=sorted):
-                asg = clause_assignment(cl)
-                if not conv(used, act(a, asg), act(b, asg)):
-                    return False
-            return True
+            return (conv(used, b1, b2) and _conv_clauses(
+                used, sorted(clauses, key=sorted), a, b))
         case (VGlueIntro(), VNeutral()) | (VNeutral(), VGlueIntro()):
             intro, other = (a, b) if isinstance(a, VGlueIntro) else (b, a)
-            if not conv(used, intro.base, unglue_v(other)):
-                return False
-            for cl in face_clauses(intro.face):
-                asg = clause_assignment(cl)
-                if not conv(used, act(intro, asg), act(other, asg)):
-                    return False
-            return True
+            return (conv(used, intro.base, unglue_v(other)) and _conv_clauses(
+                used, face_clauses(intro.face), intro, other))
         case (VNeutral(neutral=n1), VNeutral(neutral=n2)):
             return _conv_neutral(used, n1, n2)
     return False
+
+
+def _conv_later(used: frozenset, a: Value, b: Value) -> bool:
+    """Later types or nexts, up to the equational theory of delayed
+    substitutions.  After next-substitution (`canon_later_value`), each
+    binding gets a probe typed by `ds_binder_type_deps`; the right side's
+    probes are flexible.  The first time the bodies' comparison meets a
+    flexible probe against a free left probe of the same call, their
+    bindings are paired if their contents are convertible (`_same_var`).
+    Any successful comparison needs that pairing, so bindings are paired in
+    one pass, in any order (exchange).  A binding never paired stays a probe
+    of its own side, so the bodies agree only if neither uses it
+    (weakening).  The type dependencies of paired bindings must be paired
+    with each other too."""
+    st = _Pairing(used, canon_later_value(a, used), canon_later_value(b, used))
+    try:
+        return (conv(used, st.a.body.apply(*st.probes_a),
+                     st.b.body.apply(*st.probes_b))
+                and _pair_dependencies(used, st))
+    finally:
+        # probes that outlive the call in some value are plain variables
+        st.pairs, st.left = {}, {}
+
+
+class _Pairing:
+    """One `_conv_later` call: the probes of both sides, and the left
+    binding each right binding has been paired with."""
+
+    def __init__(self, used: frozenset, a: Value, b: Value):
+        self.a, self.b = a, b
+        self.probes_a, self.deps_a = _ds_probes(used, a.entries)
+        self.probes_b, self.deps_b = _ds_probes(used, b.entries, self)
+        self.left = {p.neutral.name: k for k, p in enumerate(self.probes_a)}
+        self.pairs, self.taken = {}, set()
+
+    def pair(self, used: frozenset, j: int, k: int) -> bool:
+        """Pair right binding j with left binding k if k is free and their
+        contents are convertible."""
+        if k in self.taken or not conv(used, self.a.entries[k][1],
+                                       self.b.entries[j][1]):
+            return False
+        self.pairs[j] = k
+        self.taken.add(k)
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class _NFlex(NVar):
+    """The probe of right binding `index` of a `_conv_later` call."""
+    pairing: _Pairing
+    index: int
+
+
+def _same_var(used: frozenset, x: NVar, y: NVar) -> bool:
+    """Two variables are equal if they are, or come to be, paired probes."""
+    (nx, fx), (ny, fy) = _resolve(x), _resolve(y)
+    for flex, rigid in ((fx, ny), (fy, nx)):
+        if flex is not None and rigid in flex.pairing.left:
+            return flex.pairing.pair(used, flex.index,
+                                     flex.pairing.left[rigid])
+    return nx == ny
+
+
+def _resolve(x: NVar):
+    """The name a variable stands for, and the probe itself if it is an
+    unpaired flexible one."""
+    if not isinstance(x, _NFlex):
+        return x.name, None
+    k = x.pairing.pairs.get(x.index)
+    if k is None:
+        return x.name, x
+    return x.pairing.probes_a[k].neutral.name, None
+
+
+def _pair_dependencies(used: frozenset, st: _Pairing) -> bool:
+    """Every paired binding's type dependencies are paired with its
+    partner's.  A dependency the bodies never met is paired here with the
+    first free dependency of the partner whose contents are convertible.
+    A candidate that fails keeps the pairings it made in enclosing calls;
+    that can only turn an equality into an inequality, never the reverse."""
+    queue = list(st.pairs.items())
+    while queue:
+        j, k = queue.pop()
+        da, db = st.deps_a[k], st.deps_b[j]
+        if len(da) != len(db):
+            return False
+        for d in db:
+            if d not in st.pairs:
+                if not any(st.pair(used, d, e) for e in da):
+                    return False
+                queue.append((d, st.pairs[d]))
+            if st.pairs[d] not in da:
+                return False
+    return True
+
+
+def _ds_probes(used: frozenset, entries: tuple,
+               pairing: Optional[_Pairing] = None):
+    """One probe per binding, typed by its entry's later type, and the
+    earlier bindings that type depends on.  With a pairing, the probes are
+    its flexible ones."""
+    probes, deps = [], []
+    for idx, (_, u) in enumerate(entries):
+        ty, dep = ds_binder_type_deps(u, entries[:idx], probes, used)
+        probe = probe_var(ty)
+        if pairing is not None:
+            probe = VNeutral(_NFlex(probe.neutral.name, pairing, idx), ty)
+        probes.append(probe)
+        deps.append(dep)
+    return probes, deps
 
 
 def _conv_neutral(used: frozenset, a, b) -> bool:
     FUEL.tick()
     match (a, b):
         case (NVar(name=x), NVar(name=y)):
-            return x == y
+            return x == y or _same_var(used, a, b)
         case (NApp(fn=f1, arg=a1), NApp(fn=f2, arg=a2)):
             arg_ty = f1.type.domain if isinstance(f1.type, VPi) else None
             return conv(used, f1, f2) and conv(used, a1, a2, arg_ty)
@@ -285,25 +312,11 @@ def conv_under(phi: Face, used: frozenset, a: Value, b: Value,
                ty: Optional[Value] = None) -> bool:
     """Equality under a face restriction: checked clause by clause.  A
     contradictory restriction makes everything equal."""
-    for cl in face_clauses(phi):
-        asg = clause_assignment(cl)
-        if not conv(used, act(a, asg), act(b, asg),
-                    act(ty, asg) if ty is not None else None):
-            return False
-    return True
+    return _conv_clauses(used, face_clauses(phi), a, b, ty)
 
 
-def conv_system(used: frozenset, lhs: Value, rhs: Value, ty: Value,
-                face: Face) -> bool:
-    """System equality: under every clause of the join of all mentioned
-    faces (meeting the ambient restriction), the selected branches must be
-    convertible."""
-    from .interval import FACE_BOT, face_join, face_meet
-
-    mentioned = FACE_BOT
-    for v in (lhs, rhs):
-        if isinstance(v, VSystem):
-            for cl, _ in v.branches:
-                mentioned = face_join(mentioned, clause_face(cl))
-    total = face_meet(face, mentioned) if mentioned.clauses else face
-    return conv_under(total, used, lhs, rhs, ty)
+def _conv_clauses(used: frozenset, clauses, a: Value, b: Value,
+                  ty: Optional[Value] = None) -> bool:
+    return all(conv(used, act(a, asg), act(b, asg),
+                    act(ty, asg) if ty is not None else None)
+               for asg in map(clause_assignment, clauses))

@@ -965,9 +965,15 @@ def _singleton_contract_fn(z, i):
     return VPair(papp_v(path, i), VPLam(FnClosure(inner, captured=(path, i))))
 
 
+def _singleton_contraction(z):
+    """The path from the center (b, <_> b) of a fiber of the identity to
+    z = (a, p): at i it is (p @ i, <j> p @ (i /\\ j))."""
+    return VPLam(FnClosure(_singleton_contract_fn, captured=(z,)))
+
+
 def _id_contract_fn(b):
     center = VPair(b, VPLam(FnClosure(_const_path_fn, captured=(b,))))
-    contract = VLam(FnClosure(_singleton_contract_fn))
+    contract = VLam(FnClosure(_singleton_contraction))
     return VPair(center, contract)
 
 
@@ -1245,23 +1251,6 @@ def readback_value(used: frozenset, v: Value) -> Term:
     raise TypeError(f"cannot read back {v!r}")
 
 
-def _match_ds_entries(needed_entries, prefix, used: frozenset):
-    """Match a delayed substitution's entry values against a subsequence of
-    the prefix [(entry value, binder var)]; returns the binder values for
-    the matched positions, or None."""
-    from .conversion import conv
-
-    args, pos = [], 0
-    for _, needed in needed_entries:
-        while pos < len(prefix) and not conv(used, needed, prefix[pos][0]):
-            pos += 1
-        if pos == len(prefix):
-            return None
-        args.append(prefix[pos][1])
-        pos += 1
-    return args
-
-
 def _first_use(t: Term, name: str) -> int:
     """Depth-first index of the first occurrence of a variable; used to order
     bindings with identical contents deterministically.  Binder names here
@@ -1325,10 +1314,11 @@ def _readback_ds(used: frozenset, es: tuple, c: Closure):
         for i in range(n):
             if not keep[i] or not isinstance(es[i][1], VNext):
                 continue
-            prefix = [(es[j][1], vars_[j]) for j in range(i) if keep[j]]
-            matched = _match_ds_entries(es[i][1].entries, prefix, used2)
-            if matched is not None:
-                args[i] = es[i][1].body.apply(*matched)
+            prefix = [j for j in range(i) if keep[j]]
+            pos = _match_ds_positions(es[i][1].entries,
+                                      [es[j] for j in prefix], used2)
+            if pos is not None:
+                args[i] = es[i][1].body.apply(*[vars_[prefix[p]] for p in pos])
                 keep[i] = False
                 changed = True
     entry_terms = {
@@ -1393,9 +1383,10 @@ def _match_ds_positions(needed_entries, prefix_entries, used: frozenset):
 
 
 def canon_later_value(v: Value, used: frozenset = frozenset()) -> Value:
-    """Inline next-bindings of a later type at the value level and drop
-    trailing bindings its body does not use."""
-    if not isinstance(v, VLaterT) or not v.entries:
+    """Next-substitution on a later type or a next, at the value level:
+    inline each binding `next ds' t` whose ds' matches a subsequence of the
+    bindings kept before it."""
+    if not isinstance(v, (VLaterT, VNext)) or not v.entries:
         return v
     es = list(v.entries)
     n = len(es)
@@ -1421,7 +1412,7 @@ def canon_later_value(v: Value, used: frozenset = frozenset()) -> Value:
     recipe.sort(key=lambda r: r[0])
     kept = tuple(i for i in range(n) if keep[i])
     body = InlinedDsClosure(v.body, kept, tuple(recipe))
-    return make_later(tuple(es[i] for i in kept), body)
+    return type(v)(tuple(es[i] for i in kept), body)
 
 
 def ds_binder_type_deps(entry_value: Value, prefix_entries, prefix_vars,
@@ -1433,28 +1424,14 @@ def ds_binder_type_deps(entry_value: Value, prefix_entries, prefix_vars,
     if not isinstance(entry_value, VNeutral) \
             or not isinstance(entry_value.type, VLaterT):
         return None, ()
-    from .conversion import conv
-
     lty = canon_later_value(entry_value.type, used)
     if not isinstance(lty, VLaterT):
         return None, ()
-    args, positions, pos = [], [], 0
-    for _, needed in lty.entries:
-        while pos < len(prefix_entries) and not conv(
-                used, needed, prefix_entries[pos][1]):
-            pos += 1
-        if pos == len(prefix_entries):
-            return None, ()
-        args.append(prefix_vars[pos])
-        positions.append(pos)
-        pos += 1
-    return lty.body.apply(*args), tuple(positions)
-
-
-def ds_binder_type(entry_value: Value, prefix_entries, prefix_vars,
-                   used: frozenset) -> Optional[Value]:
-    return ds_binder_type_deps(entry_value, prefix_entries, prefix_vars,
-                               used)[0]
+    positions = _match_ds_positions(lty.entries, prefix_entries, used)
+    if positions is None:
+        return None, ()
+    return (lty.body.apply(*[prefix_vars[p] for p in positions]),
+            tuple(positions))
 
 
 def readback_neutral(used: frozenset, ne: Neutral,

@@ -9,6 +9,7 @@ Checked modules elaborate to a table of type and body values.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -29,6 +30,7 @@ from .eval import (
     Value,
     act,
     apply_v,
+    canon_later_value,
     env_face,
     env_iexpr,
     equiv_type_value,
@@ -134,14 +136,6 @@ class Checker:
 
     # -- helpers -------------------------------------------------------------
 
-    def _conv(self, ctx: Ctx, got: Value, want: Value,
-              ty: Optional[Value] = None) -> bool:
-        try:
-            return conv_under(ctx.face, ctx.used, got, want, ty)
-        except FuelExhausted:
-            raise GcttTypeError(None, "mismatch",
-                                "conversion fuel exhausted (see --fuel)")
-
     def _show(self, ctx: Ctx, v: Value, ty: Optional[Value] = None) -> str:
         try:
             return term_str(readback(ctx.used, v, ty))
@@ -150,18 +144,12 @@ class Checker:
 
     def ensure_conv(self, ctx: Ctx, got: Value, want: Value, span, what: str,
                     ty: Optional[Value] = None, kind: str = "mismatch"):
-        if not self._conv(ctx, got, want, ty):
+        if not conv_under(ctx.face, ctx.used, got, want, ty):
             raise GcttTypeError(
                 span, kind,
                 f"{what}: expected {self._show(ctx, want)}"
                 f" found {self._show(ctx, got)}",
             )
-
-    def _canon_later(self, ctx: Ctx, ty: Value) -> Value:
-        """Apply the delayed-substitution canonicalization to a later type."""
-        from .eval import canon_later_value
-
-        return canon_later_value(ty, ctx.used)
 
     def _match_target_ds(self, ctx: Ctx, target, entries, binders):
         """Match a later type's delayed substitution against the checked
@@ -169,16 +157,24 @@ class Checker:
         under the bound variables, or None."""
         if not isinstance(target, VLaterT):
             return None
-        args, pos = [], 0
-        for _, needed in target.entries:
-            while pos < len(entries) and not self._conv(
-                    ctx, needed, entries[pos][1]):
+        pos = self._ds_positions(ctx, target.entries, entries)
+        if pos is None:
+            return None
+        return target.body.apply(*[binders[p][1] for p in pos])
+
+    def _ds_positions(self, ctx: Ctx, needed_entries, entries):
+        """The positions of the entries, in order, whose contents match the
+        delayed substitution `needed_entries` (up to weakening), or None."""
+        positions, pos = [], 0
+        for _, needed in needed_entries:
+            while pos < len(entries) and not conv_under(
+                    ctx.face, ctx.used, needed, entries[pos][1]):
                 pos += 1
             if pos == len(entries):
                 return None
-            args.append(binders[pos][1])
+            positions.append(pos)
             pos += 1
-        return target.body.apply(*args)
+        return positions
 
     def _registered_dfix_body(self, ctx: Ctx, node) -> Optional[Value]:
         """The body type of a previously established later type for this
@@ -307,7 +303,7 @@ class Checker:
                 ctx2, iname = ctx.bind_interval(i)
                 body_ty = self.infer(ctx2, b)
                 space = act(body_ty, {iname: IVar(fresh_iname())})
-                if not self._conv(ctx2, body_ty, space):
+                if not conv_under(ctx2.face, ctx2.used, body_ty, space):
                     raise GcttTypeError(
                         t.span, "mismatch",
                         "path abstraction over a dependent type",
@@ -398,7 +394,8 @@ class Checker:
                 for r, endpoint, side in ((ZERO, ty.lhs, "left"),
                                           (ONE, ty.rhs, "right")):
                     got = act(body_v, {iname: r})
-                    if not self._conv(ctx, got, endpoint, ty.space):
+                    if not conv_under(ctx.face, ctx.used, got, endpoint,
+                                      ty.space):
                         raise GcttTypeError(
                             t.span, "boundary-violation",
                             f"{side} endpoint: expected"
@@ -407,7 +404,7 @@ class Checker:
                         )
                 return
             case S.Next(subst=ds, body=b) if isinstance(ty, VLaterT):
-                target = self._canon_later(ctx, ty)
+                target = canon_later_value(ty, ctx.used)
                 ctx2, entries, binders = self.check_ds(ctx, ds, t.span)
                 matched = self._match_target_ds(ctx, target, entries, binders)
                 if matched is None:
@@ -419,7 +416,7 @@ class Checker:
                 return
             case S.DFix(clock=r, binder=x, body=b) if isinstance(ty, VLaterT):
                 self.check_interval(ctx, r, t.span)
-                later = self._canon_later(ctx, ty)
+                later = canon_later_value(ty, ctx.used)
                 if later.entries:
                     raise GcttTypeError(
                         t.span, "mismatch",
@@ -451,7 +448,7 @@ class Checker:
                 a_v = eval_term(ctx.env, a)
                 p_v = eval_term(ctx.env, p)
                 want = apply_v(fst_v(ty.equiv), p_v)
-                if not self._conv(ctx_p, a_v, want, ty.base):
+                if not conv_under(ctx_p.face, ctx_p.used, a_v, want, ty.base):
                     raise GcttTypeError(
                         t.span, "boundary-violation",
                         "glue base must equal the image of its partial part",
@@ -502,41 +499,26 @@ class Checker:
         prefix_vars = []
         ctx2 = ctx
         for x, u in ds:
-            uty = self._canon_later(ctx, self.infer(ctx, u))
+            uty = canon_later_value(self.infer(ctx, u), ctx.used)
             if not isinstance(uty, VLaterT):
                 raise GcttTypeError(
                     span, "ds-ill-formed",
                     f"binding for {x} has type {self._show(ctx, uty)},"
                     " which is not a later type",
                 )
-            args = self._match_telescope(ctx, uty, entries, prefix_vars, x, span)
-            inner_ty = uty.body.apply(*args)
-            entries.append((x, eval_term(ctx.env, u)))
-            ctx2, var = ctx2.bind_term(x, inner_ty)
-            binders.append((x, var))
-            prefix_vars.append(var)
-        return ctx2, entries, binders
-
-    def _match_telescope(self, ctx, uty: VLaterT, entries, prefix_vars,
-                         x, span):
-        """Match the delayed substitution of an entry's later type against
-        the prefix processed so far (up to weakening); returns the binder
-        values for its body closure."""
-        args = []
-        pos = 0
-        for _, needed in uty.entries:
-            while pos < len(entries) and not self._conv(
-                    ctx, needed, entries[pos][1]):
-                pos += 1
-            if pos == len(entries):
+            pos = self._ds_positions(ctx, uty.entries, entries)
+            if pos is None:
                 raise GcttTypeError(
                     span, "ds-ill-formed",
                     f"binding for {x}: its later type's delayed substitution"
                     " does not match the preceding bindings",
                 )
-            args.append(prefix_vars[pos])
-            pos += 1
-        return args
+            inner_ty = uty.body.apply(*[prefix_vars[p] for p in pos])
+            entries.append((x, eval_term(ctx.env, u)))
+            ctx2, var = ctx2.bind_term(x, inner_ty)
+            binders.append((x, var))
+            prefix_vars.append(var)
+        return ctx2, entries, binders
 
     # -- systems ---------------------------------------------------------
 
@@ -562,7 +544,8 @@ class Checker:
                 ctx_o = ctx.restrict(overlap)
                 if face_is_false(ctx_o.face):
                     continue
-                if not self._conv(ctx_o, vals[i][1], vals[j][1], ty):
+                if not conv_under(ctx_o.face, ctx_o.used, vals[i][1],
+                                  vals[j][1], ty):
                     raise GcttTypeError(
                         span, "system-incompatible",
                         f"branches {i + 1} and {j + 1} disagree on"
@@ -605,11 +588,24 @@ class Checker:
                 )
         return line1
 
-    # -- modules -----------------------------------------------------------
+    # -- top level ---------------------------------------------------------
 
-    def check_module(self, module: S.ModuleFile, imports=()) -> CheckedModule:
+    @contextmanager
+    def _fuelled(self):
+        """Bound the conversion steps of what runs inside by the fuel."""
         FUEL.set(self.fuel)
         try:
+            yield
+        finally:
+            FUEL.set(None)
+
+    def infer_top(self, ctx: Ctx, t: Term) -> Value:
+        """Infer the type of a term standing on its own, under the fuel."""
+        with self._fuelled(), _fuel_error_at(t.span):
+            return self.infer(ctx, t)
+
+    def check_module(self, module: S.ModuleFile, imports=()) -> CheckedModule:
+        with self._fuelled():
             ctx = Ctx()
             table = {}
             reports = []
@@ -624,9 +620,10 @@ class Checker:
                     raise GcttTypeError(decl.span, "mismatch",
                                         f"duplicate declaration {decl.name}")
                 start = time.monotonic()
-                ty = self.check_type(ctx, decl.type)
-                self.check(ctx, decl.body, ty)
-                value = eval_term(ctx.env, decl.body)
+                with _fuel_error_at(decl.span):
+                    ty = self.check_type(ctx, decl.type)
+                    self.check(ctx, decl.body, ty)
+                    value = eval_term(ctx.env, decl.body)
                 ctx = ctx.define(decl.name, ty, value)
                 table[decl.name] = (ty, value)
                 order.append(decl.name)
@@ -634,8 +631,16 @@ class Checker:
                     decl.name, "ok", (time.monotonic() - start) * 1000.0
                 ))
             return CheckedModule(module.name, table, tuple(order), reports)
-        finally:
-            FUEL.set(None)
+
+
+@contextmanager
+def _fuel_error_at(span: Optional[Span]):
+    """Report running out of conversion fuel as a type error at `span`."""
+    try:
+        yield
+    except FuelExhausted:
+        raise GcttTypeError(span, "mismatch",
+                            "conversion fuel exhausted (see --fuel)") from None
 
 
 def _apply_abstracted(env, names, term, *vals):

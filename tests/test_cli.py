@@ -111,6 +111,33 @@ def test_normalize_ill_typed_expr(capsys, corpus_dir):
     assert code == 1
 
 
+def test_normalize_expr_respects_fuel(capsys):
+    expr = r"(\(A : U) -> \(x : A) -> x) N 0"
+    code, out, err = run(capsys, "normalize", "--fuel", "1", "--expr", expr)
+    assert code == 1 and out == ""
+    assert err.strip() == ("<expr>:1:1: [mismatch] conversion fuel exhausted"
+                           " (see --fuel)")
+    code, out, _ = run(capsys, "normalize", "--expr", expr)
+    assert code == 0 and out.strip() == "0"
+
+
+def test_fuel_error_carries_the_declaration_span(capsys, corpus_dir):
+    path = corpus_dir / "funext.gctt"
+    code, _, err = run(capsys, "check", "--fuel", "1", str(path))
+    assert code == 1
+    # the first declaration, funext, starts on line 4
+    assert err.startswith(f"{path}:4:1: [mismatch] conversion fuel exhausted")
+
+
+def test_transport_through_a_composed_universe_line(capsys, corpus_dir):
+    # the contraction of the identity equivalence's fibers is a path
+    code, out, err = run(capsys, "normalize", str(corpus_dir / "funext.gctt"),
+                         "--expr",
+                         "transp i ((comp j U [ (i=0) -> N ] N) * N) (1, 2)")
+    assert (code, err) == (0, "")
+    assert out.strip() == "(glue [] 1, 2)"
+
+
 def test_normalize_unknown_declaration(capsys, corpus_dir):
     code, _, err = run(capsys, "normalize", str(corpus_dir / "funext.gctt"),
                        "missing")
