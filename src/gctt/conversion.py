@@ -3,8 +3,8 @@
 Conversion is type-directed where a type is available (eta for functions,
 pairs, paths, and glue) and structural otherwise.  Later types and nexts are
 compared on values, up to weakening, exchange, next-substitution and eta
-(`_conv_later`).  Equality under a face restriction is checked clause by
-clause.
+(`_conv_later`); a neutral met by a next is eta-expanded.  Equality under a
+face restriction is checked clause by clause.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .interval import (
     face_equal,
 )
 from .eval import (
+    FnClosure,
     NApp,
     NComp,
     NDFix,
@@ -140,6 +141,10 @@ def _conv_structural(used: frozenset, a: Value, b: Value) -> bool:
             return conv(used, p1, p2)
         case (VLaterT(), VLaterT()) | (VNext(), VNext()):
             return _conv_later(used, a, b)
+        case (VNext(), VNeutral()):
+            return _conv_later(used, a, _eta_next(b))
+        case (VNeutral(), VNext()):
+            return _conv_later(used, _eta_next(a), b)
         case (VGlueT(face=f1, partial=p1, equiv=e1, base=b1),
               VGlueT(face=f2, partial=p2, equiv=e2, base=b2)):
             return (face_equal(f1, f2) and conv(used, b1, b2)
@@ -179,6 +184,14 @@ def _conv_later(used: frozenset, a: Value, b: Value) -> bool:
     finally:
         # probes that outlive the call in some value are plain variables
         st.pairs, st.left = {}, {}
+
+
+_IDENTITY = FnClosure(lambda v: v)
+
+
+def _eta_next(n: VNeutral) -> VNext:
+    """`next [x <- n] x`, built as is: `make_next` would contract it to n."""
+    return VNext((("x", n),), _IDENTITY)
 
 
 class _Pairing:

@@ -806,10 +806,7 @@ def eval_term(env: dict, t: Term) -> Value:
             if hit is not None:
                 fvs, fis = S.free_names(hit[1])
                 if all(n in env for n in fvs | fis):
-                    try:
-                        ty_val = eval_term(env, hit[1])
-                    except Exception:
-                        ty_val = None
+                    ty_val = eval_term(env, hit[1])
             return dfix_v(env_iexpr(env, r), capture(env, (x,), b), ty_val)
     raise TypeError(f"cannot evaluate {t!r}")
 
@@ -1252,34 +1249,17 @@ def readback_value(used: frozenset, v: Value) -> Term:
 
 
 def _first_use(t: Term, name: str) -> int:
-    """Depth-first index of the first occurrence of a variable; used to order
+    """Pre-order index of the first occurrence of a variable; used to order
     bindings with identical contents deterministically.  Binder names here
     are readback-fresh, so shadowing cannot occur."""
-    state = [0]
-
-    def walk(u):
-        if isinstance(u, S.Var):
-            state[0] += 1
-            return state[0] if u.name == name else None
-        if not isinstance(u, Term):
-            return None
-        state[0] += 1
-        for fld in u.__dataclass_fields__:
-            if fld == "span":
-                continue
-            sub = getattr(u, fld)
-            items = sub if isinstance(sub, tuple) else (sub,)
-            for item in items:
-                if isinstance(item, tuple):
-                    item = item[1]
-                if isinstance(item, Term):
-                    hit = walk(item)
-                    if hit is not None:
-                        return hit
-        return None
-
-    hit = walk(t)
-    return hit if hit is not None else 1 << 30
+    stack, index = [t], 0
+    while stack:
+        u = stack.pop()
+        index += 1
+        if isinstance(u, S.Var) and u.name == name:
+            return index
+        stack.extend(reversed(tuple(S.subterms(u))))
+    return 1 << 30
 
 
 # Enclosing delayed-substitution binders mapped to their fully expanded
@@ -1467,10 +1447,7 @@ def readback_neutral(used: frozenset, ne: Neutral,
             # keep the checked type attached to the printed fixed point, so
             # normal forms stay inferable when rechecked
             if isinstance(ty, VLaterT) and not ty.entries:
-                try:
-                    register_dfix_type(node, readback(used, ty))
-                except Exception:
-                    pass
+                register_dfix_type(node, readback(used, ty))
             return node
     raise TypeError(f"cannot read back neutral {ne!r}")
 

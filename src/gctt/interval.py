@@ -93,23 +93,9 @@ def inames(r: IExpr) -> frozenset[Name]:
     raise TypeError(f"not an interval expression: {r!r}")
 
 
-def dm_subst(r: IExpr, i: Name, s: IExpr) -> IExpr:
-    """Substitute s for the name i, structurally."""
-    match r:
-        case I0() | I1():
-            return r
-        case IVar(name):
-            return s if name == i else r
-        case INeg(arg):
-            return INeg(dm_subst(arg, i, s))
-        case IMeet(lhs, rhs):
-            return IMeet(dm_subst(lhs, i, s), dm_subst(rhs, i, s))
-        case IJoin(lhs, rhs):
-            return IJoin(dm_subst(lhs, i, s), dm_subst(rhs, i, s))
-    raise TypeError(f"not an interval expression: {r!r}")
-
-
 def dm_subst_all(r: IExpr, sub: dict[Name, IExpr]) -> IExpr:
+    """Substitute sub[i] for each name i in sub, simultaneously and
+    structurally."""
     if not sub:
         return r
     match r:
@@ -294,12 +280,8 @@ def face_of_eq(r: IExpr, polarity: int) -> Face:
     raise TypeError(f"not an interval expression: {r!r}")
 
 
-def face_subst(phi: Face, i: Name, r: IExpr) -> Face:
-    """Replace every literal (i=b) by the face (r=b)."""
-    return face_subst_all(phi, {i: r})
-
-
 def face_subst_all(phi: Face, sub: dict[Name, IExpr]) -> Face:
+    """Replace every literal (i=b) with i in sub by the face (sub[i]=b)."""
     if not sub:
         return phi
     result = FACE_BOT

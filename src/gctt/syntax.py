@@ -1,25 +1,25 @@
 """Abstract syntax: terms, delayed substitutions, systems, modules.
 
-Terms are immutable trees with named binders; substitution is
-capture-avoiding and descends into interval and face positions.  Spans are
+Terms are immutable trees with named binders.  Each term former declares,
+field by field, what it binds (`_part`); free names, capture-avoiding
+substitution of terms and interval expressions, alpha-canonical renaming
+and the subterm walk are all read off that one description.  Spans are
 carried for diagnostics but ignored by structural equality.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .interval import (
     Face,
     IExpr,
     IVar,
-    dm_subst,
     dm_subst_all,
     face_names,
     face_str,
-    face_subst,
     face_subst_all,
     iexpr_str,
     inames,
@@ -41,6 +41,27 @@ def _span_field():
     return field(default=None, compare=False, repr=False)
 
 
+# ---------------------------------------------------------------------------
+# Binding structure.  Every field of a term former but its span is one of:
+
+NAME = "name"        # the name a variable occurrence refers to
+TERM = "term"        # a subterm, or None where optional
+IEXPR = "iexpr"      # an interval expression
+FACE = "face"        # a face
+SYSTEM = "system"    # a tuple of (Face, Term) branches
+BINDER = "binder"    # a term binder
+IBINDER = "ibinder"  # an interval binder
+DS = "ds"            # a delayed substitution: a tuple of (term binder, Term);
+                     # every entry lies outside all of the binders
+
+
+def _part(kind: str, default=None, under: Optional[str] = None):
+    """A field of the given kind.  A subterm `under` a binder field (BINDER,
+    IBINDER or DS) is in the scope of what that field binds; every other
+    subterm, face and interval expression is in the scope of the node."""
+    return field(default=default, metadata={"kind": kind, "under": under})
+
+
 @dataclass(frozen=True)
 class Term:
     span: Optional[Span] = _span_field()
@@ -51,50 +72,50 @@ class Term:
 
 @dataclass(frozen=True)
 class Var(Term):
-    name: str = ""
+    name: str = _part(NAME, "")
 
 
 @dataclass(frozen=True)
 class Lam(Term):
-    binder: str = ""
-    annotation: Optional[Term] = None
-    body: Term = None
+    binder: str = _part(BINDER, "")
+    annotation: Optional[Term] = _part(TERM)
+    body: Term = _part(TERM, under="binder")
 
 
 @dataclass(frozen=True)
 class App(Term):
-    fn: Term = None
-    arg: Term = None
+    fn: Term = _part(TERM)
+    arg: Term = _part(TERM)
 
 
 @dataclass(frozen=True)
 class Pi(Term):
-    binder: str = ""
-    domain: Term = None
-    codomain: Term = None
+    binder: str = _part(BINDER, "")
+    domain: Term = _part(TERM)
+    codomain: Term = _part(TERM, under="binder")
 
 
 @dataclass(frozen=True)
 class Sigma(Term):
-    binder: str = ""
-    first: Term = None
-    second: Term = None
+    binder: str = _part(BINDER, "")
+    first: Term = _part(TERM)
+    second: Term = _part(TERM, under="binder")
 
 
 @dataclass(frozen=True)
 class Pair(Term):
-    fst: Term = None
-    snd: Term = None
+    fst: Term = _part(TERM)
+    snd: Term = _part(TERM)
 
 
 @dataclass(frozen=True)
 class Fst(Term):
-    pair: Term = None
+    pair: Term = _part(TERM)
 
 
 @dataclass(frozen=True)
 class Snd(Term):
-    pair: Term = None
+    pair: Term = _part(TERM)
 
 
 @dataclass(frozen=True)
@@ -104,15 +125,15 @@ class Zero(Term):
 
 @dataclass(frozen=True)
 class Suc(Term):
-    pred: Term = None
+    pred: Term = _part(TERM)
 
 
 @dataclass(frozen=True)
 class NatRec(Term):
-    motive: Term = None
-    base: Term = None
-    step: Term = None
-    scrutinee: Term = None
+    motive: Term = _part(TERM)
+    base: Term = _part(TERM)
+    step: Term = _part(TERM)
+    scrutinee: Term = _part(TERM)
 
 
 @dataclass(frozen=True)
@@ -127,74 +148,74 @@ class Univ(Term):
 
 @dataclass(frozen=True)
 class PLam(Term):
-    binder: str = ""
-    body: Term = None
+    binder: str = _part(IBINDER, "")
+    body: Term = _part(TERM, under="binder")
 
 
 @dataclass(frozen=True)
 class PApp(Term):
-    fn: Term = None
-    arg: IExpr = None
+    fn: Term = _part(TERM)
+    arg: IExpr = _part(IEXPR)
 
 
 @dataclass(frozen=True)
 class PathT(Term):
-    space: Term = None
-    lhs: Term = None
-    rhs: Term = None
+    space: Term = _part(TERM)
+    lhs: Term = _part(TERM)
+    rhs: Term = _part(TERM)
 
 
 @dataclass(frozen=True)
 class SystemTerm(Term):
-    branches: tuple = ()  # of (Face, Term)
+    branches: tuple = _part(SYSTEM, ())
 
 
 @dataclass(frozen=True)
 class Comp(Term):
-    binder: str = ""
-    line: Term = None
-    face: Face = None
-    tube: Term = None  # under the binder, defined on the face
-    base: Term = None
+    binder: str = _part(IBINDER, "")
+    line: Term = _part(TERM, under="binder")
+    face: Face = _part(FACE)
+    tube: Term = _part(TERM, under="binder")  # defined on the face
+    base: Term = _part(TERM)
 
 
 @dataclass(frozen=True)
 class GlueT(Term):
-    face: Face = None
-    partial: Optional[Term] = None  # type on the face; None iff face is bottom
-    equiv: Optional[Term] = None
-    base: Term = None
+    face: Face = _part(FACE)
+    partial: Optional[Term] = _part(TERM)  # type on the face; None iff bottom
+    equiv: Optional[Term] = _part(TERM)
+    base: Term = _part(TERM)
 
 
 @dataclass(frozen=True)
 class GlueIntro(Term):
-    face: Face = None
-    partial: Optional[Term] = None  # term on the face; None iff face is bottom
-    base: Term = None
+    face: Face = _part(FACE)
+    partial: Optional[Term] = _part(TERM)  # term on the face; None iff bottom
+    base: Term = _part(TERM)
 
 
 @dataclass(frozen=True)
 class Unglue(Term):
-    arg: Term = None
+    arg: Term = _part(TERM)
 
 
 @dataclass(frozen=True)
 class LaterT(Term):
-    subst: tuple = ()  # of (str, Term)
-    body: Term = None
+    subst: tuple = _part(DS, ())
+    body: Term = _part(TERM, under="subst")
 
 
 @dataclass(frozen=True)
 class Next(Term):
-    subst: tuple = ()
-    body: Term = None
+    subst: tuple = _part(DS, ())
+    body: Term = _part(TERM, under="subst")
 
 
 @dataclass(frozen=True)
 class DFix(Term):
-    clock: IExpr = None  # interval element controlling the unfolding
-    binder: str = ""
-    body: Term = None
+    clock: IExpr = _part(IEXPR)  # interval element controlling the unfolding
+    binder: str = _part(BINDER, "")
+    body: Term = _part(TERM, under="binder")
 
 
 @dataclass(frozen=True)
@@ -212,99 +233,81 @@ class ModuleFile:
     declarations: tuple = ()
 
 
+# For each term former, its fields in order as (name, kind, binder field
+# the field is under, that binder field's kind).
+_SCHEME = {
+    cls: tuple(
+        (f.name, f.metadata["kind"], f.metadata["under"],
+         cls.__dataclass_fields__[f.metadata["under"]].metadata["kind"]
+         if f.metadata["under"] else None)
+        for f in fields(cls) if f.metadata
+    )
+    for cls in Term.__subclasses__()
+}
+
+
+def subterms(t: Term):
+    """The immediate subterms of t, in field order."""
+    for name, kind, _, _ in _SCHEME[type(t)]:
+        value = getattr(t, name)
+        if kind is TERM:
+            if value is not None:
+                yield value
+        elif kind is SYSTEM or kind is DS:
+            for _, u in value:
+                yield u
+
+
+def _bound(value, kind) -> tuple[frozenset, frozenset]:
+    """The term and interval names a binder field binds."""
+    if kind is BINDER:
+        return frozenset((value,)), frozenset()
+    if kind is IBINDER:
+        return frozenset(), frozenset((value,))
+    return frozenset(x for x, _ in value), frozenset()
+
+
 # ---------------------------------------------------------------------------
 # Free names
 
 
-_free_cache: dict = {}
-
-
 def free_names(t: Term) -> tuple[frozenset, frozenset]:
-    """Free term variables and free interval names of a term (memoized by
-    node identity; terms are immutable)."""
-    hit = _free_cache.get(id(t))
-    if hit is not None and hit[0] is t:
-        return hit[1]
+    """Free term variables and free interval names of a term, memoized on
+    the node (terms are immutable)."""
+    memo = t.__dict__.get("_free_names")
+    if memo is not None:
+        return memo
     fvs, fis = set(), set()
-    _free(t, frozenset(), frozenset(), fvs, fis)
-    result = (frozenset(fvs), frozenset(fis))
-    _free_cache[id(t)] = (t, result)
-    return result
-
-
-def _free(t, bound, ibound, fvs, fis):
-    def go(u, b=bound, ib=ibound):
-        _free(u, b, ib, fvs, fis)
-
-    def go_i(r, ib=ibound):
-        fis.update(inames(r) - ib)
-
-    def go_face(phi, ib=ibound):
-        fis.update(face_names(phi) - ib)
-
-    match t:
-        case Var(name=x):
-            if x not in bound:
-                fvs.add(x)
-        case Lam(binder=x, annotation=ann, body=b):
-            if ann is not None:
-                go(ann)
-            go(b, bound | {x})
-        case App(fn=f, arg=a):
-            go(f), go(a)
-        case Pi(binder=x, domain=d, codomain=c) | Sigma(binder=x, first=d, second=c):
-            go(d), go(c, bound | {x})
-        case Pair(fst=a, snd=b):
-            go(a), go(b)
-        case Fst(pair=p) | Snd(pair=p) | Unglue(arg=p) | Suc(pred=p):
-            go(p)
-        case NatRec(motive=m, base=z, step=s, scrutinee=n):
-            go(m), go(z), go(s), go(n)
-        case Zero() | Nat() | Univ():
-            pass
-        case PLam(binder=x, body=b):
-            go(b, bound, ibound | {x})
-        case PApp(fn=f, arg=r):
-            go(f), go_i(r)
-        case PathT(space=a, lhs=l, rhs=r):
-            go(a), go(l), go(r)
-        case SystemTerm(branches=bs):
-            for phi, u in bs:
-                go_face(phi), go(u)
-        case Comp(binder=x, line=a, face=phi, tube=u, base=b):
-            go(a, bound, ibound | {x})
-            go_face(phi)
-            go(u, bound, ibound | {x})
-            go(b)
-        case GlueT(face=phi, partial=p, equiv=e, base=b):
-            go_face(phi)
-            if p is not None:
-                go(p)
-            if e is not None:
-                go(e)
-            go(b)
-        case GlueIntro(face=phi, partial=p, base=b):
-            go_face(phi)
-            if p is not None:
-                go(p)
-            go(b)
-        case LaterT(subst=ds, body=b) | Next(subst=ds, body=b):
-            names = bound
-            for x, u in ds:
-                go(u, names)
-                names = names | {x}
-            go(b, names)
-        case DFix(clock=r, binder=x, body=b):
-            go_i(r)
-            go(b, bound | {x})
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    for name, kind, under, under_kind in _SCHEME[type(t)]:
+        value = getattr(t, name)
+        if kind is NAME:
+            fvs.add(value)
+        elif kind is TERM:
+            if value is not None:
+                vs, js = free_names(value)
+                if under is not None:
+                    bvs, bjs = _bound(getattr(t, under), under_kind)
+                    vs, js = vs - bvs, js - bjs
+                fvs |= vs
+                fis |= js
+        elif kind is IEXPR:
+            fis |= inames(value)
+        elif kind is FACE:
+            fis |= face_names(value)
+        elif kind is SYSTEM or kind is DS:
+            for head, u in value:
+                if kind is SYSTEM:
+                    fis |= face_names(head)
+                vs, js = free_names(u)
+                fvs |= vs
+                fis |= js
+    memo = (frozenset(fvs), frozenset(fis))
+    object.__setattr__(t, "_free_names", memo)
+    return memo
 
 
 # ---------------------------------------------------------------------------
-# Substitution
-
-_fresh_counter = itertools.count()
+# Substitution and alpha-renaming
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -318,309 +321,136 @@ def fresh_name(base: str, avoid) -> str:
     raise AssertionError
 
 
+def substitute(t: Term, terms: dict, intervals: dict) -> Term:
+    """Capture-avoiding simultaneous substitution of terms for term names
+    and interval expressions for interval names.  A binder that could
+    capture a free name of a substituted term or expression is renamed,
+    whatever its name space.  A term in which no substituted name is free
+    is returned as it is."""
+    # every name free in a term or expression the walk may put in; a
+    # renamed binder's new name joins it, so that an inner binder of that
+    # name is renamed in turn rather than capturing the renamed occurrences
+    avoid = set()
+    for u in terms.values():
+        for names in free_names(u):
+            avoid |= names
+    for r in intervals.values():
+        avoid |= inames(r)
+
+    def rename(x, kind, node, chosen):
+        if x not in avoid:
+            return x
+        used = avoid | chosen | _binders(node)
+        for names in free_names(node):
+            used |= names
+        x2 = fresh_name(x, used)
+        avoid.add(x2)
+        return x2
+
+    return _rebuild(t, terms, intervals, rename, True)
+
+
 def subst_term(t: Term, x: str, u: Term) -> Term:
     """Capture-avoiding substitution of u for the term variable x."""
-    fv_u, _ = free_names(u)
-    return _subst(t, {x: u}, fv_u | {x})
+    return substitute(t, {x: u}, {})
 
 
 def subst_terms(t: Term, sub: dict) -> Term:
-    avoid = set(sub)
-    for u in sub.values():
-        avoid |= free_names(u)[0]
-    return _subst(t, sub, frozenset(avoid))
-
-
-def _rename_binder(x, body, sub, avoid, extra=()):
-    """Pick a binder avoiding capture; returns (binder, adjusted body)."""
-    sub = {y: v for y, v in sub.items() if y != x}
-    if not sub:
-        return x, body, sub
-    if x in avoid:
-        used = avoid | free_names(body)[0] | set(extra)
-        x2 = fresh_name(x, used)
-        body = _subst(body, {x: Var(name=x2)}, frozenset({x2}))
-        return x2, body, sub
-    return x, body, sub
-
-
-def _subst(t, sub, avoid):
-    if not sub:
-        return t
-
-    def go(u, s=None):
-        return _subst(u, sub if s is None else s, avoid)
-
-    match t:
-        case Var(name=y):
-            return sub.get(y, t)
-        case Lam(binder=x, annotation=ann, body=b):
-            ann2 = go(ann) if ann is not None else None
-            x2, b, sub2 = _rename_binder(x, b, sub, avoid)
-            return Lam(t.span, x2, ann2, _subst(b, sub2, avoid))
-        case App(fn=f, arg=a):
-            return App(t.span, go(f), go(a))
-        case Pi(binder=x, domain=d, codomain=c):
-            d2 = go(d)
-            x2, c, sub2 = _rename_binder(x, c, sub, avoid)
-            return Pi(t.span, x2, d2, _subst(c, sub2, avoid))
-        case Sigma(binder=x, first=d, second=c):
-            d2 = go(d)
-            x2, c, sub2 = _rename_binder(x, c, sub, avoid)
-            return Sigma(t.span, x2, d2, _subst(c, sub2, avoid))
-        case Pair(fst=a, snd=b):
-            return Pair(t.span, go(a), go(b))
-        case Fst(pair=p):
-            return Fst(t.span, go(p))
-        case Snd(pair=p):
-            return Snd(t.span, go(p))
-        case Zero() | Nat() | Univ():
-            return t
-        case Suc(pred=p):
-            return Suc(t.span, go(p))
-        case NatRec(motive=m, base=z, step=s, scrutinee=n):
-            return NatRec(t.span, go(m), go(z), go(s), go(n))
-        case PLam(binder=x, body=b):
-            return PLam(t.span, x, go(b))
-        case PApp(fn=f, arg=r):
-            return PApp(t.span, go(f), r)
-        case PathT(space=a, lhs=l, rhs=r):
-            return PathT(t.span, go(a), go(l), go(r))
-        case SystemTerm(branches=bs):
-            return SystemTerm(t.span, tuple((phi, go(u)) for phi, u in bs))
-        case Comp(binder=x, line=a, face=phi, tube=u, base=b):
-            return Comp(t.span, x, go(a), phi, go(u), go(b))
-        case GlueT(face=phi, partial=p, equiv=e, base=b):
-            return GlueT(
-                t.span, phi,
-                go(p) if p is not None else None,
-                go(e) if e is not None else None,
-                go(b),
-            )
-        case GlueIntro(face=phi, partial=p, base=b):
-            return GlueIntro(t.span, phi, go(p) if p is not None else None, go(b))
-        case LaterT(subst=ds, body=b) | Next(subst=ds, body=b):
-            # Binding terms live outside the binders; binders scope over the
-            # body only.  Rename any binder that could capture.
-            ctor = LaterT if isinstance(t, LaterT) else Next
-            entries = [(x, go(u)) for x, u in ds]
-            body = b
-            body_sub = {y: v for y, v in sub.items() if y not in {x for x, _ in ds}}
-            if body_sub:
-                ren = {}
-                used = avoid | free_names(body)[0] | {x for x, _ in entries}
-                for idx, (x, u) in enumerate(entries):
-                    if x in avoid:
-                        x2 = fresh_name(x, used)
-                        used = used | {x2}
-                        ren[x] = Var(name=x2)
-                        entries[idx] = (x2, u)
-                if ren:
-                    body = _subst(body, ren, frozenset(v.name for v in ren.values()))
-                body = _subst(body, body_sub, avoid)
-            return ctor(t.span, tuple(entries), body)
-        case DFix(clock=r, binder=x, body=b):
-            x2, b, sub2 = _rename_binder(x, b, sub, avoid)
-            return DFix(t.span, r, x2, _subst(b, sub2, avoid))
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    """Capture-avoiding simultaneous substitution for term variables."""
+    return substitute(t, sub, {})
 
 
 def subst_interval(t: Term, i: str, r: IExpr) -> Term:
     """Substitute the interval expression r for the name i everywhere."""
-    return _isubst(t, i, r)
-
-
-def _isubst(t, i, r):
-    def go(u):
-        return _isubst(u, i, r)
-
-    match t:
-        case Var():
-            return t
-        case Lam(binder=x, annotation=ann, body=b):
-            return Lam(t.span, x, go(ann) if ann is not None else None, go(b))
-        case App(fn=f, arg=a):
-            return App(t.span, go(f), go(a))
-        case Pi(binder=x, domain=d, codomain=c):
-            return Pi(t.span, x, go(d), go(c))
-        case Sigma(binder=x, first=d, second=c):
-            return Sigma(t.span, x, go(d), go(c))
-        case Pair(fst=a, snd=b):
-            return Pair(t.span, go(a), go(b))
-        case Fst(pair=p):
-            return Fst(t.span, go(p))
-        case Snd(pair=p):
-            return Snd(t.span, go(p))
-        case Zero() | Nat() | Univ():
-            return t
-        case Suc(pred=p):
-            return Suc(t.span, go(p))
-        case NatRec(motive=m, base=z, step=s, scrutinee=n):
-            return NatRec(t.span, go(m), go(z), go(s), go(n))
-        case PLam(binder=x, body=b):
-            if x == i:
-                return t
-            if x in inames(r):
-                x2 = fresh_name(x, inames(r) | free_names(t)[1] | {i})
-                b = _isubst(b, x, IVar(x2))
-                return PLam(t.span, x2, _isubst(b, i, r))
-            return PLam(t.span, x, go(b))
-        case PApp(fn=f, arg=s):
-            return PApp(t.span, go(f), dm_subst(s, i, r))
-        case PathT(space=a, lhs=l, rhs=rr):
-            return PathT(t.span, go(a), go(l), go(rr))
-        case SystemTerm(branches=bs):
-            return SystemTerm(
-                t.span, tuple((face_subst(phi, i, r), go(u)) for phi, u in bs)
-            )
-        case Comp(binder=x, line=a, face=phi, tube=u, base=b):
-            phi2 = face_subst(phi, i, r)
-            b2 = go(b)
-            if x == i:
-                return Comp(t.span, x, a, phi2, u, b2)
-            if x in inames(r):
-                x2 = fresh_name(x, inames(r) | free_names(t)[1] | {i})
-                a = _isubst(a, x, IVar(x2))
-                u = _isubst(u, x, IVar(x2))
-                return Comp(t.span, x2, _isubst(a, i, r), phi2, _isubst(u, i, r), b2)
-            return Comp(t.span, x, go(a), phi2, go(u), b2)
-        case GlueT(face=phi, partial=p, equiv=e, base=b):
-            return GlueT(
-                t.span, face_subst(phi, i, r),
-                go(p) if p is not None else None,
-                go(e) if e is not None else None,
-                go(b),
-            )
-        case GlueIntro(face=phi, partial=p, base=b):
-            return GlueIntro(
-                t.span, face_subst(phi, i, r),
-                go(p) if p is not None else None, go(b),
-            )
-        case LaterT(subst=ds, body=b):
-            return LaterT(t.span, tuple((x, go(u)) for x, u in ds), go(b))
-        case Next(subst=ds, body=b):
-            return Next(t.span, tuple((x, go(u)) for x, u in ds), go(b))
-        case DFix(clock=s, binder=x, body=b):
-            return DFix(t.span, dm_subst(s, i, r), x, go(b))
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# Alpha-canonical renaming (binders renamed in traversal order)
+    return substitute(t, {}, {i: r})
 
 
 def alpha_canonical(t: Term) -> Term:
-    counter = itertools.count()
-    icounter = itertools.count()
-    return _alpha(t, {}, {}, counter, icounter)
+    """Rename the binders of t to x0, x1, ... (term binders) and i0, i1, ...
+    (interval binders), skipping names free in t, and drop the spans, so
+    that alpha-equivalent terms give equal results.  A binder is numbered
+    just before the first subterm it scopes over; a delayed substitution's
+    binder right after its entry."""
+    fvs, fis = free_names(t)
+    counters = {BINDER: ("x", fvs, itertools.count()),
+                IBINDER: ("i", fis, itertools.count())}
+
+    def rename(x, kind, node, chosen):
+        prefix, free, counter = counters[kind]
+        while (name := f"{prefix}{next(counter)}") in free:
+            pass
+        return name
+
+    return _rebuild(t, {}, {}, rename, False)
 
 
-def _alpha(t, env, ienv, counter, icounter):
-    def go(u, e=None, ie=None):
-        return _alpha(u, env if e is None else e, ienv if ie is None else ie,
-                      counter, icounter)
-
-    def bind(x):
-        fresh = f"x{next(counter)}"
-        e = dict(env)
-        e[x] = fresh
-        return fresh, e
-
-    match t:
-        case Var(name=x):
-            return Var(None, env.get(x, x))
-        case Lam(binder=x, annotation=ann, body=b):
-            ann2 = go(ann) if ann is not None else None
-            x2, e = bind(x)
-            return Lam(None, x2, ann2, go(b, e))
-        case Pi(binder=x, domain=d, codomain=c):
-            d2 = go(d)
-            x2, e = bind(x)
-            return Pi(None, x2, d2, go(c, e))
-        case Sigma(binder=x, first=d, second=c):
-            d2 = go(d)
-            x2, e = bind(x)
-            return Sigma(None, x2, d2, go(c, e))
-        case PLam(binder=x, body=b):
-            fresh = f"i{next(icounter)}"
-            ie = dict(ienv)
-            ie[x] = IVar(fresh)
-            return PLam(None, fresh, go(b, None, ie))
-        case PApp(fn=f, arg=r):
+def _binders(t: Term) -> set:
+    """The names the binder fields of t bind, in either name space."""
+    names = set()
+    for name, kind, _, _ in _SCHEME[type(t)]:
+        if kind is BINDER or kind is IBINDER or kind is DS:
+            for bound in _bound(getattr(t, name), kind):
+                names |= bound
+    return names
 
 
-            return PApp(None, go(f), dm_subst_all(r, ienv))
-        case Comp(binder=x, line=a, face=phi, tube=u, base=b):
+def _rebuild(t: Term, terms: dict, intervals: dict, rename,
+             keep_spans: bool) -> Term:
+    """t with `terms` and `intervals` substituted for its free names and
+    each binder x renamed to `rename(x, kind, node, names already chosen
+    for the node's binders)`.  A substitution keeps the spans and returns a
+    subterm in which no substituted name is free as it is; alpha-canonical
+    renaming drops the spans and rebuilds every node."""
+    cls = type(t)
+    if cls is Var:
+        u = terms.get(t.name)
+        if u is not None:
+            return u
+        return t if keep_spans else Var(None, t.name)
+    if keep_spans:
+        fvs, fis = free_names(t)
+        if fvs.isdisjoint(terms) and fis.isdisjoint(intervals):
+            return t
+    out, scopes, chosen = {}, {}, set()
 
+    def go(u, scope):
+        return _rebuild(u, *scope, rename, keep_spans)
 
-            fresh = f"i{next(icounter)}"
-            ie = dict(ienv)
-            ie[x] = IVar(fresh)
-            phi2 = face_subst_all(phi, ienv)
-            return Comp(None, fresh, go(a, None, ie), phi2, go(u, None, ie), go(b))
-        case SystemTerm(branches=bs):
+    def bind(x, kind, scope):
+        x2 = rename(x, kind, t, chosen)
+        chosen.add(x2)
+        ts, js = scope
+        sub = dict(ts if kind is BINDER else js)
+        if x2 == x:
+            sub.pop(x, None)
+        else:
+            sub[x] = Var(None, x2) if kind is BINDER else IVar(x2)
+        return x2, ((sub, js) if kind is BINDER else (ts, sub))
 
-
-            return SystemTerm(
-                None,
-                tuple((face_subst_all(phi, ienv), go(u)) for phi, u in bs),
-            )
-        case GlueT(face=phi, partial=p, equiv=e, base=b):
-
-
-            return GlueT(
-                None, face_subst_all(phi, ienv),
-                go(p) if p is not None else None,
-                go(e) if e is not None else None, go(b),
-            )
-        case GlueIntro(face=phi, partial=p, base=b):
-
-
-            return GlueIntro(
-                None, face_subst_all(phi, ienv),
-                go(p) if p is not None else None, go(b),
-            )
-        case LaterT(subst=ds, body=b) | Next(subst=ds, body=b):
-            ctor = LaterT if isinstance(t, LaterT) else Next
-            e = dict(env)
-            entries = []
-            for x, u in ds:
-                u2 = _alpha(u, e, ienv, counter, icounter)
-                fresh = f"x{next(counter)}"
-                e[x] = fresh
-                entries.append((fresh, u2))
-            return ctor(None, tuple(entries), _alpha(b, e, ienv, counter, icounter))
-        case DFix(clock=r, binder=x, body=b):
-
-
-            x2, e = bind(x)
-            return DFix(None, dm_subst_all(r, ienv), x2, go(b, e))
-        case App(fn=f, arg=a):
-            return App(None, go(f), go(a))
-        case Pair(fst=a, snd=b):
-            return Pair(None, go(a), go(b))
-        case Fst(pair=p):
-            return Fst(None, go(p))
-        case Snd(pair=p):
-            return Snd(None, go(p))
-        case Suc(pred=p):
-            return Suc(None, go(p))
-        case NatRec(motive=m, base=z, step=s, scrutinee=n):
-            return NatRec(None, go(m), go(z), go(s), go(n))
-        case PathT(space=a, lhs=l, rhs=r):
-            return PathT(None, go(a), go(l), go(r))
-        case Unglue(arg=p):
-            return Unglue(None, go(p))
-        case Zero() | Nat() | Univ():
-            return replace(t, span=None)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-
-
-def alpha_equal(t: Term, u: Term) -> bool:
-    return alpha_canonical(t) == alpha_canonical(u)
+    outer = (terms, intervals)
+    for name, kind, under, under_kind in _SCHEME[cls]:
+        value = getattr(t, name)
+        if kind is TERM:
+            if under is not None and under not in scopes:
+                out[under], scopes[under] = bind(getattr(t, under),
+                                                 under_kind, outer)
+            out[name] = None if value is None else go(value,
+                                                      scopes.get(under, outer))
+        elif kind is IEXPR:
+            out[name] = dm_subst_all(value, intervals)
+        elif kind is FACE:
+            out[name] = face_subst_all(value, intervals)
+        elif kind is SYSTEM:
+            out[name] = tuple((face_subst_all(phi, intervals), go(u, outer))
+                              for phi, u in value)
+        elif kind is DS:
+            entries, scope = [], outer
+            for x, u in value:
+                u2 = go(u, outer)
+                x2, scope = bind(x, BINDER, scope)
+                entries.append((x2, u2))
+            out[name], scopes[name] = tuple(entries), scope
+    return cls(t.span if keep_spans else None, **out)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .eval import (
     make_later,
     neutral_var,
     readback,
+    register_dfix_type,
 )
 from .interval import (
     FACE_BOT,
@@ -136,11 +137,8 @@ class Checker:
 
     # -- helpers -------------------------------------------------------------
 
-    def _show(self, ctx: Ctx, v: Value, ty: Optional[Value] = None) -> str:
-        try:
-            return term_str(readback(ctx.used, v, ty))
-        except Exception:
-            return "<unprintable>"
+    def _show(self, ctx: Ctx, v: Value) -> str:
+        return term_str(readback(ctx.used, v))
 
     def ensure_conv(self, ctx: Ctx, got: Value, want: Value, span, what: str,
                     ty: Optional[Value] = None, kind: str = "mismatch"):
@@ -180,29 +178,17 @@ class Checker:
         """The body type of a previously established later type for this
         fixed-point node, when its free names are all in scope."""
         from .eval import DFIX_TYPES
-        from .syntax import free_names
 
         hit = DFIX_TYPES.get(id(node))
         if hit is None:
             return None
-        fvs, fis = free_names(hit[1])
+        fvs, fis = S.free_names(hit[1])
         if not all(n in ctx.env for n in fvs | fis):
             return None
-        try:
-            ty = eval_term(ctx.env, hit[1])
-        except Exception:
-            return None
+        ty = eval_term(ctx.env, hit[1])
         if isinstance(ty, VLaterT) and not ty.entries:
             return ty.body.apply()
         return None
-
-    def _register_dfix(self, ctx: Ctx, node, ty: Value):
-        from .eval import register_dfix_type
-
-        try:
-            register_dfix_type(node, readback(ctx.used, ty))
-        except Exception:
-            pass
 
     def check_interval(self, ctx: Ctx, r, span):
         for n in inames(env_iexpr(ctx.env, r)):
@@ -348,7 +334,7 @@ class Checker:
                     try:
                         ctx2, _ = ctx.bind_term(x, later)
                         self.check(ctx2, b, cand)
-                        self._register_dfix(ctx, t, later)
+                        register_dfix_type(t, readback(ctx.used, later))
                         return later
                     except GcttTypeError:
                         continue
@@ -426,7 +412,7 @@ class Checker:
                 inner = later.body.apply()
                 ctx2, _ = ctx.bind_term(x, later)
                 self.check(ctx2, b, inner)
-                self._register_dfix(ctx, t, later)
+                register_dfix_type(t, readback(ctx.used, later))
                 return
             case S.SystemTerm(branches=bs):
                 self.check_system(ctx, bs, ty, t.span)

@@ -138,6 +138,67 @@ def test_transport_through_a_composed_universe_line(capsys, corpus_dir):
     assert out.strip() == "(glue [] 1, 2)"
 
 
+def write_module(tmp_path, name, text):
+    path = tmp_path / f"{name}.gctt"
+    path.write_text(f"module {name} where\n\n{text}\n")
+    return str(path)
+
+
+SHADOW = """z : |> N = next 0
+
+f : (a : |> N) -> N -> |> N = \\a c -> next [{b} <- z, b <- a] b"""
+
+
+@pytest.mark.parametrize("binder", ["a", "a2"])
+def test_delayed_substitution_entries_lie_outside_its_binders(
+        capsys, tmp_path, binder):
+    # the entry `b <- a` refers to the lambda's a, not to the binder before it
+    path = write_module(tmp_path, "shadow", SHADOW.format(b=binder))
+    code, out, err = run(capsys, "check", path)
+    assert (code, err) == (0, "") and out.endswith(": ok (2 declarations)\n")
+    code, out, _ = run(capsys, "normalize", path, "--expr", "f (next 5) 0")
+    assert (code, out.strip()) == (0, "next 5")
+    code, out, _ = run(capsys, "normalize", path, "f")
+    assert (code, out.strip()) == (0, r"\a -> \c -> a")
+
+
+def test_fix_sugar_over_unglue(capsys, tmp_path):
+    path = write_module(tmp_path, "ung",
+                        r"k : (Glue [] N) -> N = \g -> fix 0 x. unglue g")
+    code, out, err = run(capsys, "check", path)
+    assert (code, err) == (0, "") and out.endswith(": ok (1 declarations)\n")
+
+
+def test_fix_sugar_does_not_capture_its_clock(capsys, tmp_path):
+    # the fixed point's clock i is the outer i: the inner binder is renamed
+    path = write_module(tmp_path, "capt", "c : N = <i> fix i x. <i> x")
+    code, out, _ = run(capsys, "parse", path)
+    assert code == 0
+    assert "c : N = <i> <i1> dfix i x. <i> x" in out.splitlines()
+
+
+def test_fix_sugar_renames_apart_nested_binders(capsys, tmp_path):
+    # the inner y is renamed to y1 for the outer y; the binder already named
+    # y1 is renamed to y2, so the last y still refers to the middle binder
+    path = write_module(
+        tmp_path, "nest",
+        r"g : N -> N = \y -> fix 0 x. (y, \(y : N) -> \(y1 : N) -> (x, y))")
+    code, out, _ = run(capsys, "parse", path)
+    assert code == 0
+    assert (r"g : N -> N = \y -> (y, \(y1 : N) -> \(y2 : N) -> "
+            r"(dfix 0 x. (y, \(y : N) -> \(y1 : N) -> (x, y)), y1))"
+            in out.splitlines())
+
+
+def test_next_is_eta_equal_to_a_neutral(capsys, tmp_path):
+    path = write_module(
+        tmp_path, "eta",
+        "e : (t : |> N) -> Path (|> N) (next [x <- t] ((\\(y : N) -> y) x)) t"
+        " = \\t -> <i> t")
+    code, out, err = run(capsys, "check", path)
+    assert (code, err) == (0, "") and out.endswith(": ok (1 declarations)\n")
+
+
 def test_normalize_unknown_declaration(capsys, corpus_dir):
     code, _, err = run(capsys, "normalize", str(corpus_dir / "funext.gctt"),
                        "missing")

@@ -84,6 +84,13 @@ def test_term_eta():
     assert cv("next [x <- t] x", "t")
 
 
+def test_term_eta_when_the_body_only_reduces_to_the_binder():
+    nxt = "next [x <- t] ((\\(y : N) -> y) x)"
+    assert cv(nxt, "t") and cv("t", nxt)
+    assert not cv("next [x <- t] (suc x)", "t")
+    assert not cv("next [x <- s] ((\\(y : N) -> y) x)", "t")
+
+
 # ---------------------------------------------------------------------------
 # the later-type equational theory (type rules)
 

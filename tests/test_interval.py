@@ -28,7 +28,7 @@ from gctt.interval import (
     dm_dnf,
     dm_equal,
     dm_is_one,
-    dm_subst,
+    dm_subst_all,
     face_clauses,
     face_entails,
     face_equal,
@@ -39,7 +39,7 @@ from gctt.interval import (
     face_names,
     face_of_eq,
     face_str,
-    face_subst,
+    face_subst_all,
     iexpr_str,
     inames,
 )
@@ -192,18 +192,18 @@ def face_st():
 
 
 # ---------------------------------------------------------------------------
-# dm_subst
+# dm_subst_all
 
 
 def test_subst_examples():
-    assert dm_subst(IMeet(i, j), "i", ONE) == IMeet(ONE, j)
-    assert dm_subst(INeg(i), "i", ZERO) == INeg(ZERO)
-    assert dm_subst(k, "i", ZERO) == k
+    assert dm_subst_all(IMeet(i, j), {"i": ONE}) == IMeet(ONE, j)
+    assert dm_subst_all(INeg(i), {"i": ZERO}) == INeg(ZERO)
+    assert dm_subst_all(k, {"i": ZERO}) == k
 
 
 def test_subst_identity():
     r = IJoin(IMeet(i, INeg(j)), k)
-    assert dm_subst(r, "i", i) == r
+    assert dm_subst_all(r, {"i": i}) == r
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +328,7 @@ def test_face_of_eq_against_valuations(r, pol):
     names = sorted(inames(r))
     for vals in itertools.product([ZERO, ONE], repeat=len(names)):
         sub = dict(zip(names, vals))
-        closed = r
-        for n, v in sub.items():
-            closed = dm_subst(closed, n, v)
+        closed = dm_subst_all(r, sub)
         val = {
             (n, p): int(sub[n] == (ONE if p else ZERO))
             for n in names
@@ -391,24 +389,24 @@ def test_face_ops_match_valuations(phi, psi):
 
 
 # ---------------------------------------------------------------------------
-# face_subst
+# face_subst_all
 
 
 def test_face_subst_examples():
     assert face_equal(
-        face_subst(face_lit("i", 1), "i", IMeet(j, k)),
+        face_subst_all(face_lit("i", 1), {"i": IMeet(j, k)}),
         face_meet(face_lit("j", 1), face_lit("k", 1)),
     )
-    assert face_equal(face_subst(face_lit("j", 0), "i", IJoin(j, k)), face_lit("j", 0))
-    assert face_subst(face_lit("i", 0), "i", ZERO) == FACE_TOP
+    assert face_equal(face_subst_all(face_lit("j", 0), {"i": IJoin(j, k)}), face_lit("j", 0))
+    assert face_subst_all(face_lit("i", 0), {"i": ZERO}) == FACE_TOP
 
 
 @given(face_st(), face_st(), iexpr_st(max_depth=3))
 @settings(max_examples=200)
 def test_face_subst_commutes_with_lattice_ops(phi, psi, r):
     for op in (face_meet, face_join):
-        lhs = face_subst(op(phi, psi), "i", r)
-        rhs = op(face_subst(phi, "i", r), face_subst(psi, "i", r))
+        lhs = face_subst_all(op(phi, psi), {"i": r})
+        rhs = op(face_subst_all(phi, {"i": r}), face_subst_all(psi, {"i": r}))
         assert face_equal(lhs, rhs)
 
 

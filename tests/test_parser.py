@@ -26,7 +26,7 @@ from gctt.syntax import (
     Unglue,
     Var,
     Zero,
-    alpha_equal,
+    alpha_canonical,
     module_str,
     term_str,
 )
@@ -258,5 +258,5 @@ def test_round_trip_corpus_modules(corpus_dir):
         assert len(again.declarations) == len(m.declarations)
         for d1, d2 in zip(m.declarations, again.declarations):
             assert d1.name == d2.name
-            assert alpha_equal(d1.type, d2.type)
-            assert alpha_equal(d1.body, d2.body)
+            assert alpha_canonical(d1.type) == alpha_canonical(d2.type)
+            assert alpha_canonical(d1.body) == alpha_canonical(d2.body)
