@@ -209,18 +209,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("paths", nargs="*", help=".gctt files")
         p.add_argument("--search-path", action="append", default=[],
                        metavar="DIR", help="module search directory")
         p.add_argument("--fuel", type=int, default=None,
                        help="conversion step bound")
-        p.add_argument("--report", action="store_true",
-                       help="machine-readable per-declaration records")
         p.add_argument("--no-corpus-cache", action="store_true",
                        help="do not reuse checked imports across files")
 
     p_check = sub.add_parser("check", help="type check modules")
+    p_check.add_argument("paths", nargs="*", help=".gctt files")
     common(p_check)
+    p_check.add_argument("--report", action="store_true",
+                         help="machine-readable per-declaration records")
     p_norm = sub.add_parser("normalize", help="print a normal form")
     p_norm.add_argument("path", nargs="?", default=None, help=".gctt module")
     p_norm.add_argument("name", nargs="?", default=None,
@@ -230,13 +230,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--at", action="append", default=[],
                         metavar="i=0",
                         help="interval substitution applied before printing")
-    p_norm.add_argument("--search-path", action="append", default=[],
-                        metavar="DIR")
-    p_norm.add_argument("--fuel", type=int, default=None)
-    p_norm.add_argument("--report", action="store_true")
-    p_norm.add_argument("--no-corpus-cache", action="store_true")
+    common(p_norm)
     p_parse = sub.add_parser("parse", help="parse and print the module")
-    common(p_parse)
+    p_parse.add_argument("paths", nargs="*", help=".gctt files")
     return ap
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 from . import syntax as S
 from .interval import (
     FACE_BOT,
+    FACE_TOP,
     Face,
     IExpr,
     IMeet,
@@ -76,24 +77,6 @@ def capture(env: dict, names: tuple, body: Term) -> TermClosure:
     fvs, fis = S.free_names(body)
     need = (fvs | fis).difference(names)
     return TermClosure({k: env[k] for k in need if k in env}, names, body)
-
-
-@dataclass(frozen=True, eq=False)
-class ITermClosure(Closure):
-    env: dict
-    name: str
-    body: Term
-
-    def apply(self, r: IExpr):
-        env = dict(self.env)
-        env[self.name] = r
-        return eval_term(env, self.body)
-
-
-def icapture(env: dict, name: str, body: Term) -> ITermClosure:
-    fvs, fis = S.free_names(body)
-    need = (fvs | fis) - {name}
-    return ITermClosure({k: env[k] for k in need if k in env}, name, body)
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +380,7 @@ def _support_of(x) -> frozenset:
             )
         case NDFix(clock=r, closure=c):
             parts = [r, c]
-        case TermClosure(env=env) | ITermClosure(env=env):
+        case TermClosure(env=env):
             out = set()
             for v in env.values():
                 out.update(support(v))
@@ -481,8 +464,6 @@ def act_closure(c: Closure, sub: dict) -> Closure:
     match c:
         case TermClosure(env=env, names=names, body=body):
             return TermClosure(act_env(env, sub), names, body)
-        case ITermClosure(env=env, name=name, body=body):
-            return ITermClosure(act_env(env, sub), name, body)
         case FnClosure(fn=fn, captured=cap, const=const):
             return FnClosure(fn, tuple(act_any(x, sub) for x in cap), const)
         case ValueClosure(value=val):
@@ -718,6 +699,18 @@ def register_dfix_type(node, type_term: Term):
     DFIX_TYPES[id(node)] = (node, type_term)
 
 
+def registered_dfix_type(env: dict, node) -> Optional[Value]:
+    """The later type registered for this fixed-point node, evaluated in
+    `env`, when its free names are all in scope there."""
+    hit = DFIX_TYPES.get(id(node))
+    if hit is None:
+        return None
+    fvs, fis = S.free_names(hit[1])
+    if not all(n in env for n in fvs | fis):
+        return None
+    return eval_term(env, hit[1])
+
+
 def dfix_v(clock: IExpr, closure: Closure, ty: Optional[Value] = None) -> Value:
     clock = dm_canonical(clock)
     if dm_is_one(clock):
@@ -763,7 +756,7 @@ def eval_term(env: dict, t: Term) -> Value:
         case S.Univ():
             return VUniv()
         case S.PLam(binder=x, body=b):
-            return VPLam(icapture(env, x, b))
+            return VPLam(capture(env, (x,), b))
         case S.PApp(fn=f, arg=r):
             return papp_v(eval_term(env, f), env_iexpr(env, r))
         case S.PathT(space=a, lhs=l, rhs=r):
@@ -801,13 +794,8 @@ def eval_term(env: dict, t: Term) -> Value:
             entries = [(x, eval_term(env, u)) for x, u in ds]
             return make_next(entries, capture(env, tuple(x for x, _ in ds), b))
         case S.DFix(clock=r, binder=x, body=b):
-            ty_val = None
-            hit = DFIX_TYPES.get(id(t))
-            if hit is not None:
-                fvs, fis = S.free_names(hit[1])
-                if all(n in env for n in fvs | fis):
-                    ty_val = eval_term(env, hit[1])
-            return dfix_v(env_iexpr(env, r), capture(env, (x,), b), ty_val)
+            return dfix_v(env_iexpr(env, r), capture(env, (x,), b),
+                          registered_dfix_type(env, t))
     raise TypeError(f"cannot evaluate {t!r}")
 
 
@@ -1185,8 +1173,8 @@ def _preferred_name(v: Value, default: str) -> str:
 
 
 def _preferred_iname(v: Value) -> str:
-    if isinstance(v, VPLam) and isinstance(v.closure, ITermClosure):
-        return v.closure.name
+    if isinstance(v, VPLam):
+        return _closure_name(v.closure, "i")
     return "i"
 
 
@@ -1222,8 +1210,8 @@ def readback_value(used: frozenset, v: Value) -> Term:
             return S.PLam(None, i, readback(used | {i}, c.apply(IVar(i))))
         case VPair(fst=a, snd=b):
             return S.Pair(None, readback(used, a), readback(used, b))
-        case VLaterT(entries=es, body=c) | VNext(entries=es, body=c):
-            entries, body = _readback_ds(used, es, c)
+        case VLaterT() | VNext():
+            entries, body = _readback_ds(used, v)
             if isinstance(v, VNext):
                 if entries and body == S.Var(name=entries[-1][0]):
                     return entries[-1][1]
@@ -1272,12 +1260,13 @@ def _expand_key(term: Term) -> str:
     return S.term_str(S.alpha_canonical(expanded))
 
 
-def _readback_ds(used: frozenset, es: tuple, c: Closure):
-    """Read back a delayed substitution with its body: inline next-bindings
-    at the value level, drop bindings not needed by the body or by another
-    binding's type, and order the rest canonically respecting those type
-    dependencies."""
-    n = len(es)
+def _readback_ds(used: frozenset, v: Value):
+    """Read back a later type or a next's delayed substitution with its
+    body: inline next-bindings (`canon_later_value`), drop bindings not
+    needed by the body or by another binding's type, and order the rest
+    canonically respecting those type dependencies.  Binder names are
+    chosen over all the original bindings."""
+    es = v.entries
     names, vars_, deps, used2 = [], [], [], used
     for idx, (x, u) in enumerate(es):
         x2 = fresh_name(x, used2)
@@ -1286,24 +1275,10 @@ def _readback_ds(used: frozenset, es: tuple, c: Closure):
         bty, dep = ds_binder_type_deps(u, es[:idx], vars_, used2)
         deps.append(dep)
         vars_.append(neutral_var(x2, bty))
-    args = list(vars_)
-    keep = [True] * n
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if not keep[i] or not isinstance(es[i][1], VNext):
-                continue
-            prefix = [j for j in range(i) if keep[j]]
-            pos = _match_ds_positions(es[i][1].entries,
-                                      [es[j] for j in prefix], used2)
-            if pos is not None:
-                args[i] = es[i][1].body.apply(*[vars_[prefix[p]] for p in pos])
-                keep[i] = False
-                changed = True
-    entry_terms = {
-        i: readback(used, es[i][1]) for i in range(n) if keep[i]
-    }
+    canon = canon_later_value(v, used2)
+    kept = range(len(es)) if canon is v else canon.body.kept
+    body_v = canon.body.apply(*[vars_[i] for i in kept])
+    entry_terms = {i: readback(used, es[i][1]) for i in kept}
     global _ds_expansion
     saved = _ds_expansion
     _ds_expansion = dict(saved)
@@ -1312,15 +1287,15 @@ def _readback_ds(used: frozenset, es: tuple, c: Closure):
             _ds_expansion[names[i]] = (
                 S.subst_terms(term, saved) if saved else term
             )
-        body = readback(used2, c.apply(*args))
+        body = readback(used2, body_v)
         fv = S.free_names(body)[0]
         # generalized weakening: keep what the body uses, plus the type
         # dependencies of anything kept
-        needed = {i for i in range(n) if keep[i] and names[i] in fv}
+        needed = {i for i in entry_terms if names[i] in fv}
         queue = list(needed)
         while queue:
             for j in deps[queue.pop()]:
-                if keep[j] and j not in needed:
+                if j in entry_terms and j not in needed:
                     needed.add(j)
                     queue.append(j)
         # canonical order: repeatedly emit the dependency-free entry with the
@@ -1345,15 +1320,18 @@ def _readback_ds(used: frozenset, es: tuple, c: Closure):
     return entries, body
 
 
-def _match_ds_positions(needed_entries, prefix_entries, used: frozenset):
-    """Match entry values against a subsequence of prefix entry values;
-    returns the matched positions or None."""
-    from .conversion import conv
+def _match_ds_positions(needed_entries, prefix_entries, used: frozenset,
+                        face: Face = FACE_TOP):
+    """Match entry values, in order, against a subsequence of the prefix
+    entry values (up to weakening), comparing under `face`; returns the
+    matched positions or None.  Matching is greedy: each entry takes the
+    first convertible prefix entry after the previous match."""
+    from .conversion import conv_under
 
     positions, pos = [], 0
     for _, needed in needed_entries:
-        while pos < len(prefix_entries) and not conv(
-                used, needed, prefix_entries[pos][1]):
+        while pos < len(prefix_entries) and not conv_under(
+                face, used, needed, prefix_entries[pos][1]):
             pos += 1
         if pos == len(prefix_entries):
             return None
@@ -1362,37 +1340,45 @@ def _match_ds_positions(needed_entries, prefix_entries, used: frozenset):
     return positions
 
 
-def canon_later_value(v: Value, used: frozenset = frozenset()) -> Value:
+def match_later(lty, entries, vars_, used: frozenset,
+                face: Face = FACE_TOP):
+    """Instantiate a later type at a delayed substitution's bindings: match
+    the later type's own delayed substitution (after next-substitution)
+    against `entries`, both under `face`, and apply its body to the
+    variables `vars_` of the matched entries.  Returns the body and the
+    matched positions, or None."""
+    if not isinstance(lty, VLaterT):
+        return None
+    lty = canon_later_value(lty, used, face)
+    positions = _match_ds_positions(lty.entries, entries, used, face)
+    if positions is None:
+        return None
+    return lty.body.apply(*[vars_[p] for p in positions]), tuple(positions)
+
+
+def canon_later_value(v: Value, used: frozenset = frozenset(),
+                      face: Face = FACE_TOP) -> Value:
     """Next-substitution on a later type or a next, at the value level:
-    inline each binding `next ds' t` whose ds' matches a subsequence of the
-    bindings kept before it."""
+    inline each binding `next ds' t` whose ds' matches (under `face`) a
+    subsequence of the bindings kept before it.  One pass in order
+    suffices: matching is greedy, so a binding that fails to match a prefix
+    cannot match a subset of that prefix."""
     if not isinstance(v, (VLaterT, VNext)) or not v.entries:
         return v
-    es = list(v.entries)
-    n = len(es)
-    keep = [True] * n
-    recipe = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if not keep[i] or not isinstance(es[i][1], VNext):
-                continue
-            prefix_idx = [j for j in range(i) if keep[j]]
+    kept, recipe = [], []
+    for i, (_, u) in enumerate(v.entries):
+        pos = None
+        if isinstance(u, VNext):
             pos = _match_ds_positions(
-                es[i][1].entries, [es[j] for j in prefix_idx], used
-            )
-            if pos is not None:
-                keep[i] = False
-                recipe.append((i, es[i][1].body,
-                               tuple(prefix_idx[p] for p in pos)))
-                changed = True
-    if all(keep):
+                u.entries, [v.entries[j] for j in kept], used, face)
+        if pos is None:
+            kept.append(i)
+        else:
+            recipe.append((i, u.body, tuple(kept[p] for p in pos)))
+    if not recipe:
         return v
-    recipe.sort(key=lambda r: r[0])
-    kept = tuple(i for i in range(n) if keep[i])
-    body = InlinedDsClosure(v.body, kept, tuple(recipe))
-    return type(v)(tuple(es[i] for i in kept), body)
+    body = InlinedDsClosure(v.body, tuple(kept), tuple(recipe))
+    return type(v)(tuple(v.entries[i] for i in kept), body)
 
 
 def ds_binder_type_deps(entry_value: Value, prefix_entries, prefix_vars,
@@ -1401,17 +1387,8 @@ def ds_binder_type_deps(entry_value: Value, prefix_entries, prefix_vars,
     entry's later type by matching that type's own delayed substitution
     against the preceding entries (up to weakening), together with the
     prefix positions the type depends on."""
-    if not isinstance(entry_value, VNeutral) \
-            or not isinstance(entry_value.type, VLaterT):
-        return None, ()
-    lty = canon_later_value(entry_value.type, used)
-    if not isinstance(lty, VLaterT):
-        return None, ()
-    positions = _match_ds_positions(lty.entries, prefix_entries, used)
-    if positions is None:
-        return None, ()
-    return (lty.body.apply(*[prefix_vars[p] for p in positions]),
-            tuple(positions))
+    ty = entry_value.type if isinstance(entry_value, VNeutral) else None
+    return match_later(ty, prefix_entries, prefix_vars, used) or (None, ())
 
 
 def readback_neutral(used: frozenset, ne: Neutral,

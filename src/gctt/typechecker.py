@@ -38,9 +38,11 @@ from .eval import (
     fresh_iname,
     fst_v,
     make_later,
+    match_later,
     neutral_var,
     readback,
     register_dfix_type,
+    registered_dfix_type,
 )
 from .interval import (
     FACE_BOT,
@@ -148,47 +150,6 @@ class Checker:
                 f"{what}: expected {self._show(ctx, want)}"
                 f" found {self._show(ctx, got)}",
             )
-
-    def _match_target_ds(self, ctx: Ctx, target, entries, binders):
-        """Match a later type's delayed substitution against the checked
-        bindings of a next (up to weakening); returns the expected body type
-        under the bound variables, or None."""
-        if not isinstance(target, VLaterT):
-            return None
-        pos = self._ds_positions(ctx, target.entries, entries)
-        if pos is None:
-            return None
-        return target.body.apply(*[binders[p][1] for p in pos])
-
-    def _ds_positions(self, ctx: Ctx, needed_entries, entries):
-        """The positions of the entries, in order, whose contents match the
-        delayed substitution `needed_entries` (up to weakening), or None."""
-        positions, pos = [], 0
-        for _, needed in needed_entries:
-            while pos < len(entries) and not conv_under(
-                    ctx.face, ctx.used, needed, entries[pos][1]):
-                pos += 1
-            if pos == len(entries):
-                return None
-            positions.append(pos)
-            pos += 1
-        return positions
-
-    def _registered_dfix_body(self, ctx: Ctx, node) -> Optional[Value]:
-        """The body type of a previously established later type for this
-        fixed-point node, when its free names are all in scope."""
-        from .eval import DFIX_TYPES
-
-        hit = DFIX_TYPES.get(id(node))
-        if hit is None:
-            return None
-        fvs, fis = S.free_names(hit[1])
-        if not all(n in ctx.env for n in fvs | fis):
-            return None
-        ty = eval_term(ctx.env, hit[1])
-        if isinstance(ty, VLaterT) and not ty.entries:
-            return ty.body.apply()
-        return None
 
     def check_interval(self, ctx: Ctx, r, span):
         for n in inames(env_iexpr(ctx.env, r)):
@@ -323,9 +284,9 @@ class Checker:
                 self.check_interval(ctx, r, t.span)
                 tried = []
                 candidates = list(self._expected)
-                registered = self._registered_dfix_body(ctx, t)
-                if registered is not None:
-                    candidates.append(registered)
+                registered = registered_dfix_type(ctx.env, t)
+                if isinstance(registered, VLaterT) and not registered.entries:
+                    candidates.append(registered.body.apply())
                 for cand in reversed(candidates):
                     if any(cand is seen for seen in tried):
                         continue
@@ -390,15 +351,15 @@ class Checker:
                         )
                 return
             case S.Next(subst=ds, body=b) if isinstance(ty, VLaterT):
-                target = canon_later_value(ty, ctx.used)
                 ctx2, entries, binders = self.check_ds(ctx, ds, t.span)
-                matched = self._match_target_ds(ctx, target, entries, binders)
+                matched = match_later(ty, entries, [v for _, v in binders],
+                                      ctx.used, ctx.face)
                 if matched is None:
                     # fall back to inference and conversion
                     got = self.infer(ctx, t)
                     self.ensure_conv(ctx, got, ty, t.span, "type")
                     return
-                self.check(ctx2, b, matched)
+                self.check(ctx2, b, matched[0])
                 return
             case S.DFix(clock=r, binder=x, body=b) if isinstance(ty, VLaterT):
                 self.check_interval(ctx, r, t.span)
@@ -482,28 +443,26 @@ class Checker:
         context, the entry values, and (binder, neutral) pairs."""
         entries = []
         binders = []
-        prefix_vars = []
         ctx2 = ctx
         for x, u in ds:
-            uty = canon_later_value(self.infer(ctx, u), ctx.used)
+            uty = self.infer(ctx, u)
             if not isinstance(uty, VLaterT):
                 raise GcttTypeError(
                     span, "ds-ill-formed",
                     f"binding for {x} has type {self._show(ctx, uty)},"
                     " which is not a later type",
                 )
-            pos = self._ds_positions(ctx, uty.entries, entries)
-            if pos is None:
+            matched = match_later(uty, entries, [v for _, v in binders],
+                                  ctx.used, ctx.face)
+            if matched is None:
                 raise GcttTypeError(
                     span, "ds-ill-formed",
                     f"binding for {x}: its later type's delayed substitution"
                     " does not match the preceding bindings",
                 )
-            inner_ty = uty.body.apply(*[prefix_vars[p] for p in pos])
             entries.append((x, eval_term(ctx.env, u)))
-            ctx2, var = ctx2.bind_term(x, inner_ty)
+            ctx2, var = ctx2.bind_term(x, matched[0])
             binders.append((x, var))
-            prefix_vars.append(var)
         return ctx2, entries, binders
 
     # -- systems ---------------------------------------------------------

@@ -233,6 +233,20 @@ def run_parse_text(capsys, text):
     return code, captured.out.replace("module m", "module unique_fix"), captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "--search-path", "lib", "m.gctt"],
+    ["parse", "--fuel", "10", "m.gctt"],
+    ["parse", "--report", "m.gctt"],
+    ["parse", "--no-corpus-cache", "m.gctt"],
+    ["normalize", "--report", "--expr", "0"],
+])
+def test_options_a_subcommand_would_ignore_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_parse_garbage_exit_2(capsys, tmp_path):
     p = tmp_path / "g.gctt"
     p.write_text("module g where\n= : =")

@@ -15,6 +15,7 @@ from gctt.eval import (
     ValueClosure,
     canon_later_value,
     eval_term,
+    match_later,
     neutral_var,
     readback_value,
 )
@@ -174,6 +175,23 @@ def test_canon_later_value_is_idempotent():
                              " (g a x)", env), used)
     assert isinstance(v, VNext) and len(v.entries) == 1
     assert canon_later_value(v, used) is v
+
+
+def test_later_type_matches_bindings_under_a_face():
+    # p @ i is t on (i=0) and s on (i=1), so the later type's substitution
+    # matches the binding of t under (i=0) only
+    env, used = std_env()
+    env["p"] = neutral_var("p", VPathT(later_of(VNat()), env["t"], env["s"]))
+    env["i"] = IVar("i")
+    used |= {"p", "i"}
+    lty = ev("|> [y <- p @ i] (Path N y y)", env)
+    x = neutral_var("x", VNat())
+    entries = [("x", env["t"])]
+    matched = match_later(lty, entries, [x], used, face_lit("i", 0))
+    assert matched is not None and matched[1] == (0,)
+    assert conv(used, matched[0], VPathT(VNat(), x, x))
+    assert match_later(lty, entries, [x], used) is None
+    assert match_later(lty, entries, [x], used, face_lit("i", 1)) is None
 
 
 def test_binder_typed_through_its_dependency():

@@ -1,5 +1,6 @@
 """Properties of the source itself: no failure is hidden by a catch-all
-handler, and the syntax keeps no table keyed by object identity."""
+handler, the syntax keeps no table keyed by object identity, and only the
+evaluator reads the delayed fixed points' type registry."""
 
 import re
 from pathlib import Path
@@ -21,3 +22,9 @@ def test_no_catch_all_exception_handlers():
 def test_syntax_keeps_no_identity_keyed_table():
     text = (SOURCE / "syntax.py").read_text()
     assert re.search(r"\bid\(", text) is None
+
+
+def test_only_eval_reads_the_dfix_registry():
+    hits = [path.name for path in sorted(SOURCE.glob("*.py"))
+            if "DFIX_TYPES" in path.read_text()]
+    assert hits == ["eval.py"]

@@ -4,6 +4,7 @@ compositions, glue formation, modules, and the negative suite."""
 import pytest
 
 from gctt.eval import VNat, VPathT, VPi, VUniv, eval_term, readback
+from gctt.interval import face_lit
 from gctt.parser import parse_module, parse_term
 from gctt.syntax import term_str
 from gctt.typechecker import Checker, Ctx, GcttTypeError
@@ -179,6 +180,19 @@ def test_check_ds_prefix_mismatch_rejected():
     with pytest.raises(GcttTypeError) as exc:
         ck.infer(ctx, parse_term("next [x <- u, q <- s] (q @ 0)"))
     assert exc.value.kind == "ds-ill-formed"
+
+
+def test_check_ds_next_substitution_under_the_context_face():
+    # on (i=0) p @ i is t, so y's binding is inlined into q's later type,
+    # whose delayed substitution then needs w only
+    ck, ctx = make_ctx("t : |> N", "s : |> N", "p : Path (|> N) t s", "i : I")
+    later = parse_term("|> [w <- p @ i, y <- next [z <- t] (suc z)]"
+                       " (Path N y y)")
+    with pytest.raises(GcttTypeError):
+        ck.check_type(ctx, later)
+    ctx0 = ctx.restrict(face_lit("i", 0))
+    ctx0, _ = ctx0.bind_term("q", ck.check_type(ctx0, later))
+    assert infer_str(ck, ctx0, "next [w <- p @ i, r <- q] (r @ 0)") == "|> N"
 
 
 # ---------------------------------------------------------------------------
