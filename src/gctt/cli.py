@@ -17,7 +17,7 @@ from typing import Optional
 
 from .eval import act, eval_term, readback
 from .parser import ParseError, parse_interval, parse_module, parse_term
-from .syntax import ModuleFile, term_str
+from .syntax import ModuleFile, module_str, term_str
 from .typechecker import Checker, CheckedModule, Ctx, GcttTypeError
 
 EXIT_OK = 0
@@ -31,6 +31,18 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+def _read_module(path: Path) -> ModuleFile:
+    """Read and parse a module file; failing to do either is a CliError."""
+    try:
+        source = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"io error: {exc}", EXIT_PARSE_ERROR)
+    try:
+        return parse_module(source)
+    except ParseError as exc:
+        raise CliError(f"{path}:{exc}", EXIT_PARSE_ERROR)
 
 
 class Loader:
@@ -56,14 +68,7 @@ class Loader:
                        EXIT_PARSE_ERROR)
 
     def parse_file(self, path: Path) -> ModuleFile:
-        try:
-            source = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"io error: {exc}", EXIT_PARSE_ERROR)
-        try:
-            module = parse_module(source)
-        except ParseError as exc:
-            raise CliError(f"{path}:{exc}", EXIT_PARSE_ERROR)
+        module = _read_module(path)
         if module.name != path.stem:
             raise CliError(
                 f"{path}: module name {module.name} does not match the"
@@ -186,18 +191,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_parse(args) -> int:
     for p in args.paths:
-        path = Path(p)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"io error: {exc}", EXIT_PARSE_ERROR)
-        try:
-            module = parse_module(source)
-        except ParseError as exc:
-            raise CliError(f"{path}:{exc}", EXIT_PARSE_ERROR)
-        from .syntax import module_str
-
-        print(module_str(module), end="")
+        print(module_str(_read_module(Path(p))), end="")
     return EXIT_OK
 
 

@@ -9,7 +9,6 @@ face restriction is checked clause by clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .interval import (
@@ -54,6 +53,7 @@ from .eval import (
     ds_binder_type_deps,
     fresh_iname,
     fst_v,
+    node,
     papp_v,
     probe_var,
     snd_v,
@@ -216,7 +216,7 @@ class _Pairing:
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class _NFlex(NVar):
     """The probe of right binding `index` of a `_conv_later` call."""
     pairing: _Pairing
@@ -330,6 +330,5 @@ def conv_under(phi: Face, used: frozenset, a: Value, b: Value,
 
 def _conv_clauses(used: frozenset, clauses, a: Value, b: Value,
                   ty: Optional[Value] = None) -> bool:
-    return all(conv(used, act(a, asg), act(b, asg),
-                    act(ty, asg) if ty is not None else None)
+    return all(conv(used, act(a, asg), act(b, asg), act(ty, asg))
                for asg in map(clause_assignment, clauses))

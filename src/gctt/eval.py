@@ -2,17 +2,18 @@
 
 Terms evaluate into a semantic domain of weak-head values; composition is
 implemented per type former; `readback` turns values into canonical terms.
-Closures capture their environment, and every value supports the action of
-interval substitutions, which can unstick neutrals (a delayed fixed point
-whose clock reaches 1, a path application reaching an endpoint, a stuck
-composition whose face becomes total).
+Closures capture their environment.  Values, neutrals and closures are
+records, and an interval substitution acts on one by acting on its fields
+(`act`); acting on a neutral re-runs its eliminators, which can unstick it
+(a delayed fixed point whose clock reaches 1, a path application reaching
+an endpoint, a stuck composition whose face becomes total).
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Optional
 
 from . import syntax as S
@@ -37,8 +38,10 @@ from .interval import (
     face_is_false,
     face_is_true,
     face_join,
+    face_names,
     face_of_eq,
     face_subst_all,
+    inames,
 )
 from .syntax import Term, fresh_name
 
@@ -53,14 +56,32 @@ def fresh_iname() -> str:
 # Closures
 
 
-class Closure:
+class Nominal:
+    """A value, neutral or closure: an immutable record on whose fields
+    interval substitutions act (`support`, `act`)."""
+
+    _support = None  # memo of `support`, set on the node
+
+
+def node(cls):
+    """Make a value, neutral or closure class a frozen record compared by
+    identity, whose `field_values` are read by a getter built once here."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    names = tuple(f.name for f in fields(cls))
+    cls.field_values = property(
+        attrgetter(*names) if len(names) > 1
+        else lambda x: tuple(getattr(x, n) for n in names))
+    return cls
+
+
+class Closure(Nominal):
     """Semantic function from values (or an interval element) to a value."""
 
     def apply(self, *vals):
         raise NotImplementedError
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class TermClosure(Closure):
     env: dict
     names: tuple
@@ -79,20 +100,19 @@ def capture(env: dict, names: tuple, body: Term) -> TermClosure:
     return TermClosure({k: env[k] for k in need if k in env}, names, body)
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class FnClosure(Closure):
-    """Host-level function; `captured` is acted on by interval substitution,
-    `const` (internal binder names) is not."""
+    """Host-level function, applied to the captured fields and then to the
+    arguments."""
 
     fn: Callable
     captured: tuple = ()
-    const: tuple = ()
 
     def apply(self, *vals):
-        return self.fn(*self.const, *self.captured, *vals)
+        return self.fn(*self.captured, *vals)
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class ValueClosure(Closure):
     value: "Value"
 
@@ -100,7 +120,7 @@ class ValueClosure(Closure):
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class InlinedDsClosure(Closure):
     """A delayed-substitution body closure with some bindings inlined:
     `kept` lists the surviving original positions, `recipe` rebuilds the
@@ -121,46 +141,46 @@ class InlinedDsClosure(Closure):
 # Values
 
 
-class Value:
+class Value(Nominal):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VPi(Value):
     domain: Value
     codomain: Closure
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VSigma(Value):
     first: Value
     second: Closure
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VPathT(Value):
     space: Value
     lhs: Value
     rhs: Value
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VNat(Value):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VUniv(Value):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VLaterT(Value):
     entries: tuple  # of (name, Value)
     body: Closure  # expects one value per entry
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VGlueT(Value):
     face: Face
     partial: Optional[Value]  # type on the face; None iff face is bottom
@@ -168,82 +188,82 @@ class VGlueT(Value):
     base: Value
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VLam(Value):
     closure: Closure
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VPLam(Value):
     closure: Closure
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VPair(Value):
     fst: Value
     snd: Value
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VZero(Value):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VSuc(Value):
     pred: Value
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VNext(Value):
     entries: tuple
     body: Closure
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VGlueIntro(Value):
     face: Face
     partial: Optional[Value]
     base: Value
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VSystem(Value):
     branches: tuple  # of (clause frozenset, Value valid under the clause)
 
 
-class Neutral:
+class Neutral(Nominal):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class NVar(Neutral):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class NApp(Neutral):
     fn: "VNeutral"
     arg: Value
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class NPApp(Neutral):
     fn: "VNeutral"
     arg: IExpr
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class NFst(Neutral):
     pair: "VNeutral"
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class NSnd(Neutral):
     pair: "VNeutral"
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class NNatRec(Neutral):
     motive: Value
     base: Value
@@ -251,12 +271,12 @@ class NNatRec(Neutral):
     scrutinee: "VNeutral"
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class NUnglue(Neutral):
     arg: "VNeutral"
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class NComp(Neutral):
     binder: str  # internal fresh interval name bound in line and tube
     line: Value
@@ -265,13 +285,13 @@ class NComp(Neutral):
     base: Value
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class NDFix(Neutral):
     clock: IExpr  # canonical, not 1
     closure: Closure
 
 
-@dataclass(frozen=True, eq=False)
+@node
 class VNeutral(Value):
     neutral: Neutral
     type: Optional[Value] = None
@@ -295,210 +315,86 @@ def probe_var(ty: Optional[Value] = None) -> VNeutral:
 
 
 def env_iexpr(env: dict, r: IExpr) -> IExpr:
-    from .interval import inames
-
     sub = {n: env[n] for n in inames(r) if n in env and isinstance(env[n], IExpr)}
     return dm_subst_all(r, sub)
 
 
 def env_face(env: dict, phi: Face) -> Face:
-    from .interval import face_names
-
     sub = {n: env[n] for n in face_names(phi) if n in env and isinstance(env[n], IExpr)}
     return face_subst_all(phi, sub)
 
 
 # ---------------------------------------------------------------------------
-# Interval action on values
-
-_support_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# Interval action on values, neutrals and closures: one walk over the fields
 
 
 def support(x) -> frozenset:
-    """Interval names occurring anywhere in a value or closure."""
+    """The interval names occurring in x: a value, neutral or closure (the
+    union over its fields, memoized on the node), an interval expression, a
+    face, or a tuple or dict of these.  A name, a term, an integer or a host
+    function has none.  A system's clause names count too."""
+    if isinstance(x, Nominal):
+        s = x._support
+        if s is None:
+            s = frozenset().union(*map(support, x.field_values))
+            if type(x) is VSystem:
+                s = s | {n for cl, _ in x.branches for n, _ in cl}
+            object.__setattr__(x, "_support", s)
+        return s
     if isinstance(x, IExpr):
-        from .interval import inames
-
         return inames(x)
     if isinstance(x, Face):
-        from .interval import face_names
-
         return face_names(x)
-    try:
-        return _support_cache[x]
-    except KeyError:
-        pass
-    s = _support_of(x)
-    _support_cache[x] = s
-    return s
+    if isinstance(x, tuple):
+        return frozenset().union(*map(support, x))
+    if isinstance(x, dict):
+        return frozenset().union(*map(support, x.values()))
+    return frozenset()
 
 
-def _support_of(x) -> frozenset:
-    parts: list = []
-    match x:
-        case VPi(domain=d, codomain=c) | VSigma(first=d, second=c):
-            parts = [d, c]
-        case VPathT(space=a, lhs=l, rhs=r):
-            parts = [a, l, r]
-        case VNat() | VUniv() | VZero():
-            return frozenset()
-        case VSuc(pred=p):
-            parts = [p]
-        case VLam(closure=c) | VPLam(closure=c):
-            parts = [c]
-        case VPair(fst=a, snd=b):
-            parts = [a, b]
-        case VLaterT(entries=es, body=c) | VNext(entries=es, body=c):
-            parts = [u for _, u in es] + [c]
-        case VGlueT(face=phi, partial=p, equiv=e, base=b):
-            parts = [phi, b] + [z for z in (p, e) if z is not None]
-        case VGlueIntro(face=phi, partial=p, base=b):
-            parts = [phi, b] + ([p] if p is not None else [])
-        case VSystem(branches=bs):
-            out = set()
-            for cl, val in bs:
-                out.update(n for n, _ in cl)
-                out.update(support(val))
-            return frozenset(out)
-        case VNeutral(neutral=ne, type=ty):
-            parts = [ne] + ([ty] if ty is not None else [])
-        case NVar():
-            return frozenset()
-        case NApp(fn=f, arg=a):
-            parts = [f, a]
-        case NPApp(fn=f, arg=r):
-            parts = [f, r]
-        case NFst(pair=p) | NSnd(pair=p):
-            parts = [p]
-        case NNatRec(motive=m, base=z, step=s, scrutinee=n):
-            parts = [m, z, s, n]
-        case NUnglue(arg=a):
-            parts = [a]
-        case NComp(binder=k, line=line, face=phi, tube=tube, base=b):
-            return frozenset(
-                support(line) | support(phi) | support(tube) | support(b)
-            )
-        case NDFix(clock=r, closure=c):
-            parts = [r, c]
-        case TermClosure(env=env):
-            out = set()
-            for v in env.values():
-                out.update(support(v))
-            return frozenset(out)
-        case FnClosure(captured=cap):
-            out = set()
-            for v in cap:
-                out.update(support(v))
-            return frozenset(out)
-        case ValueClosure(value=v):
-            parts = [v]
-        case InlinedDsClosure(base=base, recipe=recipe):
-            parts = [base] + [clo for _, clo, _ in recipe]
-        case _:
-            raise TypeError(f"no support for {x!r}")
-    out = set()
-    for p in parts:
-        out.update(support(p))
-    return frozenset(out)
+def act(x, sub: dict):
+    """The interval substitution `sub` applied to a value or closure: the
+    node rebuilt from its fields, each acted on (`_act_field`).  A system
+    rebuilds through `make_system`, a glue type or glue element through its
+    smart constructor, and a neutral re-runs its eliminators
+    (`act_neutral`), which may unstick it.  Whatever has no interval names
+    in `sub`, None included, is returned as it is."""
+    if not sub or support(x).isdisjoint(sub):
+        return x
+    cls = type(x)
+    if cls is VNeutral:
+        return act_neutral(x.neutral, sub, x.type)
+    if cls is VSystem:
+        pieces = [(face_subst_all(clause_face(cl), sub), val)
+                  for cl, val in x.branches]
+        return make_system([(phi, act(val, sub)) for phi, val in pieces
+                            if not face_is_false(phi)])
+    parts = [_act_field(p, sub) for p in x.field_values]
+    if cls is VGlueT:
+        return make_glue_type(*parts)
+    if cls is VGlueIntro:
+        return make_glue_intro(*parts)
+    return cls(*parts)
 
 
-def act(v: Value, sub: dict) -> Value:
-    if not sub:
-        return v
-    if support(v).isdisjoint(sub):
-        return v
-    match v:
-        case VPi(domain=d, codomain=c):
-            return VPi(act(d, sub), act_closure(c, sub))
-        case VSigma(first=d, second=c):
-            return VSigma(act(d, sub), act_closure(c, sub))
-        case VPathT(space=a, lhs=l, rhs=r):
-            return VPathT(act(a, sub), act(l, sub), act(r, sub))
-        case VNat() | VUniv() | VZero():
-            return v
-        case VSuc(pred=p):
-            return VSuc(act(p, sub))
-        case VLam(closure=c):
-            return VLam(act_closure(c, sub))
-        case VPLam(closure=c):
-            return VPLam(act_closure(c, sub))
-        case VPair(fst=a, snd=b):
-            return VPair(act(a, sub), act(b, sub))
-        case VLaterT(entries=es, body=c):
-            return VLaterT(tuple((x, act(u, sub)) for x, u in es),
-                           act_closure(c, sub))
-        case VNext(entries=es, body=c):
-            return VNext(tuple((x, act(u, sub)) for x, u in es),
-                         act_closure(c, sub))
-        case VGlueT(face=phi, partial=p, equiv=e, base=b):
-            return make_glue_type(
-                face_subst_all(phi, sub),
-                act(p, sub) if p is not None else None,
-                act(e, sub) if e is not None else None,
-                act(b, sub),
-            )
-        case VGlueIntro(face=phi, partial=p, base=b):
-            return make_glue_intro(
-                face_subst_all(phi, sub),
-                act(p, sub) if p is not None else None,
-                act(b, sub),
-            )
-        case VSystem(branches=bs):
-            pieces = []
-            for clause, val in bs:
-                phi = face_subst_all(clause_face(clause), sub)
-                if face_is_true(phi):
-                    return act(val, sub)
-                if face_is_false(phi):
-                    continue
-                pieces.append((phi, act(val, sub)))
-            return VSystem(_clause_branches(pieces))
-        case VNeutral(neutral=ne, type=ty):
-            return act_neutral(ne, sub, ty)
-    raise TypeError(f"not a value: {v!r}")
-
-
-def act_closure(c: Closure, sub: dict) -> Closure:
-    if not sub or support(c).isdisjoint(sub):
-        return c
-    match c:
-        case TermClosure(env=env, names=names, body=body):
-            return TermClosure(act_env(env, sub), names, body)
-        case FnClosure(fn=fn, captured=cap, const=const):
-            return FnClosure(fn, tuple(act_any(x, sub) for x in cap), const)
-        case ValueClosure(value=val):
-            return ValueClosure(act(val, sub))
-        case InlinedDsClosure(base=base, kept=kept, recipe=recipe):
-            return InlinedDsClosure(
-                act_closure(base, sub), kept,
-                tuple((p, act_closure(clo, sub), ap) for p, clo, ap in recipe),
-            )
-    raise TypeError(f"not a closure: {c!r}")
-
-
-def act_any(x, sub: dict):
-    if isinstance(x, Value):
-        return act(x, sub)
-    if isinstance(x, IExpr):
-        return dm_subst_all(x, sub)
-    if isinstance(x, Face):
-        return face_subst_all(x, sub)
-    if isinstance(x, Closure):
-        return act_closure(x, sub)
-    raise TypeError(f"cannot act on captured {x!r}")
-
-
-def act_env(env: dict, sub: dict) -> dict:
-    return {
-        k: dm_subst_all(v, sub) if isinstance(v, IExpr) else act(v, sub)
-        for k, v in env.items()
-    }
+def _act_field(p, sub: dict):
+    if isinstance(p, Nominal):
+        return act(p, sub)
+    if isinstance(p, IExpr):
+        return dm_subst_all(p, sub)
+    if isinstance(p, Face):
+        return face_subst_all(p, sub)
+    if isinstance(p, tuple):
+        return tuple([_act_field(q, sub) for q in p])
+    if isinstance(p, dict):
+        return {k: _act_field(q, sub) for k, q in p.items()}
+    return p
 
 
 def act_neutral(ne: Neutral, sub: dict, ty: Optional[Value]) -> Value:
     match ne:
         case NVar():
-            return VNeutral(ne, act(ty, sub) if ty is not None else None)
+            return VNeutral(ne, act(ty, sub))
         case NApp(fn=f, arg=a):
             return apply_v(act(f, sub), act(a, sub))
         case NPApp(fn=f, arg=r):
@@ -515,8 +411,7 @@ def act_neutral(ne: Neutral, sub: dict, ty: Optional[Value]) -> Value:
             return comp_v(k, act(line, sub), face_subst_all(phi, sub),
                           act(tube, sub), act(b, sub))
         case NDFix(clock=r, closure=c):
-            return dfix_v(dm_subst_all(r, sub), act_closure(c, sub),
-                          act(ty, sub) if ty is not None else None)
+            return dfix_v(dm_subst_all(r, sub), act(c, sub), act(ty, sub))
     raise TypeError(f"not a neutral: {ne!r}")
 
 
@@ -877,7 +772,7 @@ def comp_pi(k, line, phi, tube, base):
         return comp_v(k, cod_line, phi,
                       apply_v(tube, a_k), apply_v(base, arg_at(ZERO)))
 
-    return VLam(FnClosure(fn, captured=(line, phi, tube, base), const=(k,)))
+    return VLam(FnClosure(fn, captured=(k, line, phi, tube, base)))
 
 
 def comp_sigma(k, line, phi, tube, base):
@@ -901,7 +796,7 @@ def comp_path(k, line, phi, tube, base):
         return comp_v(k, line.space, face, make_system(pieces),
                       papp_v(base, j))
 
-    return VPLam(FnClosure(fn, captured=(line, phi, tube, base), const=(k,)))
+    return VPLam(FnClosure(fn, captured=(k, line, phi, tube, base)))
 
 
 def comp_nat(k, phi, tube, base):
@@ -1068,8 +963,7 @@ def _pres(k, glue_line, psi, tube, base, part_fill):
                       make_system(pieces), base_img)
 
     return VPLam(FnClosure(
-        fn, captured=(glue_line, psi, tube, part_fill, base_img), const=(k,)
-    ))
+        fn, captured=(k, glue_line, psi, tube, part_fill, base_img)))
 
 
 def _unglue_on(line: Value, asg: dict, v: Value) -> Value:
@@ -1356,6 +1250,15 @@ def match_later(lty, entries, vars_, used: frozenset,
     return lty.body.apply(*[vars_[p] for p in positions]), tuple(positions)
 
 
+def match_next(u: Value, entries, used: frozenset, face: Face = FACE_TOP):
+    """Next-substitution of one binding: if its value u is `next ds' t` and
+    ds' matches (under `face`) a subsequence of `entries`, the matched
+    positions, at which the binding is inlined as t; else None."""
+    if not isinstance(u, VNext):
+        return None
+    return _match_ds_positions(u.entries, entries, used, face)
+
+
 def canon_later_value(v: Value, used: frozenset = frozenset(),
                       face: Face = FACE_TOP) -> Value:
     """Next-substitution on a later type or a next, at the value level:
@@ -1367,10 +1270,7 @@ def canon_later_value(v: Value, used: frozenset = frozenset(),
         return v
     kept, recipe = [], []
     for i, (_, u) in enumerate(v.entries):
-        pos = None
-        if isinstance(u, VNext):
-            pos = _match_ds_positions(
-                u.entries, [v.entries[j] for j in kept], used, face)
+        pos = match_next(u, [v.entries[j] for j in kept], used, face)
         if pos is None:
             kept.append(i)
         else:

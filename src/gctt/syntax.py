@@ -18,6 +18,7 @@ from .interval import (
     IExpr,
     IVar,
     dm_subst_all,
+    face_is_false,
     face_names,
     face_str,
     face_subst_all,
@@ -572,8 +573,6 @@ def term_str(t: Term, prec: int = ARROW) -> str:
 
 
 def _tube_str(phi: Face, tube: Term) -> str:
-    from .interval import face_is_false
-
     if isinstance(tube, SystemTerm):
         if not tube.branches:
             return "[]"

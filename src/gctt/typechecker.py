@@ -31,14 +31,15 @@ from .eval import (
     act,
     apply_v,
     canon_later_value,
+    capture,
     env_face,
     env_iexpr,
     equiv_type_value,
     eval_term,
     fresh_iname,
     fst_v,
-    make_later,
     match_later,
+    match_next,
     neutral_var,
     readback,
     register_dfix_type,
@@ -78,6 +79,9 @@ class GcttTypeError(Exception):
 class Ctx:
     env: dict = field(default_factory=dict)
     types: dict = field(default_factory=dict)
+    # every bound term and interval variable, shadowed ones included, under
+    # the name readback prints for it
+    scope: dict = field(default_factory=dict)
     interval_names: frozenset = frozenset()
     face: Face = FACE_TOP
     used: frozenset = frozenset()
@@ -89,7 +93,9 @@ class Ctx:
         env[x] = var
         types = dict(self.types)
         types[x] = ty
-        ctx = replace(self, env=env, types=types, used=self.used | {name, x})
+        ctx = replace(self, env=env, types=types,
+                      scope={**self.scope, name: var},
+                      used=self.used | {name, x})
         return ctx, var
 
     def bind_interval(self, i: str):
@@ -97,7 +103,7 @@ class Ctx:
         env = dict(self.env)
         env[i] = IVar(name)
         ctx = replace(
-            self, env=env,
+            self, env=env, scope={**self.scope, name: env[i]},
             interval_names=self.interval_names | {name},
             used=self.used | {name, i},
         )
@@ -167,11 +173,11 @@ class Checker:
         self.check(ctx, t, VUniv())
         return eval_term(ctx.env, t)
 
-    def abstract(self, ctx: Ctx, binders, value: Value):
-        """Turn a value over binder neutrals into a closure."""
-        term = readback(ctx.used, value)
-        return FnClosure(_apply_abstracted,
-                         const=(ctx.env, tuple(x for x, _ in binders), term))
+    def abstract(self, ctx: Ctx, names: tuple, value: Value):
+        """Turn a value over the variables readback prints as `names` into
+        a closure with one parameter per name: read the value back and
+        evaluate it over the context's scope."""
+        return capture(ctx.scope, names, readback(ctx.used, value))
 
     # -- inference -----------------------------------------------------------
 
@@ -220,7 +226,8 @@ class Checker:
                 dom = self.check_type(ctx, ann)
                 ctx2, var = ctx.bind_term(x, dom)
                 body_ty = self.infer(ctx2, b)
-                return VPi(dom, self.abstract(ctx2, [(x, var)], body_ty))
+                return VPi(dom, self.abstract(ctx2, (var.neutral.name,),
+                                              body_ty))
             case S.Zero():
                 return VNat()
             case S.Suc(pred=p):
@@ -266,7 +273,9 @@ class Checker:
             case S.Next(subst=ds, body=b):
                 ctx2, entries, binders = self.check_ds(ctx, ds, t.span)
                 body_ty = self.infer(ctx2, b)
-                return make_later(entries, self.abstract(ctx2, binders, body_ty))
+                names = tuple(name for name, _ in binders)
+                return VLaterT(tuple(entries),
+                               self.abstract(ctx2, names, body_ty))
             case S.GlueT(face=phi, partial=p, equiv=e, base=b):
                 return self.check_glue_type(ctx, phi, p, e, b, t.span)
             case S.Unglue(arg=a):
@@ -440,9 +449,11 @@ class Checker:
 
     def check_ds(self, ctx: Ctx, ds, span):
         """Check a delayed substitution by inference; returns the extended
-        context, the entry values, and (binder, neutral) pairs."""
-        entries = []
-        binders = []
+        context, the entry values, and (name readback prints, value) pairs.
+        A binder is a fresh variable, unless next-substitution inlines its
+        binding (`match_next`): then it is defined as the `next` body at the
+        matched variables, and named `_DEFINED`."""
+        entries, binders, kept = [], [], []
         ctx2 = ctx
         for x, u in ds:
             uty = self.infer(ctx, u)
@@ -460,9 +471,18 @@ class Checker:
                     f"binding for {x}: its later type's delayed substitution"
                     " does not match the preceding bindings",
                 )
-            entries.append((x, eval_term(ctx.env, u)))
-            ctx2, var = ctx2.bind_term(x, matched[0])
-            binders.append((x, var))
+            value = eval_term(ctx.env, u)
+            pos = match_next(value, [entries[k] for k in kept], ctx.used,
+                             ctx.face)
+            if pos is None:
+                kept.append(len(entries))
+                ctx2, var = ctx2.bind_term(x, matched[0])
+                binders.append((var.neutral.name, var))
+            else:
+                var = value.body.apply(*[binders[kept[p]][1] for p in pos])
+                ctx2 = ctx2.define(x, matched[0], var)
+                binders.append((_DEFINED, var))
+            entries.append((x, value))
         return ctx2, entries, binders
 
     # -- systems ---------------------------------------------------------
@@ -588,10 +608,9 @@ def _fuel_error_at(span: Optional[Span]):
                             "conversion fuel exhausted (see --fuel)") from None
 
 
-def _apply_abstracted(env, names, term, *vals):
-    env = dict(env)
-    env.update(zip(names, vals))
-    return eval_term(env, term)
+# A defined binder's parameter in `Checker.abstract`: no variable in scope
+# has this name, so no read-back term mentions it.
+_DEFINED = "?"
 
 
 def _const_univ(_n):

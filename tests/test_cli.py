@@ -199,6 +199,53 @@ def test_next_is_eta_equal_to_a_neutral(capsys, tmp_path):
     assert (code, err) == (0, "") and out.endswith(": ok (1 declarations)\n")
 
 
+@pytest.mark.parametrize("expr, normal_form", [
+    # the inner x is printed x1, which the inferred type mentions
+    (r"(\(x : N) -> \(x : N) -> \(y : Path N x x) -> y) 0 1",
+     r"\y -> <i> y @ i"),
+    (r"\(x : |> N) -> next [x <- x] (<j> x)",
+     r"\x -> next [x1 <- x] (<j> x1)"),
+])
+def test_inferred_types_mention_the_printed_names(capsys, expr, normal_form):
+    code, out, err = run(capsys, "normalize", "--expr", expr)
+    assert (code, err, out.strip()) == (0, "", normal_form)
+
+
+def test_inferred_type_keeps_a_shadowed_variable(capsys, tmp_path):
+    # p's type names the outer x, which the inner x shadows
+    path = write_module(
+        tmp_path, "shadowed",
+        r"h : Path N 0 0 = (\(x : N) -> \(p : Path N x x) -> \(x : N) -> p)"
+        r" 0 (<i> 0) 1")
+    code, out, err = run(capsys, "check", path)
+    assert (code, err) == (0, "") and out.endswith(": ok (1 declarations)\n")
+
+
+def test_path_abstraction_over_a_type_under_a_binder(capsys, tmp_path):
+    # the lambda's inferred type mentions i, so it depends on i
+    path = write_module(
+        tmp_path, "dep",
+        "g : (q : Path N 0 1) -> (x : N) -> Path N (q @ 0) (q @ 0)"
+        r" = \q -> (<i> \(x : N) -> <j> q @ i) @ 1")
+    code, _, err = run(capsys, "check", path)
+    assert code == 1
+    assert err.endswith("[mismatch] path abstraction over a dependent type\n")
+
+
+def test_next_substitution_in_the_terms_delayed_substitution(
+        capsys, tmp_path):
+    # y's binding is inlined by next-substitution, so in the body y is suc w
+    path = write_module(
+        tmp_path, "nextsub",
+        "bad : (t : |> N) -> |> [w <- t, y <- next [z <- t] (suc z)]"
+        " (Path N y y) = \\t -> next [w <- t, y <- next [z <- t] (suc z)]"
+        " (<k> y)")
+    code, out, err = run(capsys, "check", path)
+    assert (code, err) == (0, "") and out.endswith(": ok (1 declarations)\n")
+    code, out, _ = run(capsys, "normalize", path, "bad")
+    assert (code, out.strip()) == (0, r"\t -> next [w <- t] (<k> suc w)")
+
+
 def test_normalize_unknown_declaration(capsys, corpus_dir):
     code, _, err = run(capsys, "normalize", str(corpus_dir / "funext.gctt"),
                        "missing")

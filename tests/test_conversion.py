@@ -252,6 +252,18 @@ def test_identical_bindings_are_paired_without_a_search():
         conversion.FUEL.set(None)
 
 
+def test_flexible_probe_has_no_support_of_its_own():
+    # its pairing state holds both sides' values, which the interval action
+    # does not walk
+    from gctt.eval import VNeutral, support
+
+    p_at_i = ev("p @ i", {"p": neutral_var("p"), "i": IVar("i")})
+    side = VNext((("x", p_at_i),), ValueClosure(VNat()))
+    flex = conversion._NFlex("?v", conversion._Pairing(frozenset(), side, side),
+                             0)
+    assert support(side) == {"i"} and support(VNeutral(flex)) == set()
+
+
 def test_later_conversion_agrees_with_readback_on_corpus(corpus_dir,
                                                          monkeypatch):
     """Every later/next comparison made while checking the corpus is decided

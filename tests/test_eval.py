@@ -1,6 +1,7 @@
 """Evaluator tests: beta/eta, endpoints, composition per type former,
 fillers, delayed fixed points, readback."""
 
+import dataclasses
 import random
 
 import pytest
@@ -352,3 +353,127 @@ def test_boundary_law_sampled():
         for clause in face_clauses(phi):
             asg = clause_assignment(clause)
             assert conv(ctx.used, act(result, asg), act(tube1, asg)), src
+
+
+# ---------------------------------------------------------------------------
+# the interval action: every field of every value, neutral and closure class
+
+
+def _node_classes():
+    from gctt import eval as E
+
+    out, stack = set(), [E.Nominal]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__ == "gctt.eval" and dataclasses.is_dataclass(cls):
+                out.add(cls)
+    return out
+
+
+def _interval_cases():
+    """Per class, per field that can hold an interval name: a node with i
+    in that field only (for a system, also one with i in a clause)."""
+    from gctt import eval as E
+    from gctt import syntax as S
+
+    p_at_i = VNeutral(E.NPApp(neutral_var("p"), IVar("i")))  # support {i}
+    clo = ValueClosure(p_at_i)
+    n, m = VNat(), neutral_var("m")
+    const = ValueClosure(n)
+    i1, j0 = face_lit("i", 1), face_lit("j", 0)
+    sys_j0 = VSystem(((frozenset({("j", 0)}), p_at_i),))
+    return {
+        E.VPi: {"domain": E.VPi(p_at_i, const), "codomain": E.VPi(n, clo)},
+        E.VSigma: {"first": E.VSigma(p_at_i, const),
+                   "second": E.VSigma(n, clo)},
+        E.VPathT: {"space": VPathT(p_at_i, n, n), "lhs": VPathT(n, p_at_i, n),
+                   "rhs": VPathT(n, n, p_at_i)},
+        E.VNat: {}, E.VUniv: {}, E.VZero: {},
+        E.VLaterT: {"entries": VLaterT((("x", p_at_i),), const),
+                    "body": VLaterT((), clo)},
+        E.VNext: {"entries": VNext((("x", p_at_i),), const),
+                  "body": VNext((), clo)},
+        E.VGlueT: {"face": VGlueT(i1, n, n, n),
+                   "partial": VGlueT(j0, p_at_i, n, n),
+                   "equiv": VGlueT(j0, n, p_at_i, n),
+                   "base": VGlueT(j0, n, n, p_at_i)},
+        E.VGlueIntro: {"face": VGlueIntro(i1, n, n),
+                       "partial": VGlueIntro(j0, p_at_i, n),
+                       "base": VGlueIntro(j0, n, p_at_i)},
+        E.VLam: {"closure": VLam(clo)},
+        E.VPLam: {"closure": VPLam(clo)},
+        E.VPair: {"fst": VPair(p_at_i, n), "snd": VPair(n, p_at_i)},
+        E.VSuc: {"pred": VSuc(p_at_i)},
+        E.VSystem: {"branches": sys_j0,
+                    "clauses": VSystem(((frozenset({("i", 1)}), n),))},
+        E.VNeutral: {"neutral": p_at_i, "type": VNeutral(E.NVar("x"), p_at_i)},
+        E.NVar: {},
+        E.NApp: {"fn": VNeutral(E.NApp(p_at_i, n)),
+                 "arg": VNeutral(E.NApp(m, p_at_i))},
+        E.NPApp: {"fn": VNeutral(E.NPApp(p_at_i, ZERO)), "arg": p_at_i},
+        E.NFst: {"pair": VNeutral(E.NFst(p_at_i))},
+        E.NSnd: {"pair": VNeutral(E.NSnd(p_at_i))},
+        E.NNatRec: {
+            "motive": VNeutral(E.NNatRec(p_at_i, n, n, m)),
+            "base": VNeutral(E.NNatRec(m, p_at_i, n, m)),
+            "step": VNeutral(E.NNatRec(m, n, p_at_i, m)),
+            "scrutinee": VNeutral(E.NNatRec(m, n, n, p_at_i)),
+        },
+        E.NUnglue: {"arg": VNeutral(E.NUnglue(p_at_i))},
+        E.NComp: {"line": VNeutral(NComp("k", p_at_i, FACE_BOT, n, n)),
+                  "face": VNeutral(NComp("k", m, i1, n, n)),
+                  "tube": VNeutral(NComp("k", m, j0, p_at_i, n)),
+                  "base": VNeutral(NComp("k", m, FACE_BOT, n, p_at_i))},
+        E.NDFix: {"clock": VNeutral(E.NDFix(IVar("i"), const)),
+                  "closure": VNeutral(E.NDFix(ZERO, clo))},
+        E.TermClosure: {
+            "env": E.TermClosure({"x": p_at_i, "k": IVar("i")}, ("y",),
+                                 S.Var(name="x")),
+        },
+        E.FnClosure: {"captured": FnClosure(
+            lambda *_: n, ("k", p_at_i, IVar("i"), i1))},
+        E.ValueClosure: {"value": clo},
+        E.InlinedDsClosure: {
+            "base": E.InlinedDsClosure(clo, (0,), ()),
+            "recipe": E.InlinedDsClosure(const, (0,), ((1, clo, (0,)),)),
+        },
+    }
+
+
+# fields that hold names, terms, integers or host functions: never acted on
+NO_INTERVALS = {"NVar": {"name"}, "NComp": {"binder"},
+                "TermClosure": {"names", "body"}, "FnClosure": {"fn"},
+                "InlinedDsClosure": {"kept"}}
+
+
+def test_interval_cases_cover_every_field_of_every_node_class():
+    cases = _interval_cases()
+    assert set(cases) == _node_classes()
+    for cls, by_field in cases.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        covered = set(by_field) - {"clauses"} | NO_INTERVALS.get(cls.__name__,
+                                                                 set())
+        assert covered == fields, cls.__name__
+
+
+@pytest.mark.parametrize("node", [
+    pytest.param(node, id=f"{cls.__name__}.{field}")
+    for cls, by_field in _interval_cases().items()
+    for field, node in by_field.items()])
+def test_support_sees_every_field_and_act_reaches_it(node):
+    from gctt.eval import support
+
+    assert "i" in support(node)
+    assert "i" not in support(act(node, {"i": ZERO}))
+    assert act(node, {"l": ZERO}) is node  # l is not in the support
+
+
+def test_act_rebuilds_systems_and_glue_through_their_constructors():
+    # where the face becomes total, each collapses to its partial part
+    partial, base = VZero(), neutral_var("b")
+    total = {"i": ZERO}
+    assert act(VGlueT(face_lit("i", 0), partial, partial, base), total) \
+        is partial
+    assert act(VGlueIntro(face_lit("i", 0), partial, base), total) is partial
+    assert act(VSystem(((frozenset({("i", 0)}), partial),)), total) is partial

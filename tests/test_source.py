@@ -1,7 +1,9 @@
 """Properties of the source itself: no failure is hidden by a catch-all
-handler, the syntax keeps no table keyed by object identity, and only the
-evaluator reads the delayed fixed points' type registry."""
+handler, no table is keyed by object identity, only the evaluator reads the
+delayed fixed points' type registry, and every field of a host closure is
+acted on by interval substitutions."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -28,3 +30,16 @@ def test_only_eval_reads_the_dfix_registry():
     hits = [path.name for path in sorted(SOURCE.glob("*.py"))
             if "DFIX_TYPES" in path.read_text()]
     assert hits == ["eval.py"]
+
+
+def test_no_weak_reference_tables():
+    hits = [path.name for path in sorted(SOURCE.glob("*.py"))
+            if re.search(r"weakref|WeakKeyDictionary", path.read_text())]
+    assert hits == []
+
+
+def test_host_closures_have_no_field_outside_the_interval_action():
+    from gctt.eval import FnClosure
+
+    assert [f.name for f in dataclasses.fields(FnClosure)] == ["fn",
+                                                               "captured"]
