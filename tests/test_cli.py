@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, reports, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +198,16 @@ def test_next_is_eta_equal_to_a_neutral(capsys, tmp_path):
         " = \\t -> <i> t")
     code, out, err = run(capsys, "check", path)
     assert (code, err) == (0, "") and out.endswith(": ok (1 declarations)\n")
+
+
+def test_composition_in_the_universe_prints_its_glue_type(capsys):
+    # the equivalence is the identity equivalence of N transported along
+    # the constant line: its binders print as the kernel names them
+    code, out, err = run(capsys, "normalize", "--expr",
+                         "<i> comp j U [ (i=0) -> N ] N")
+    assert (code, err) == (0, "")
+    golden = Path(__file__).resolve().parent / "golden" / "univ_comp.txt"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("expr, normal_form", [

@@ -3,7 +3,16 @@ compositions, glue formation, modules, and the negative suite."""
 
 import pytest
 
-from gctt.eval import VNat, VPathT, VPi, VUniv, eval_term, readback
+from gctt.eval import (
+    VNat,
+    VPathT,
+    VPi,
+    VUniv,
+    equiv_type_value,
+    eval_term,
+    identity_equiv,
+    readback,
+)
 from gctt.interval import face_lit
 from gctt.parser import parse_module, parse_term
 from gctt.syntax import term_str
@@ -295,6 +304,42 @@ def test_glue_formation_checks_equiv_shape():
         " -> Path ((t : T) * Path A a (f t)) c c'))",
     )
     check_ok(ck, ctx, "Glue [ (i=0) -> T, e ] A", "U")
+
+
+IDENTITY_EQUIV_NF = (
+    r"(\x -> x, \x -> ((x, <i> x),"
+    r" \x1 -> <i> (x1.2 @ i, <i1> x1.2 @ i /\ i1)))")
+EQUIV_TYPE_NF = (
+    "(x : A -> A) * ((x1 : A) -> (x2 : (x2 : A) * Path A x1 (x x2))"
+    " * ((x3 : (x3 : A) * Path A x1 (x x3)) -> Path ((x4 : A) * Path A x1"
+    " (x x4)) (x2.1, <i> x2.2 @ i) (x3.1, <i> x3.2 @ i)))")
+
+
+def test_identity_equivalence_reads_back_and_rechecks():
+    ck, ctx = make_ctx("A : U")
+    ty = equiv_type_value(ctx.env["A"], ctx.env["A"])
+    term = readback(ctx.used, identity_equiv(), ty)
+    assert term_str(term) == IDENTITY_EQUIV_NF
+    assert term_str(readback(ctx.used, ty)) == EQUIV_TYPE_NF
+    ck.check(ctx, term, ty)
+
+
+def test_glue_type_eta_expands_a_neutral_equivalence():
+    # the binder names come from the kernel's equivalence type, not from
+    # the one e is declared with
+    ck, ctx = make_ctx(
+        "i : I",
+        "T : U", "A : U",
+        "e : (f : T -> A) * ((a : A) -> "
+        "(c : (t : T) * Path A a (f t)) * ((c' : (t : T) * Path A a (f t))"
+        " -> Path ((t : T) * Path A a (f t)) c c'))",
+    )
+    glue = parse_term("Glue [ (i=0) -> T, e ] A")
+    ck.check(ctx, glue, VUniv())
+    assert term_str(readback(ctx.used, eval_term(ctx.env, glue))) == (
+        r"Glue [ (i=0) -> T, (\x -> e.1 x, \x -> (((e.2 x).1.1,"
+        r" <i1> (e.2 x).1.2 @ i1), \x1 -> <i1> (((e.2 x).2 x1 @ i1).1,"
+        r" <i2> ((e.2 x).2 x1 @ i1).2 @ i2))) ] A")
 
 
 def test_glue_formation_rejects_non_equiv():
