@@ -56,9 +56,6 @@ class Loader:
         self.checked: dict[str, CheckedModule] = {}
         self.parsed: dict[str, tuple[Path, ModuleFile]] = {}
 
-    def drop_cache(self):
-        self.checked = {}
-
     def locate(self, name: str) -> Path:
         for root in self.search_path:
             candidate = root / f"{name}.gctt"
@@ -118,8 +115,6 @@ def cmd_check(args) -> int:
                     cache=not args.no_corpus_cache)
     for p in args.paths:
         path = Path(p)
-        if args.no_corpus_cache:
-            loader.drop_cache()
         checked = loader.load(path)
         if args.report:
             for rep in checked.reports:
@@ -168,9 +163,8 @@ def cmd_normalize(args) -> int:
             check_ctx, bound = check_ctx.bind_interval(name)
             renamed[bound] = subs[name]
         subs = renamed
-        checker = Checker(fuel=args.fuel)
         try:
-            ty = checker.infer_top(check_ctx, term)
+            ty = loader.checker.infer_top(check_ctx, term)
         except GcttTypeError as exc:
             raise CliError(exc.render("<expr>"), EXIT_TYPE_ERROR)
         value = eval_term(check_ctx.env, term)

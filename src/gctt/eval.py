@@ -43,6 +43,7 @@ from .interval import (
     face_subst_all,
     inames,
 )
+from .parser import parse_term
 from .syntax import Term, fresh_name
 
 _internal_names = itertools.count()
@@ -419,15 +420,22 @@ def act_neutral(ne: Neutral, sub: dict, ty: Optional[Value]) -> Value:
 # Eliminators and smart constructors
 
 
+def _by_branch(elim, args: tuple, at: int = 0) -> Value:
+    """`elim` applied to the system `args[at]` branch by branch, the other
+    arguments restricted by each branch's clause."""
+    return VSystem(tuple(
+        (cl, elim(*[val if k == at else _act_field(a, clause_assignment(cl))
+                    for k, a in enumerate(args)]))
+        for cl, val in args[at].branches
+    ))
+
+
 def apply_v(f: Value, a: Value) -> Value:
     match f:
         case VLam(closure=c):
             return c.apply(a)
-        case VSystem(branches=bs):
-            return VSystem(tuple(
-                (cl, apply_v(val, act(a, clause_assignment(cl))))
-                for cl, val in bs
-            ))
+        case VSystem():
+            return _by_branch(apply_v, (f, a))
         case VNeutral(neutral=_, type=ty):
             res_ty = ty.codomain.apply(a) if isinstance(ty, VPi) else None
             return VNeutral(NApp(f, a), res_ty)
@@ -439,11 +447,8 @@ def papp_v(p: Value, r: IExpr) -> Value:
     match p:
         case VPLam(closure=c):
             return c.apply(r)
-        case VSystem(branches=bs):
-            return VSystem(tuple(
-                (cl, papp_v(val, dm_subst_all(r, clause_assignment(cl))))
-                for cl, val in bs
-            ))
+        case VSystem():
+            return _by_branch(papp_v, (p, r))
         case VNeutral(neutral=_, type=ty):
             if isinstance(ty, VPathT):
                 if r == ZERO:
@@ -459,8 +464,8 @@ def fst_v(p: Value) -> Value:
     match p:
         case VPair(fst=a):
             return a
-        case VSystem(branches=bs):
-            return VSystem(tuple((cl, fst_v(val)) for cl, val in bs))
+        case VSystem():
+            return _by_branch(fst_v, (p,))
         case VNeutral(neutral=_, type=ty):
             res_ty = ty.first if isinstance(ty, VSigma) else None
             return VNeutral(NFst(p), res_ty)
@@ -471,8 +476,8 @@ def snd_v(p: Value) -> Value:
     match p:
         case VPair(snd=b):
             return b
-        case VSystem(branches=bs):
-            return VSystem(tuple((cl, snd_v(val)) for cl, val in bs))
+        case VSystem():
+            return _by_branch(snd_v, (p,))
         case VNeutral(neutral=_, type=ty):
             res_ty = ty.second.apply(fst_v(p)) if isinstance(ty, VSigma) else None
             return VNeutral(NSnd(p), res_ty)
@@ -485,16 +490,8 @@ def natrec_v(motive: Value, base: Value, step: Value, n: Value) -> Value:
             return base
         case VSuc(pred=p):
             return apply_v(apply_v(step, p), natrec_v(motive, base, step, p))
-        case VSystem(branches=bs):
-            return VSystem(tuple(
-                (cl, natrec_v(
-                    act(motive, clause_assignment(cl)),
-                    act(base, clause_assignment(cl)),
-                    act(step, clause_assignment(cl)),
-                    val,
-                ))
-                for cl, val in bs
-            ))
+        case VSystem():
+            return _by_branch(natrec_v, (motive, base, step, n), at=3)
         case VNeutral():
             return VNeutral(NNatRec(motive, base, step, n), apply_v(motive, n))
     raise TypeError(f"natrec on {n!r}")
@@ -504,8 +501,8 @@ def unglue_v(b: Value) -> Value:
     match b:
         case VGlueIntro(base=a):
             return a
-        case VSystem(branches=bs):
-            return VSystem(tuple((cl, unglue_v(val)) for cl, val in bs))
+        case VSystem():
+            return _by_branch(unglue_v, (b,))
         case VNeutral(neutral=_, type=ty):
             if isinstance(ty, VGlueT):
                 if face_is_true(ty.face):
@@ -555,19 +552,18 @@ def make_glue_intro(phi: Face, partial, base) -> Value:
 
 
 def _prune_ds(entries: tuple, body: Closure):
-    """Drop trailing bindings unused by the body (always sound; an inner
-    binding may be needed by a later binding's type), narrowing the closure
-    to match."""
+    """Drop trailing bindings whose closure parameter the body does not use
+    (always sound; an inner binding may be needed by a later binding's
+    type), narrowing the closure to match."""
     if not isinstance(body, TermClosure):
         return entries, body
     used = S.free_names(body.body)[0]
-    kept = list(entries)
-    while kept and kept[-1][0] not in used:
-        kept.pop()
-    kept = tuple(kept)
-    if len(kept) != len(entries):
-        body = TermClosure(body.env, tuple(x for x, _ in kept), body.body)
-    return kept, body
+    n = len(entries)
+    while n and body.names[n - 1] not in used:
+        n -= 1
+    if n != len(entries):
+        body = TermClosure(body.env, body.names[:n], body.body)
+    return entries[:n], body
 
 
 def make_next(entries, body: Closure) -> Value:
@@ -694,6 +690,16 @@ def eval_term(env: dict, t: Term) -> Value:
     raise TypeError(f"cannot evaluate {t!r}")
 
 
+def surface(source: str, *params: str) -> Callable[..., Value]:
+    """A construction written as a surface term whose free names are
+    `params`: parsed once, here, and evaluated at one value per name each
+    time it is called.  Its binders are named `x`, `x1`, ... and `i`, `i1`,
+    ...: `fresh_name` drops the digits, so readback prints the names it
+    gives a host closure's binder."""
+    term = parse_term(source)
+    return lambda *vals: eval_term(dict(zip(params, vals)), term)
+
+
 # ---------------------------------------------------------------------------
 # Composition
 
@@ -721,15 +727,7 @@ def comp_v(k: str, line: Value, phi: Face, tube: Value, base: Value) -> Value:
             return comp_glue(k, line, phi, tube, base)
         case VSystem(branches=bs):
             if all(n != k for cl, _ in bs for n, _ in cl):
-                return VSystem(tuple(
-                    (cl, comp_v(
-                        k, val,
-                        face_subst_all(phi, clause_assignment(cl)),
-                        act(tube, clause_assignment(cl)),
-                        act(base, clause_assignment(cl)),
-                    ))
-                    for cl, val in bs
-                ))
+                return _by_branch(comp_v, (k, line, phi, tube, base), at=1)
             return _stuck_comp(k, line, phi, tube, base)
         case VLaterT() | VNeutral():
             return _stuck_comp(k, line, phi, tube, base)
@@ -828,75 +826,22 @@ def _nat_pred(v: Value):
 # -- composition in the universe ---------------------------------------------
 
 
-def _id_fn(x):
-    return x
+# The identity function with its contractible-fibers witness, built from
+# connections only: the fiber of b is contracted onto (b, <i> b) along
+# <i> (p @ i, <i1> p @ (i /\ i1)) for (a, p) in it.
+IDENTITY_EQUIV = surface(
+    r"(\x -> x, \x -> ((x, <i> x),"
+    r" \x1 -> <i> (x1.2 @ i, <i1> x1.2 @ (i /\ i1))))")()
 
+# Sigma(t : A). Path B a (f t)
+fiber_type = surface("(x : A) * Path B a (f x)", "f", "A", "B", "a")
 
-def _const_path_fn(b, _r):
-    return b
-
-
-def _singleton_contract_fn(z, i):
-    path = snd_v(z)
-
-    def inner(path, i, j):
-        return papp_v(path, IMeet(i, j))
-
-    return VPair(papp_v(path, i), VPLam(FnClosure(inner, captured=(path, i))))
-
-
-def _singleton_contraction(z):
-    """The path from the center (b, <_> b) of a fiber of the identity to
-    z = (a, p): at i it is (p @ i, <j> p @ (i /\\ j))."""
-    return VPLam(FnClosure(_singleton_contract_fn, captured=(z,)))
-
-
-def _id_contract_fn(b):
-    center = VPair(b, VPLam(FnClosure(_const_path_fn, captured=(b,))))
-    contract = VLam(FnClosure(_singleton_contraction))
-    return VPair(center, contract)
-
-
-def identity_equiv() -> Value:
-    """The identity function with its contractible-fibers witness, built from
-    connections only."""
-    return VPair(VLam(FnClosure(_id_fn)),
-                 VLam(FnClosure(_id_contract_fn)))
-
-
-def is_contr_type(c: Value) -> Value:
-    def cod(c, center):
-        def paths(c, center, other):
-            return VPathT(c, center, other)
-
-        return VPi(c, FnClosure(paths, captured=(c, center)))
-
-    return VSigma(c, FnClosure(cod, captured=(c,)))
-
-
-def fiber_type(fn: Value, domain: Value, space: Value, a: Value) -> Value:
-    """Sigma(t : domain). Path space a (fn t)."""
-
-    def cod(fn, space, a, t):
-        return VPathT(space, a, apply_v(fn, t))
-
-    return VSigma(domain, FnClosure(cod, captured=(fn, space, a)))
-
-
-def equiv_type_value(domain: Value, target: Value) -> Value:
-    """Sigma(f : domain -> target). Pi(a : target). isContr(fiber f a)."""
-
-    def arrow_cod(target, _t):
-        return target
-
-    def sigma_cod(domain, target, f):
-        def per_point(domain, target, f, a):
-            return is_contr_type(fiber_type(f, domain, target, a))
-
-        return VPi(target, FnClosure(per_point, captured=(domain, target, f)))
-
-    arrow = VPi(domain, FnClosure(arrow_cod, captured=(target,)))
-    return VSigma(arrow, FnClosure(sigma_cod, captured=(domain, target)))
+# Sigma(f : A -> B). Pi(b : B). isContr (fiber f b), where
+# isContr C = Sigma(c : C). Pi(c' : C). Path C c c'
+equiv_type_value = surface(
+    "(x : (x1 : A) -> B) * ((x1 : B) -> (x2 : (x3 : A) * Path B x1 (x x3))"
+    " * ((x3 : (x4 : A) * Path B x1 (x x4))"
+    " -> Path ((x4 : A) * Path B x1 (x x4)) x2 x3))", "A", "B")
 
 
 def transport_equiv(k: str, tube: Value) -> Value:
@@ -906,7 +851,7 @@ def transport_equiv(k: str, tube: Value) -> Value:
     k2 = fresh_iname()
     target_line = act(tube, {k: INeg(IVar(k2))})
     equiv_line = equiv_type_value(t_end, target_line)
-    return comp_v(k2, equiv_line, FACE_BOT, make_system([]), identity_equiv())
+    return comp_v(k2, equiv_line, FACE_BOT, make_system([]), IDENTITY_EQUIV)
 
 
 def comp_univ(k, phi, tube, base):
@@ -944,8 +889,7 @@ def extend_fiber(equiv: Value, domain: Value, space: Value, a: Value,
     return comp_v(j, fiber_ty, face, make_system(tube), center)
 
 
-def _refl_path(v: Value) -> Value:
-    return VPLam(FnClosure(_const_path_fn, captured=(v,)))
+_refl_path = surface("<i> a", "a")  # the constant path at a
 
 
 def _pres(k, glue_line, psi, tube, base, part_fill):

@@ -16,7 +16,6 @@ from typing import Optional
 from . import syntax as S
 from .conversion import FUEL, FuelExhausted, conv_under
 from .eval import (
-    FnClosure,
     ValueClosure,
     VGlueT,
     VLaterT,
@@ -24,7 +23,6 @@ from .eval import (
     VPathT,
     VPi,
     VSigma,
-    VSuc,
     VUniv,
     VZero,
     Value,
@@ -38,12 +36,14 @@ from .eval import (
     eval_term,
     fresh_iname,
     fst_v,
+    make_later,
     match_later,
     match_next,
     neutral_var,
     readback,
     register_dfix_type,
     registered_dfix_type,
+    surface,
 )
 from .interval import (
     FACE_BOT,
@@ -234,10 +234,10 @@ class Checker:
                 self.check(ctx, p, VNat())
                 return VNat()
             case S.NatRec(motive=m, base=z, step=s, scrutinee=n):
-                self.check(ctx, m, VPi(VNat(), FnClosure(_const_univ)))
+                self.check(ctx, m, _NATREC_MOTIVE)
                 mv = eval_term(ctx.env, m)
                 self.check(ctx, z, apply_v(mv, VZero()))
-                self.check(ctx, s, _natrec_step_type(mv))
+                self.check(ctx, s, _NATREC_STEP(mv))
                 self.check(ctx, n, VNat())
                 return apply_v(mv, eval_term(ctx.env, n))
             case S.Nat() | S.Univ():
@@ -274,8 +274,7 @@ class Checker:
                 ctx2, entries, binders = self.check_ds(ctx, ds, t.span)
                 body_ty = self.infer(ctx2, b)
                 names = tuple(name for name, _ in binders)
-                return VLaterT(tuple(entries),
-                               self.abstract(ctx2, names, body_ty))
+                return make_later(entries, self.abstract(ctx2, names, body_ty))
             case S.GlueT(face=phi, partial=p, equiv=e, base=b):
                 return self.check_glue_type(ctx, phi, p, e, b, t.span)
             case S.Unglue(arg=a):
@@ -613,15 +612,5 @@ def _fuel_error_at(span: Optional[Span]):
 _DEFINED = "?"
 
 
-def _const_univ(_n):
-    return VUniv()
-
-
-def _natrec_step_type(motive: Value) -> Value:
-    def outer(motive, n):
-        def inner(motive, n, _prev):
-            return apply_v(motive, VSuc(n))
-
-        return VPi(apply_v(motive, n), FnClosure(inner, captured=(motive, n)))
-
-    return VPi(VNat(), FnClosure(outer, captured=(motive,)))
+_NATREC_MOTIVE = surface("(x : N) -> U")()
+_NATREC_STEP = surface("(x : N) -> (x1 : m x) -> m (suc x)", "m")

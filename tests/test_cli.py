@@ -222,6 +222,14 @@ def test_inferred_types_mention_the_printed_names(capsys, expr, normal_form):
     assert (code, err, out.strip()) == (0, "", normal_form)
 
 
+def test_the_type_inferred_for_a_next_is_weakened(capsys):
+    # the inner next is typed |> N, not |> [z <- t] N, so it is a binding
+    # whose later type needs no preceding binding
+    code, out, err = run(capsys, "normalize", "--expr",
+                         r"\(t : |> N) -> next [y <- next [z <- t] (suc z)] y")
+    assert (code, err, out) == (0, "", "\\t -> next [z <- t] (suc z)\n")
+
+
 def test_inferred_type_keeps_a_shadowed_variable(capsys, tmp_path):
     # p's type names the outer x, which the inner x shadows
     path = write_module(
