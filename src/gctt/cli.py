@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 type error, 2 parse error (I/O failures are
 reported distinctly on stderr but share the parse-error exit code).
-Modules are resolved against a search path; within one invocation checked
-modules are reused across input files unless --no-corpus-cache is given.
+Modules are resolved against a search path; within one invocation each
+module file is checked once, and the result is reused wherever that file is
+imported or named again.
 """
 
 from __future__ import annotations
@@ -48,13 +49,11 @@ def _read_module(path: Path) -> ModuleFile:
 class Loader:
     """Parses and checks modules along a search path, in dependency order."""
 
-    def __init__(self, search_path, fuel: Optional[int] = None,
-                 cache: bool = True):
+    def __init__(self, search_path, fuel: Optional[int] = None):
         self.search_path = [Path(p) for p in search_path]
         self.checker = Checker(fuel=fuel)
-        self.cache = cache
-        self.checked: dict[str, CheckedModule] = {}
-        self.parsed: dict[str, tuple[Path, ModuleFile]] = {}
+        # keyed by resolved path: two files may declare the same module name
+        self.checked: dict[Path, CheckedModule] = {}
 
     def locate(self, name: str) -> Path:
         for root in self.search_path:
@@ -75,26 +74,22 @@ class Loader:
         return module
 
     def load(self, path: Path, _stack=()) -> CheckedModule:
+        key = path.resolve()
+        if key in self.checked:
+            return self.checked[key]
         module = self.parse_file(path)
         if module.name in _stack:
             raise CliError(
                 f"{path}: import cycle through {module.name}",
                 EXIT_PARSE_ERROR,
             )
-        if self.cache and module.name in self.checked:
-            return self.checked[module.name]
-        imports = []
-        for imp in module.imports:
-            if self.cache and imp in self.checked:
-                imports.append(self.checked[imp])
-                continue
-            imports.append(self.load(self.locate(imp),
-                                     _stack + (module.name,)))
+        imports = [self.load(self.locate(imp), _stack + (module.name,))
+                   for imp in module.imports]
         try:
             checked = self.checker.check_module(module, imports)
         except GcttTypeError as exc:
             raise CliError(exc.render(str(path)), EXIT_TYPE_ERROR)
-        self.checked[module.name] = checked
+        self.checked[key] = checked
         return checked
 
 
@@ -111,8 +106,7 @@ def _search_path(args) -> list:
 
 
 def cmd_check(args) -> int:
-    loader = Loader(_search_path(args), fuel=args.fuel,
-                    cache=not args.no_corpus_cache)
+    loader = Loader(_search_path(args), fuel=args.fuel)
     for p in args.paths:
         path = Path(p)
         checked = loader.load(path)
@@ -130,8 +124,7 @@ def cmd_check(args) -> int:
 
 def cmd_normalize(args) -> int:
     args.paths = [args.path] if args.path else []
-    loader = Loader(_search_path(args), fuel=args.fuel,
-                    cache=not args.no_corpus_cache)
+    loader = Loader(_search_path(args), fuel=args.fuel)
     path = Path(args.paths[0]) if args.paths else None
     ctx = Ctx()
     checked = None
@@ -201,8 +194,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        metavar="DIR", help="module search directory")
         p.add_argument("--fuel", type=int, default=None,
                        help="conversion step bound")
-        p.add_argument("--no-corpus-cache", action="store_true",
-                       help="do not reuse checked imports across files")
 
     p_check = sub.add_parser("check", help="type check modules")
     p_check.add_argument("paths", nargs="*", help=".gctt files")

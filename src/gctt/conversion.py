@@ -13,6 +13,7 @@ from typing import Optional
 
 from .interval import (
     Face,
+    IExpr,
     IVar,
     clause_assignment,
     dm_equal,
@@ -24,17 +25,11 @@ from .eval import (
     NApp,
     NComp,
     NDFix,
-    NFst,
-    NNatRec,
-    NPApp,
-    NSnd,
-    NUnglue,
     NVar,
     VGlueIntro,
     VGlueT,
     VLam,
     VLaterT,
-    VNat,
     VNext,
     VNeutral,
     VPair,
@@ -42,15 +37,13 @@ from .eval import (
     VPi,
     VPLam,
     VSigma,
-    VSuc,
     VSystem,
     VUniv,
-    VZero,
     Value,
     act,
     apply_v,
     canon_later_value,
-    ds_binder_type_deps,
+    ds_binders,
     fresh_iname,
     fst_v,
     node,
@@ -135,10 +128,6 @@ def _conv_structural(used: frozenset, a: Value, b: Value) -> bool:
               VPathT(space=s2, lhs=l2, rhs=r2)):
             return (conv(used, s1, s2) and conv(used, l1, l2, s1)
                     and conv(used, r1, r2, s1))
-        case (VNat(), VNat()) | (VUniv(), VUniv()) | (VZero(), VZero()):
-            return True
-        case (VSuc(pred=p1), VSuc(pred=p2)):
-            return conv(used, p1, p2)
         case (VLaterT(), VLaterT()) | (VNext(), VNext()):
             return _conv_later(used, a, b)
         case (VNext(), VNeutral()):
@@ -161,13 +150,21 @@ def _conv_structural(used: frozenset, a: Value, b: Value) -> bool:
                 used, face_clauses(intro.face), intro, other))
         case (VNeutral(neutral=n1), VNeutral(neutral=n2)):
             return _conv_neutral(used, n1, n2)
-    return False
+    return _conv_fields(used, a, b)  # VNat, VUniv, VZero, VSuc
+
+
+def _conv_fields(used: frozenset, a, b) -> bool:
+    """Same class, and every field convertible: an interval field equal in
+    the De Morgan algebra, any other by `conv`."""
+    return type(a) is type(b) and all(
+        dm_equal(p, q) if isinstance(p, IExpr) else conv(used, p, q)
+        for p, q in zip(a.field_values, b.field_values))
 
 
 def _conv_later(used: frozenset, a: Value, b: Value) -> bool:
     """Later types or nexts, up to the equational theory of delayed
     substitutions.  After next-substitution (`canon_later_value`), each
-    binding gets a probe typed by `ds_binder_type_deps`; the right side's
+    binding gets a probe typed by `ds_binders`; the right side's
     probes are flexible.  The first time the bodies' comparison meets a
     flexible probe against a free left probe of the same call, their
     bindings are paired if their contents are convertible (`_same_var`).
@@ -200,8 +197,11 @@ class _Pairing:
 
     def __init__(self, used: frozenset, a: Value, b: Value):
         self.a, self.b = a, b
-        self.probes_a, self.deps_a = _ds_probes(used, a.entries)
-        self.probes_b, self.deps_b = _ds_probes(used, b.entries, self)
+        self.probes_a, self.deps_a = ds_binders(
+            a.entries, used, lambda idx, ty: probe_var(ty))
+        self.probes_b, self.deps_b = ds_binders(
+            b.entries, used, lambda idx, ty: VNeutral(
+                _NFlex(probe_var().neutral.name, self, idx), ty))
         self.left = {p.neutral.name: k for k, p in enumerate(self.probes_a)}
         self.pairs, self.taken = {}, set()
 
@@ -266,22 +266,6 @@ def _pair_dependencies(used: frozenset, st: _Pairing) -> bool:
     return True
 
 
-def _ds_probes(used: frozenset, entries: tuple,
-               pairing: Optional[_Pairing] = None):
-    """One probe per binding, typed by its entry's later type, and the
-    earlier bindings that type depends on.  With a pairing, the probes are
-    its flexible ones."""
-    probes, deps = [], []
-    for idx, (_, u) in enumerate(entries):
-        ty, dep = ds_binder_type_deps(u, entries[:idx], probes, used)
-        probe = probe_var(ty)
-        if pairing is not None:
-            probe = VNeutral(_NFlex(probe.neutral.name, pairing, idx), ty)
-        probes.append(probe)
-        deps.append(dep)
-    return probes, deps
-
-
 def _conv_neutral(used: frozenset, a, b) -> bool:
     FUEL.tick()
     match (a, b):
@@ -290,16 +274,6 @@ def _conv_neutral(used: frozenset, a, b) -> bool:
         case (NApp(fn=f1, arg=a1), NApp(fn=f2, arg=a2)):
             arg_ty = f1.type.domain if isinstance(f1.type, VPi) else None
             return conv(used, f1, f2) and conv(used, a1, a2, arg_ty)
-        case (NPApp(fn=f1, arg=r1), NPApp(fn=f2, arg=r2)):
-            return conv(used, f1, f2) and dm_equal(r1, r2)
-        case (NFst(pair=p1), NFst(pair=p2)) | (NSnd(pair=p1), NSnd(pair=p2)):
-            return type(a) is type(b) and conv(used, p1, p2)
-        case (NNatRec(motive=m1, base=z1, step=s1, scrutinee=n1),
-              NNatRec(motive=m2, base=z2, step=s2, scrutinee=n2)):
-            return (conv(used, m1, m2) and conv(used, z1, z2)
-                    and conv(used, s1, s2) and conv(used, n1, n2))
-        case (NUnglue(arg=g1), NUnglue(arg=g2)):
-            return conv(used, g1, g2)
         case (NComp(binder=k1, line=l1, face=f1, tube=t1, base=b1),
               NComp(binder=k2, line=l2, face=f2, tube=t2, base=b2)):
             if not face_equal(f1, f2):
@@ -318,7 +292,7 @@ def _conv_neutral(used: frozenset, a, b) -> bool:
                 return False
             x = probe_var()
             return conv(used, c1.apply(x), c2.apply(x))
-    return False
+    return _conv_fields(used, a, b)
 
 
 def conv_under(phi: Face, used: frozenset, a: Value, b: Value,

@@ -298,6 +298,31 @@ class VNeutral(Value):
     type: Optional[Value] = None
 
 
+# The term former of each constructor value and stuck eliminator, and the
+# name of the eliminator that re-runs a stuck one.  A node's fields are in
+# the order of its term former's fields and of its eliminator's parameters:
+# the interval action re-runs the eliminator on the acted fields
+# (`act_neutral`), readback applies the term former to the read-back fields
+# (`_readback_former`), and conversion compares field by field.  The
+# eliminator is looked up by name when it runs, so that it is whatever the
+# module global is bound to then.
+FORMERS = {
+    VNat: (S.Nat, None),
+    VUniv: (S.Univ, None),
+    VZero: (S.Zero, None),
+    VSuc: (S.Suc, None),
+    VPair: (S.Pair, None),
+    VGlueIntro: (S.GlueIntro, None),
+    NApp: (S.App, "apply_v"),
+    NPApp: (S.PApp, "papp_v"),
+    NFst: (S.Fst, "fst_v"),
+    NSnd: (S.Snd, "snd_v"),
+    NNatRec: (S.NatRec, "natrec_v"),
+    NUnglue: (S.Unglue, "unglue_v"),
+    NComp: (S.Comp, "comp_v"),
+}
+
+
 def neutral_var(name: str, ty: Optional[Value] = None) -> VNeutral:
     return VNeutral(NVar(name), ty)
 
@@ -393,27 +418,15 @@ def _act_field(p, sub: dict):
 
 
 def act_neutral(ne: Neutral, sub: dict, ty: Optional[Value]) -> Value:
+    """The eliminator of `ne` re-run on its acted fields (`FORMERS`); a
+    variable and a delayed fixed point keep or rebuild their type."""
     match ne:
         case NVar():
             return VNeutral(ne, act(ty, sub))
-        case NApp(fn=f, arg=a):
-            return apply_v(act(f, sub), act(a, sub))
-        case NPApp(fn=f, arg=r):
-            return papp_v(act(f, sub), dm_subst_all(r, sub))
-        case NFst(pair=p):
-            return fst_v(act(p, sub))
-        case NSnd(pair=p):
-            return snd_v(act(p, sub))
-        case NNatRec(motive=m, base=z, step=s, scrutinee=n):
-            return natrec_v(act(m, sub), act(z, sub), act(s, sub), act(n, sub))
-        case NUnglue(arg=a):
-            return unglue_v(act(a, sub))
-        case NComp(binder=k, line=line, face=phi, tube=tube, base=b):
-            return comp_v(k, act(line, sub), face_subst_all(phi, sub),
-                          act(tube, sub), act(b, sub))
         case NDFix(clock=r, closure=c):
             return dfix_v(dm_subst_all(r, sub), act(c, sub), act(ty, sub))
-    raise TypeError(f"not a neutral: {ne!r}")
+    elim = globals()[FORMERS[type(ne)][1]]
+    return elim(*[_act_field(p, sub) for p in ne.field_values])
 
 
 # ---------------------------------------------------------------------------
@@ -430,86 +443,89 @@ def _by_branch(elim, args: tuple, at: int = 0) -> Value:
     ))
 
 
-def apply_v(f: Value, a: Value) -> Value:
-    match f:
+def apply_v(fn: Value, arg: Value) -> Value:
+    match fn:
         case VLam(closure=c):
-            return c.apply(a)
+            return c.apply(arg)
         case VSystem():
-            return _by_branch(apply_v, (f, a))
+            return _by_branch(apply_v, (fn, arg))
         case VNeutral(neutral=_, type=ty):
-            res_ty = ty.codomain.apply(a) if isinstance(ty, VPi) else None
-            return VNeutral(NApp(f, a), res_ty)
-    raise TypeError(f"cannot apply {f!r}")
+            res_ty = ty.codomain.apply(arg) if isinstance(ty, VPi) else None
+            return VNeutral(NApp(fn, arg), res_ty)
+    raise TypeError(f"cannot apply {fn!r}")
 
 
-def papp_v(p: Value, r: IExpr) -> Value:
-    r = dm_canonical(r)
-    match p:
+def papp_v(fn: Value, arg: IExpr) -> Value:
+    r = dm_canonical(arg)
+    match fn:
         case VPLam(closure=c):
             return c.apply(r)
         case VSystem():
-            return _by_branch(papp_v, (p, r))
+            return _by_branch(papp_v, (fn, r))
         case VNeutral(neutral=_, type=ty):
             if isinstance(ty, VPathT):
                 if r == ZERO:
                     return ty.lhs
                 if r == ONE:
                     return ty.rhs
-                return VNeutral(NPApp(p, r), ty.space)
-            return VNeutral(NPApp(p, r), None)
-    raise TypeError(f"cannot path-apply {p!r}")
+                return VNeutral(NPApp(fn, r), ty.space)
+            return VNeutral(NPApp(fn, r), None)
+    raise TypeError(f"cannot path-apply {fn!r}")
 
 
-def fst_v(p: Value) -> Value:
-    match p:
+def fst_v(pair: Value) -> Value:
+    match pair:
         case VPair(fst=a):
             return a
         case VSystem():
-            return _by_branch(fst_v, (p,))
+            return _by_branch(fst_v, (pair,))
         case VNeutral(neutral=_, type=ty):
             res_ty = ty.first if isinstance(ty, VSigma) else None
-            return VNeutral(NFst(p), res_ty)
-    raise TypeError(f"cannot project {p!r}")
+            return VNeutral(NFst(pair), res_ty)
+    raise TypeError(f"cannot project {pair!r}")
 
 
-def snd_v(p: Value) -> Value:
-    match p:
+def snd_v(pair: Value) -> Value:
+    match pair:
         case VPair(snd=b):
             return b
         case VSystem():
-            return _by_branch(snd_v, (p,))
+            return _by_branch(snd_v, (pair,))
         case VNeutral(neutral=_, type=ty):
-            res_ty = ty.second.apply(fst_v(p)) if isinstance(ty, VSigma) else None
-            return VNeutral(NSnd(p), res_ty)
-    raise TypeError(f"cannot project {p!r}")
+            res_ty = (ty.second.apply(fst_v(pair)) if isinstance(ty, VSigma)
+                      else None)
+            return VNeutral(NSnd(pair), res_ty)
+    raise TypeError(f"cannot project {pair!r}")
 
 
-def natrec_v(motive: Value, base: Value, step: Value, n: Value) -> Value:
-    match n:
+def natrec_v(motive: Value, base: Value, step: Value,
+             scrutinee: Value) -> Value:
+    match scrutinee:
         case VZero():
             return base
         case VSuc(pred=p):
             return apply_v(apply_v(step, p), natrec_v(motive, base, step, p))
         case VSystem():
-            return _by_branch(natrec_v, (motive, base, step, n), at=3)
+            return _by_branch(natrec_v, (motive, base, step, scrutinee), at=3)
         case VNeutral():
-            return VNeutral(NNatRec(motive, base, step, n), apply_v(motive, n))
-    raise TypeError(f"natrec on {n!r}")
+            return VNeutral(NNatRec(motive, base, step, scrutinee),
+                            apply_v(motive, scrutinee))
+    raise TypeError(f"natrec on {scrutinee!r}")
 
 
-def unglue_v(b: Value) -> Value:
-    match b:
+def unglue_v(arg: Value) -> Value:
+    match arg:
         case VGlueIntro(base=a):
             return a
         case VSystem():
-            return _by_branch(unglue_v, (b,))
+            return _by_branch(unglue_v, (arg,))
         case VNeutral(neutral=_, type=ty):
             if isinstance(ty, VGlueT):
                 if face_is_true(ty.face):
-                    return apply_v(fst_v(ty.equiv), b)
-                return VNeutral(NUnglue(b), ty.base)
-            return VNeutral(NUnglue(b), None)
-    raise TypeError(f"cannot unglue {b!r}")
+                    return apply_v(fst_v(ty.equiv), arg)
+                return VNeutral(NUnglue(arg), ty.base)
+            return VNeutral(NUnglue(arg), None)
+    raise TypeError(f"cannot unglue {arg!r}")
 
 
 def _clause_branches(pieces) -> tuple:
@@ -708,29 +724,32 @@ def line_at(line: Value, k: str, r: IExpr) -> Value:
     return act(line, {k: r})
 
 
-def comp_v(k: str, line: Value, phi: Face, tube: Value, base: Value) -> Value:
-    """comp^k line [phi -> tube] base; line and tube may mention k."""
-    if face_is_true(phi):
-        return line_at(tube, k, ONE)
+def comp_v(binder: str, line: Value, face: Face, tube: Value,
+           base: Value) -> Value:
+    """comp^binder line [face -> tube] base; line and tube may mention the
+    binder."""
+    if face_is_true(face):
+        return line_at(tube, binder, ONE)
+    args = (binder, line, face, tube, base)
     match line:
         case VPi():
-            return comp_pi(k, line, phi, tube, base)
+            return comp_pi(*args)
         case VSigma():
-            return comp_sigma(k, line, phi, tube, base)
+            return comp_sigma(*args)
         case VPathT():
-            return comp_path(k, line, phi, tube, base)
+            return comp_path(*args)
         case VNat():
-            return comp_nat(k, phi, tube, base)
+            return comp_nat(binder, face, tube, base)
         case VUniv():
-            return comp_univ(k, phi, tube, base)
+            return comp_univ(binder, face, tube, base)
         case VGlueT():
-            return comp_glue(k, line, phi, tube, base)
+            return comp_glue(*args)
         case VSystem(branches=bs):
-            if all(n != k for cl, _ in bs for n, _ in cl):
-                return _by_branch(comp_v, (k, line, phi, tube, base), at=1)
-            return _stuck_comp(k, line, phi, tube, base)
+            if all(n != binder for cl, _ in bs for n, _ in cl):
+                return _by_branch(comp_v, args, at=1)
+            return _stuck_comp(*args)
         case VLaterT() | VNeutral():
-            return _stuck_comp(k, line, phi, tube, base)
+            return _stuck_comp(*args)
     raise TypeError(f"cannot compose at {line!r}")
 
 
@@ -1031,14 +1050,6 @@ def readback_value(used: frozenset, v: Value) -> Term:
         case VPathT(space=sp, lhs=l, rhs=r):
             return S.PathT(None, readback(used, sp),
                            readback(used, l, sp), readback(used, r, sp))
-        case VNat():
-            return S.Nat()
-        case VUniv():
-            return S.Univ()
-        case VZero():
-            return S.Zero()
-        case VSuc(pred=p):
-            return S.Suc(None, readback(used, p))
         case VLam(closure=c):
             x = fresh_name(_closure_name(c, "x"), used)
             var = neutral_var(x)
@@ -1046,8 +1057,6 @@ def readback_value(used: frozenset, v: Value) -> Term:
         case VPLam(closure=c):
             i = fresh_name(_preferred_iname(v), used)
             return S.PLam(None, i, readback(used | {i}, c.apply(IVar(i))))
-        case VPair(fst=a, snd=b):
-            return S.Pair(None, readback(used, a), readback(used, b))
         case VLaterT() | VNext():
             entries, body = _readback_ds(used, v)
             if isinstance(v, VNext):
@@ -1061,17 +1070,25 @@ def readback_value(used: frozenset, v: Value) -> Term:
             return S.GlueT(None, phi, readback(used, p),
                            readback(used, e, equiv_type_value(p, b)),
                            readback(used, b))
-        case VGlueIntro(face=phi, partial=p, base=b):
-            return S.GlueIntro(None, phi,
-                               readback(used, p) if p is not None else None,
-                               readback(used, b))
         case VSystem(branches=bs):
             return S.SystemTerm(None, tuple(
                 (clause_face(cl), readback(used, val)) for cl, val in bs
             ))
         case VNeutral(neutral=ne, type=ty):
             return readback_neutral(used, ne, ty)
-    raise TypeError(f"cannot read back {v!r}")
+    return _readback_former(used, v)
+
+
+def _readback_former(used: frozenset, x) -> Term:
+    """The term former of a constructor value or stuck eliminator
+    (`FORMERS`) applied to its fields, each value read back without a type;
+    an interval expression, a face, a binder name or an absent field is
+    kept as it is."""
+    entry = FORMERS.get(type(x))
+    if entry is None:
+        raise TypeError(f"cannot read back {x!r}")
+    return entry[0](None, *[readback_value(used, p) if isinstance(p, Value)
+                            else p for p in x.field_values])
 
 
 def _first_use(t: Term, name: str) -> int:
@@ -1105,14 +1122,12 @@ def _readback_ds(used: frozenset, v: Value):
     canonically respecting those type dependencies.  Binder names are
     chosen over all the original bindings."""
     es = v.entries
-    names, vars_, deps, used2 = [], [], [], used
-    for idx, (x, u) in enumerate(es):
-        x2 = fresh_name(x, used2)
-        names.append(x2)
-        used2 = used2 | {x2}
-        bty, dep = ds_binder_type_deps(u, es[:idx], vars_, used2)
-        deps.append(dep)
-        vars_.append(neutral_var(x2, bty))
+    names, used2 = [], used
+    for x, _ in es:
+        names.append(fresh_name(x, used2))
+        used2 = used2 | {names[-1]}
+    vars_, deps = ds_binders(
+        es, used2, lambda idx, ty: neutral_var(names[idx], ty))
     canon = canon_later_value(v, used2)
     kept = range(len(es)) if canon is v else canon.body.kept
     body_v = canon.body.apply(*[vars_[i] for i in kept])
@@ -1225,14 +1240,19 @@ def canon_later_value(v: Value, used: frozenset = frozenset(),
     return type(v)(tuple(v.entries[i] for i in kept), body)
 
 
-def ds_binder_type_deps(entry_value: Value, prefix_entries, prefix_vars,
-                        used: frozenset):
-    """The type a delayed-substitution binder stands for, recovered from its
-    entry's later type by matching that type's own delayed substitution
-    against the preceding entries (up to weakening), together with the
-    prefix positions the type depends on."""
-    ty = entry_value.type if isinstance(entry_value, VNeutral) else None
-    return match_later(ty, prefix_entries, prefix_vars, used) or (None, ())
+def ds_binders(entries: tuple, used: frozenset, make_var):
+    """One variable per binding of a delayed substitution, in order, made by
+    `make_var(position, type)`, and the earlier positions each type depends
+    on.  The type a binder stands for is recovered from its entry's later
+    type by matching that type's own delayed substitution against the
+    preceding entries (up to weakening)."""
+    vars_, deps = [], []
+    for idx, (_, u) in enumerate(entries):
+        lty = u.type if isinstance(u, VNeutral) else None
+        ty, dep = match_later(lty, entries[:idx], vars_, used) or (None, ())
+        vars_.append(make_var(idx, ty))
+        deps.append(dep)
+    return vars_, deps
 
 
 def readback_neutral(used: frozenset, ne: Neutral,
@@ -1240,19 +1260,6 @@ def readback_neutral(used: frozenset, ne: Neutral,
     match ne:
         case NVar(name=x):
             return S.Var(None, x)
-        case NApp(fn=f, arg=a):
-            return S.App(None, readback_value(used, f), readback(used, a))
-        case NPApp(fn=f, arg=r):
-            return S.PApp(None, readback_value(used, f), r)
-        case NFst(pair=p):
-            return S.Fst(None, readback_value(used, p))
-        case NSnd(pair=p):
-            return S.Snd(None, readback_value(used, p))
-        case NNatRec(motive=m, base=z, step=s, scrutinee=n):
-            return S.NatRec(None, readback(used, m), readback(used, z),
-                            readback(used, s), readback_value(used, n))
-        case NUnglue(arg=a):
-            return S.Unglue(None, readback_value(used, a))
         case NComp(binder=k, line=line, face=phi, tube=tube, base=b):
             i = fresh_name("i", used)
             sub = {k: IVar(i)}
@@ -1270,9 +1277,4 @@ def readback_neutral(used: frozenset, ne: Neutral,
             if isinstance(ty, VLaterT) and not ty.entries:
                 register_dfix_type(node, readback(used, ty))
             return node
-    raise TypeError(f"cannot read back neutral {ne!r}")
-
-
-def normalize(env: dict, t: Term, ty: Optional[Value] = None,
-              used: frozenset = frozenset()) -> Term:
-    return readback(used, eval_term(env, t), ty)
+    return _readback_former(used, ne)

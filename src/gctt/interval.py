@@ -76,7 +76,6 @@ ONE = I1()
 # form a frozenset of clauses.  Bottom is the empty set of clauses, top the
 # singleton of the empty clause.
 Literal = tuple[Name, bool]
-Clause = frozenset
 Dnf = frozenset
 
 
@@ -251,11 +250,6 @@ def face_join(phi: Face, psi: Face) -> Face:
 
 def face_equal(phi: Face, psi: Face) -> bool:
     return phi.clauses == psi.clauses
-
-
-def face_entails(phi: Face, psi: Face) -> bool:
-    """phi <= psi in the face lattice."""
-    return face_equal(face_meet(phi, psi), phi)
 
 
 def face_of_eq(r: IExpr, polarity: int) -> Face:

@@ -21,7 +21,6 @@ from gctt.interval import (
     ZERO,
     clause_assignment,
     face_clauses,
-    face_entails,
     face_equal,
     face_forall,
     face_join,
@@ -36,6 +35,7 @@ from gctt.typechecker import Checker, Ctx
 from test_interval import (
     all_faces,
     dm4_vector,
+    entails,
     enumerate_iexprs,
     face_vector,
 )
@@ -108,7 +108,7 @@ def test_criterion_3_forall_adjunction():
     for phi in phis:
         forall = face_forall("i", phi)
         for psi in psis:
-            assert face_entails(psi, forall) == face_entails(psi, phi)
+            assert entails(psi, forall) == entails(psi, phi)
             checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

@@ -72,11 +72,16 @@ def test_import_resolution_and_cycle(capsys, tmp_path):
     assert code == 2 and "cycle" in err
 
 
-def test_no_corpus_cache_still_checks(capsys, corpus_dir):
-    code, _, _ = run(capsys, "check", "--no-corpus-cache",
-                     str(corpus_dir / "streams.gctt"),
-                     str(corpus_dir / "zipwith.gctt"))
-    assert code == 0
+def test_modules_of_one_name_in_two_directories_are_each_checked(
+        capsys, tmp_path):
+    good, bad = tmp_path / "a" / "m.gctt", tmp_path / "b" / "m.gctt"
+    for path, decl in ((good, "x : N = 0"), (bad, "x : N = U")):
+        path.parent.mkdir()
+        path.write_text(f"module m where\n{decl}")
+    code, out, err = run(capsys, "check", str(good), str(bad))
+    assert code == 1
+    assert out == f"{good}: ok (1 declarations)\n"
+    assert err.startswith(f"{bad}:")
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 fillers, delayed fixed points, readback."""
 
 import dataclasses
+import inspect
 import random
 
 import pytest
 
+import gctt.eval as E
 from gctt.conversion import conv
 from gctt.eval import (
     FnClosure,
@@ -35,7 +37,6 @@ from gctt.eval import (
     neutral_var,
     papp_v,
     readback,
-    normalize,
 )
 from gctt.interval import (
     FACE_BOT,
@@ -283,6 +284,24 @@ def test_readback_fresh_names_avoid_used():
     assert norm_v(v, {"x"}) == r"\x1 -> x1"
 
 
+def test_formers_describe_every_stuck_eliminator_and_constructor():
+    """Each neutral class but a variable and a delayed fixed point has an
+    entry, and each entry's fields are, in order, its term former's fields
+    and its eliminator's parameters."""
+    explicit = {E.NVar, E.NDFix}
+    assert set(E.Neutral.__subclasses__()) - explicit == {
+        cls for cls in E.FORMERS if issubclass(cls, E.Neutral)}
+    for cls, (former, elim) in E.FORMERS.items():
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert names == [f.name for f in dataclasses.fields(former)
+                         if f.name != "span"], cls
+        if issubclass(cls, E.Neutral):
+            params = inspect.signature(getattr(E, elim)).parameters
+            assert list(params) == names, cls
+        else:
+            assert elim is None, cls
+
+
 def test_readback_idempotent_through_eval():
     srcs = [
         r"\y -> (\x -> suc x) y",
@@ -292,9 +311,10 @@ def test_readback_idempotent_through_eval():
     ]
     t_ty = VLaterT((), ValueClosure(VNat()))
     env = {"t": neutral_var("t", t_ty)}
+    used = frozenset(env)
     for src in srcs:
-        once = normalize(dict(env), parse_term(src), used=frozenset(env))
-        twice = normalize(dict(env), once, used=frozenset(env))
+        once = readback(used, eval_term(dict(env), parse_term(src)))
+        twice = readback(used, eval_term(dict(env), once))
         assert once == twice, src
 
 

@@ -1,15 +1,20 @@
 """Properties of the source itself: no failure is hidden by a catch-all
 handler, no table is keyed by object identity, only the evaluator reads the
-delayed fixed points' type registry, and every field of a host closure is
-acted on by interval substitutions."""
+delayed fixed points' type registry, every field of a host closure is
+acted on by interval substitutions, and no module-level table hides a
+function from the benchmark's tracer."""
 
 import dataclasses
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import gctt
+import gctt.cli  # noqa: F401  (loads every gctt module)
 
 SOURCE = Path(gctt.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def test_no_catch_all_exception_handlers():
@@ -43,3 +48,39 @@ def test_host_closures_have_no_field_outside_the_interval_action():
 
     assert [f.name for f in dataclasses.fields(FnClosure)] == ["fn",
                                                                "captured"]
+
+
+def _held(x):
+    """What a dict (keys and values), tuple or list holds, recursively."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _held(k)
+            yield from _held(v)
+    elif isinstance(x, (tuple, list)):
+        for v in x:
+            yield from _held(v)
+    else:
+        yield x
+
+
+def test_no_module_level_table_holds_a_function_the_tracer_wraps():
+    """The tracer rebinds the module globals that name the functions it
+    counts; a function held in a module-level table would escape it."""
+    spec = importlib.util.spec_from_file_location("_gctt_tracer", TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer().install()
+    try:
+        hits = [
+            f"{modname}.{name}"
+            for modname, mod in sorted(sys.modules.items())
+            if modname == "gctt" or modname.startswith("gctt.")
+            for name, table in vars(mod).items()
+            if not name.startswith("__")
+            and isinstance(table, (dict, tuple, list))
+            for x in _held(table)
+            if tracer._originals.get(id(x), tracer) is x
+        ]
+    finally:
+        tracer.uninstall()
+    assert tracer._originals and hits == []
