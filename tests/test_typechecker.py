@@ -275,9 +275,12 @@ def test_comp_base_boundary_violation():
 
 def test_comp_face_names_must_be_scoped():
     ck, ctx = make_ctx()
-    with pytest.raises(GcttTypeError) as exc:
-        ck.infer(ctx, parse_term("comp j N [ (i=0) -> 1 ] 1"))
-    assert exc.value.kind == "unbound"
+    # the second face names only the composition's own binder, which does
+    # not scope over the faces of its tube
+    for src in ("comp j N [ (i=0) -> 1 ] 1", "comp j N [ (j=0) -> 1 ] 1"):
+        with pytest.raises(GcttTypeError) as exc:
+            ck.infer(ctx, parse_term(src))
+        assert exc.value.kind == "unbound"
 
 
 # ---------------------------------------------------------------------------
