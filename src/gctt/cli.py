@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 type error, 2 parse error (I/O failures are
 reported distinctly on stderr but share the parse-error exit code).
-Modules are resolved against a search path; within one invocation each
-module file is checked once, and the result is reused wherever that file is
-imported or named again.
+Imports are resolved along a search path, then in the importing file's
+directory; within one invocation each module file is checked once, and the
+result is reused wherever that file is imported or named again.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ class Loader:
         # keyed by resolved path: two files may declare the same module name
         self.checked: dict[Path, CheckedModule] = {}
 
-    def locate(self, name: str) -> Path:
-        for root in self.search_path:
+    def locate(self, name: str, importer: Path) -> Path:
+        """The file of module `name` imported by `importer`: found along the
+        search path, then in the importer's own directory."""
+        for root in (*self.search_path, importer.parent):
             candidate = root / f"{name}.gctt"
             if candidate.is_file():
                 return candidate
@@ -83,7 +85,7 @@ class Loader:
                 f"{path}: import cycle through {module.name}",
                 EXIT_PARSE_ERROR,
             )
-        imports = [self.load(self.locate(imp), _stack + (module.name,))
+        imports = [self.load(self.locate(imp, path), _stack + (module.name,))
                    for imp in module.imports]
         try:
             checked = self.checker.check_module(module, imports)
@@ -94,15 +96,11 @@ class Loader:
 
 
 def _search_path(args) -> list:
-    path = list(args.search_path or [])
+    path = list(args.search_path)
     env = os.environ.get(SEARCH_PATH_VAR)
     if env:
         path.extend(env.split(os.pathsep))
-    for p in args.paths:
-        parent = str(Path(p).parent)
-        if parent not in path:
-            path.append(parent)
-    return path or ["."]
+    return path
 
 
 def cmd_check(args) -> int:
@@ -123,9 +121,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    args.paths = [args.path] if args.path else []
     loader = Loader(_search_path(args), fuel=args.fuel)
-    path = Path(args.paths[0]) if args.paths else None
+    path = Path(args.path) if args.path else None
     ctx = Ctx()
     checked = None
     if path is not None:

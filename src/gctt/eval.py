@@ -303,9 +303,11 @@ class VNeutral(Value):
 # the order of its term former's fields and of its eliminator's parameters:
 # the interval action re-runs the eliminator on the acted fields
 # (`act_neutral`), readback applies the term former to the read-back fields
-# (`_readback_former`), and conversion compares field by field.  The
-# eliminator is looked up by name when it runs, so that it is whatever the
-# module global is bound to then.
+# (`_readback_former`), and conversion compares field by field.  A stuck
+# composition has no term former: it keeps the face that `S.Comp` leaves
+# to its tube, and `readback_neutral` reads it back.  The eliminator is
+# looked up by name when it runs, so that it is whatever the module global
+# is bound to then.
 FORMERS = {
     VNat: (S.Nat, None),
     VUniv: (S.Univ, None),
@@ -319,7 +321,7 @@ FORMERS = {
     NSnd: (S.Snd, "snd_v"),
     NNatRec: (S.NatRec, "natrec_v"),
     NUnglue: (S.Unglue, "unglue_v"),
-    NComp: (S.Comp, "comp_v"),
+    NComp: (None, "comp_v"),
 }
 
 
@@ -348,6 +350,15 @@ def env_iexpr(env: dict, r: IExpr) -> IExpr:
 def env_face(env: dict, phi: Face) -> Face:
     sub = {n: env[n] for n in face_names(phi) if n in env and isinstance(env[n], IExpr)}
     return face_subst_all(phi, sub)
+
+
+def tube_face(env: dict, tube: S.SystemTerm) -> Face:
+    """The face a composition's tube is defined on: the join of its branch
+    faces, in the environment outside the composition's binder."""
+    face = FACE_BOT
+    for phi, _ in tube.branches:
+        face = face_join(face, env_face(env, phi))
+    return face
 
 
 # ---------------------------------------------------------------------------
@@ -673,11 +684,11 @@ def eval_term(env: dict, t: Term) -> Value:
             return make_system(
                 [(env_face(env, phi), eval_term(env, u)) for phi, u in bs]
             )
-        case S.Comp(binder=x, line=a, face=phi, tube=u, base=b):
+        case S.Comp(binder=x, line=a, tube=u, base=b):
             k = fresh_iname()
             env_k = dict(env)
             env_k[x] = IVar(k)
-            return comp_v(k, eval_term(env_k, a), env_face(env, phi),
+            return comp_v(k, eval_term(env_k, a), tube_face(env, u),
                           eval_term(env_k, u), eval_term(env, b))
         case S.GlueT(face=phi, partial=p, equiv=e, base=b):
             return make_glue_type(
@@ -1267,7 +1278,7 @@ def readback_neutral(used: frozenset, ne: Neutral,
             tube_t = readback(used | {i}, act(tube, sub))
             if not isinstance(tube_t, S.SystemTerm):
                 tube_t = S.SystemTerm(None, ((phi, tube_t),))
-            return S.Comp(None, i, line_t, phi, tube_t, readback(used, b))
+            return S.Comp(None, i, line_t, tube_t, readback(used, b))
         case NDFix(clock=r, closure=c):
             x = fresh_name(_closure_name(c, "x"), used)
             node = S.DFix(None, r, x,

@@ -23,15 +23,6 @@ class IExpr:
 
     __slots__ = ()
 
-    def __and__(self, other: "IExpr") -> "IExpr":
-        return IMeet(self, other)
-
-    def __or__(self, other: "IExpr") -> "IExpr":
-        return IJoin(self, other)
-
-    def __invert__(self) -> "IExpr":
-        return INeg(self)
-
 
 @dataclass(frozen=True)
 class I0(IExpr):
@@ -207,12 +198,6 @@ class Face:
 
     __slots__ = ("clauses",)
     clauses: frozenset
-
-    def __and__(self, other: "Face") -> "Face":
-        return face_meet(self, other)
-
-    def __or__(self, other: "Face") -> "Face":
-        return face_join(self, other)
 
 
 def _mk_face(clauses) -> Face:

@@ -6,7 +6,8 @@ when the next identifier is followed by `:`, which begins a new declaration.
 
 `fix r x. t` and `transp i A a` are surface sugar, eliminated here:
 the former becomes t[dfix r x.t / x], the latter a composition with an
-empty tube.
+empty tube.  The tube of `comp i A [ phi1 -> u1, ... ] a` is the system
+as written, defined on the join of its faces.
 """
 
 from __future__ import annotations
@@ -230,19 +231,8 @@ class Parser:
         while True:
             if self.peek().kind == "ident":
                 binders.append((self.ident(), None))
-            elif self.at_symbol("(") and self.peek(1).kind == "ident":
-                save = self.pos
-                self.next()
-                names = []
-                while self.peek().kind == "ident":
-                    names.append(self.ident())
-                if not self.at_symbol(":"):
-                    self.pos = save
-                    break
-                self.next()
-                ann = self.term()
-                self.expect("symbol", ")")
-                binders.extend((x, ann) for x in names)
+            elif self._binder_groups_ahead():
+                binders.extend(self.binder_groups())
             else:
                 break
         if not binders:
@@ -280,19 +270,24 @@ class Parser:
             k += 1
         return k > 1 and self.peek(k).kind == "symbol" and self.peek(k).lexeme == ":"
 
+    def binder_groups(self) -> list[tuple[str, Term]]:
+        """The (x y : A) binder groups ahead, one (name, type) per name."""
+        groups: list[tuple[str, Term]] = []
+        while self._binder_groups_ahead():
+            self.next()
+            names = []
+            while self.peek().kind == "ident":
+                names.append(self.ident())
+            self.expect("symbol", ":")
+            ty = self.term()
+            self.expect("symbol", ")")
+            groups.extend((x, ty) for x in names)
+        return groups
+
     def arrow(self) -> Term:
         span = self.peek().span
-        if self._binder_groups_ahead():
-            groups: list[tuple[str, Term]] = []
-            while self._binder_groups_ahead():
-                self.next()
-                names = []
-                while self.peek().kind == "ident":
-                    names.append(self.ident())
-                self.expect("symbol", ":")
-                ty = self.term()
-                self.expect("symbol", ")")
-                groups.extend((x, ty) for x in names)
+        groups = self.binder_groups()
+        if groups:
             if self.at_symbol("*"):
                 self.next()
                 body = self.arrow()
@@ -418,15 +413,14 @@ class Parser:
             self.next()
             binder = self.ident()
             line = self.atom()
-            face, tube = self.tube()
-            base = self.atom()
-            return Comp(span, binder, line, face, tube, base)
+            tube = self.system(self.peek().span)
+            return Comp(span, binder, line, tube, self.atom())
         if kw == "transp":
             self.next()
             binder = self.ident()
             line = self.atom()
             base = self.atom()
-            return Comp(span, binder, line, FACE_BOT, SystemTerm(span, ()), base)
+            return Comp(span, binder, line, SystemTerm(span, ()), base)
         if kw == "Glue":
             self.next()
             self.expect("symbol", "[")
@@ -500,14 +494,6 @@ class Parser:
         face = self.face()
         self.expect("symbol", "->")
         return (face, self.term())
-
-    def tube(self) -> tuple[Face, Term]:
-        span = self.peek().span
-        sys = self.system(span)
-        face = FACE_BOT
-        for phi, _ in sys.branches:
-            face = face_join(face, phi)
-        return face, sys
 
     # -- faces and intervals ------------------------------------------------
 

@@ -18,7 +18,6 @@ from .interval import (
     IExpr,
     IVar,
     dm_subst_all,
-    face_is_false,
     face_names,
     face_str,
     face_subst_all,
@@ -175,8 +174,8 @@ class SystemTerm(Term):
 class Comp(Term):
     binder: str = _part(IBINDER, "")
     line: Term = _part(TERM, under="binder")
-    face: Face = _part(FACE)
-    tube: Term = _part(TERM, under="binder")  # defined on the face
+    # a SystemTerm, defined on the join of its faces; no face names the binder
+    tube: Term = _part(TERM, under="binder")
     base: Term = _part(TERM)
 
 
@@ -544,9 +543,9 @@ def term_str(t: Term, prec: int = ARROW) -> str:
             return _wrap(s, APPLY, prec)
         case SystemTerm(branches=bs):
             return f"[ {_system_body(bs)} ]" if bs else "[]"
-        case Comp(binder=x, line=a, face=phi, tube=u, base=b):
-            tube = _tube_str(phi, u)
-            s = f"comp {x} {term_str(a, ATOM)} {tube} {term_str(b, ATOM)}"
+        case Comp(binder=x, line=a, tube=u, base=b):
+            s = (f"comp {x} {term_str(a, ATOM)} {term_str(u, ATOM)}"
+                 f" {term_str(b, ATOM)}")
             return _wrap(s, APPLY, prec)
         case GlueT(face=phi, partial=p, equiv=e, base=b):
             if p is None:
@@ -570,16 +569,6 @@ def term_str(t: Term, prec: int = ARROW) -> str:
             return _wrap(s, ARROW, prec)
         case _:
             raise TypeError(f"not a term: {t!r}")
-
-
-def _tube_str(phi: Face, tube: Term) -> str:
-    if isinstance(tube, SystemTerm):
-        if not tube.branches:
-            return "[]"
-        return f"[ {_system_body(tube.branches)} ]"
-    if face_is_false(phi):
-        return "[]"
-    return f"[ {face_str(phi)} -> {term_str(tube, ARROW)} ]"
 
 
 def module_str(m: ModuleFile) -> str:

@@ -44,6 +44,7 @@ from .eval import (
     register_dfix_type,
     registered_dfix_type,
     surface,
+    tube_face,
 )
 from .interval import (
     FACE_BOT,
@@ -82,7 +83,6 @@ class Ctx:
     # every bound term and interval variable, shadowed ones included, under
     # the name readback prints for it
     scope: dict = field(default_factory=dict)
-    interval_names: frozenset = frozenset()
     face: Face = FACE_TOP
     used: frozenset = frozenset()
 
@@ -102,11 +102,8 @@ class Ctx:
         name = fresh_name(i, self.used)
         env = dict(self.env)
         env[i] = IVar(name)
-        ctx = replace(
-            self, env=env, scope={**self.scope, name: env[i]},
-            interval_names=self.interval_names | {name},
-            used=self.used | {name, i},
-        )
+        ctx = replace(self, env=env, scope={**self.scope, name: env[i]},
+                      used=self.used | {name, i})
         return ctx, name
 
     def restrict(self, phi: Face) -> "Ctx":
@@ -158,14 +155,15 @@ class Checker:
             )
 
     def check_interval(self, ctx: Ctx, r, span):
-        for n in inames(env_iexpr(ctx.env, r)):
-            if n not in ctx.interval_names:
-                raise GcttTypeError(span, "unbound",
-                                    f"interval name {n} not in scope")
+        self._check_interval_names(ctx, inames(env_iexpr(ctx.env, r)), span)
 
     def check_face(self, ctx: Ctx, phi: Face, span):
-        for n in face_names(env_face(ctx.env, phi)):
-            if n not in ctx.interval_names:
+        self._check_interval_names(ctx, face_names(env_face(ctx.env, phi)),
+                                   span)
+
+    def _check_interval_names(self, ctx: Ctx, names, span):
+        for n in names:
+            if not isinstance(ctx.scope.get(n), IVar):
                 raise GcttTypeError(span, "unbound",
                                     f"interval name {n} not in scope")
 
@@ -519,26 +517,17 @@ class Checker:
     # -- compositions ------------------------------------------------------
 
     def check_comp(self, ctx: Ctx, t: S.Comp) -> Value:
-        self.check_face(ctx, t.face, t.span)
-        phi = env_face(ctx.env, t.face)
+        for psi, _ in t.tube.branches:
+            self.check_face(ctx, psi, t.span)
+        phi = tube_face(ctx.env, t.tube)
         ctx_i, iname = ctx.bind_interval(t.binder)
         line = self.check_type(ctx_i, t.line)
         line0 = act(line, {iname: ZERO})
         line1 = act(line, {iname: ONE})
         tube_v = None
-        if isinstance(t.tube, S.SystemTerm):
-            if t.tube.branches:
-                ctx_tube = ctx_i.restrict(phi)
-                self.check_system(ctx_tube, t.tube.branches, line, t.span)
-                tube_v = eval_term(ctx_i.env, t.tube)
-            elif not face_is_false(phi):
-                raise GcttTypeError(
-                    t.span, "face-not-covering",
-                    "empty tube with a non-empty face",
-                )
-        else:
-            ctx_tube = ctx_i.restrict(phi)
-            self.check(ctx_tube, t.tube, line)
+        if t.tube.branches:
+            self.check_system(ctx_i.restrict(phi), t.tube.branches, line,
+                              t.span)
             tube_v = eval_term(ctx_i.env, t.tube)
         self.check(ctx, t.base, line0)
         if tube_v is not None and not face_is_false(phi):

@@ -12,7 +12,15 @@ import pytest
 
 from gctt.cli import main as cli_main
 from gctt.conversion import conv
-from gctt.eval import VNat, VSuc, VZero, act, eval_term, readback
+from gctt.eval import (
+    VNat,
+    VSuc,
+    VZero,
+    act,
+    eval_term,
+    readback,
+    tube_face,
+)
 from gctt.interval import (
     FACE_BOT,
     FACE_TOP,
@@ -210,7 +218,7 @@ def test_criterion_8_boundary_law_200():
         env_i = dict(ctx.env)
         env_i[comp.binder] = IVar("?bl8")
         tube1 = act(eval_term(env_i, comp.tube), {"?bl8": ONE})
-        for clause in face_clauses(comp.face):
+        for clause in face_clauses(tube_face(ctx.env, comp.tube)):
             asg = clause_assignment(clause)
             assert conv(ctx.used, act(result, asg), act(tube1, asg)), src
         count += 1

@@ -84,6 +84,23 @@ def test_modules_of_one_name_in_two_directories_are_each_checked(
     assert err.startswith(f"{bad}:")
 
 
+def test_an_import_resolves_in_the_importing_files_directory(
+        capsys, tmp_path):
+    # each directory has its own module n; naming a/x.gctt on the command
+    # line must not make b/w.gctt import a/n.gctt
+    files = {"a/n": "y : N = 0", "b/n": r"y : N -> N = \z -> z",
+             "a/x": "import n", "b/w": "import n\nv : N = y 0"}
+    for rel, body in files.items():
+        path = tmp_path / f"{rel}.gctt"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(f"module {path.stem} where\n{body}")
+    x, w = tmp_path / "a" / "x.gctt", tmp_path / "b" / "w.gctt"
+    assert run(capsys, "check", str(w))[0] == 0
+    code, out, err = run(capsys, "check", str(x), str(w))
+    assert (code, err) == (0, "")
+    assert out == f"{x}: ok (0 declarations)\n{w}: ok (1 declarations)\n"
+
+
 # ---------------------------------------------------------------------------
 # normalize
 

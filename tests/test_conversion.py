@@ -19,7 +19,7 @@ from gctt.eval import (
     neutral_var,
     readback_value,
 )
-from gctt.interval import FACE_TOP, IVar, face_join, face_lit
+from gctt.interval import FACE_TOP, IVar, face_join, face_lit, face_meet
 from gctt.parser import parse_term
 from gctt.syntax import alpha_canonical
 
@@ -419,7 +419,7 @@ def test_restriction_monotonicity():
 
 def test_conversion_under_contradictory_restriction_is_trivial():
     env, used = std_env()
-    bot = face_lit("i", 0) & face_lit("i", 1)
+    bot = face_meet(face_lit("i", 0), face_lit("i", 1))
     assert conv_under(bot, used, ev("0", env), ev("1", env))
 
 

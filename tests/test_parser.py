@@ -2,7 +2,7 @@
 
 import pytest
 
-from gctt.interval import FACE_BOT, IVar, ONE, ZERO, face_join, face_lit
+from gctt.interval import IVar, ONE, ZERO, face_join, face_lit, face_meet
 from gctt.parser import ParseError, Parser, parse_module, parse_term, tokenize
 from gctt.syntax import (
     App,
@@ -98,14 +98,13 @@ def test_parse_comp():
     t = parse_term("comp i A [ (j=0) -> u ] a0")
     assert isinstance(t, Comp)
     assert t.binder == "i"
-    assert t.face == face_lit("j", 0)
     assert t.tube == SystemTerm(None, ((face_lit("j", 0), Var(None, "u")),))
 
 
 def test_parse_transp_sugar():
     t = parse_term("transp i A a")
-    assert t == Comp(None, "i", Var(None, "A"), FACE_BOT,
-                     SystemTerm(None, ()), Var(None, "a"))
+    assert t == Comp(None, "i", Var(None, "A"), SystemTerm(None, ()),
+                     Var(None, "a"))
 
 
 def test_parse_fix_sugar_substitutes():
@@ -160,7 +159,7 @@ def test_parse_later_with_and_without_subst():
 def test_parse_face_joins():
     t = parse_term("<i> <j> [ (i=0) /\\ (j=0) -> a, (i=1) \\/ (j=1) -> b ]")
     sys = t.body.body
-    assert sys.branches[0][0] == face_lit("i", 0) & face_lit("j", 0)
+    assert sys.branches[0][0] == face_meet(face_lit("i", 0), face_lit("j", 0))
     assert sys.branches[1][0] == face_join(face_lit("i", 1), face_lit("j", 1))
 
 

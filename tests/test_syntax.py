@@ -133,8 +133,8 @@ BINDING_FORMERS = {
     Next: (lambda x, b: Next(None, ((x, v("a")),), b), v),
     DFix: (lambda x, b: DFix(None, ZERO, x, b), v),
     PLam: (lambda i, b: PLam(None, i, b), _interval_occurrence),
-    Comp: (lambda i, b: Comp(None, i, b, FACE_BOT, SystemTerm(None, ()),
-                             Zero()), _interval_occurrence),
+    Comp: (lambda i, b: Comp(None, i, b, SystemTerm(None, ()), Zero()),
+           _interval_occurrence),
 }
 
 
@@ -225,8 +225,8 @@ def formers(sub, names=name_st, inames=iname_st):
         PApp: st.builds(PApp, st.none(), sub, iexpr),
         PathT: st.builds(PathT, st.none(), sub, sub, sub),
         SystemTerm: st.builds(SystemTerm, st.none(), system),
-        Comp: st.builds(Comp, st.none(), inames, sub, face,
-                        sub | st.builds(SystemTerm, st.none(), system), sub),
+        Comp: st.builds(Comp, st.none(), inames, sub,
+                        st.builds(SystemTerm, st.none(), system), sub),
         GlueT: st.builds(GlueT, st.none(), face, opt, opt, sub),
         GlueIntro: st.builds(GlueIntro, st.none(), face, opt, sub),
         Unglue: st.builds(Unglue, st.none(), sub),
@@ -338,12 +338,10 @@ def test_isubst_comp_binder_shadows():
     t = Comp(
         None, "j",
         PathT(None, Nat(), v("a"), v("b")),
-        face_lit("i", 1),
         SystemTerm(None, ((face_lit("i", 1), v("u")),)),
         PApp(None, v("p"), IVar("i")),
     )
     got = subst_interval(t, "i", ZERO)
-    assert got.face == FACE_BOT
     assert got.base == PApp(None, v("p"), ZERO)
     assert got.tube == SystemTerm(None, ((FACE_BOT, v("u")),))
 
@@ -419,7 +417,7 @@ def test_alpha_numbers_binders_in_a_fixed_order():
     assert term_str(alpha_canonical(t)) == (
         r"\(x1 : \x0 -> x0) -> next [x3 <- \x2 -> x2] (x1 x3)")
     line = PLam(None, "k", PathT(None, Nat(), v("u"), v("u")))
-    c = Comp(None, "j", line, FACE_BOT, SystemTerm(None, ()), v("u"))
+    c = Comp(None, "j", line, SystemTerm(None, ()), v("u"))
     canon = alpha_canonical(c)
     assert (canon.binder, canon.line.binder) == ("i0", "i1")
 
