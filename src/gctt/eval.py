@@ -352,15 +352,6 @@ def env_face(env: dict, phi: Face) -> Face:
     return face_subst_all(phi, sub)
 
 
-def tube_face(env: dict, tube: S.SystemTerm) -> Face:
-    """The face a composition's tube is defined on: the join of its branch
-    faces, in the environment outside the composition's binder."""
-    face = FACE_BOT
-    for phi, _ in tube.branches:
-        face = face_join(face, env_face(env, phi))
-    return face
-
-
 # ---------------------------------------------------------------------------
 # Interval action on values, neutrals and closures: one walk over the fields
 
@@ -688,8 +679,11 @@ def eval_term(env: dict, t: Term) -> Value:
             k = fresh_iname()
             env_k = dict(env)
             env_k[x] = IVar(k)
-            return comp_v(k, eval_term(env_k, a), tube_face(env, u),
-                          eval_term(env_k, u), eval_term(env, b))
+            return comp_pieces(
+                k, eval_term(env_k, a),
+                [(env_face(env, phi), eval_term(env_k, v))
+                 for phi, v in u.branches],
+                eval_term(env, b))
         case S.GlueT(face=phi, partial=p, equiv=e, base=b):
             return make_glue_type(
                 env_face(env, phi),
@@ -768,6 +762,16 @@ def _stuck_comp(k, line, phi, tube, base):
     return VNeutral(NComp(k, line, phi, tube, base), line_at(line, k, ONE))
 
 
+def comp_pieces(k: str, line: Value, pieces: list, base: Value) -> Value:
+    """comp^k line [phi1 -> u1, ...] base from its tube's (face, value)
+    pieces: the tube is their system, defined on the join of their faces.
+    A piece on the bottom face drops out."""
+    face = FACE_BOT
+    for phi, _ in pieces:
+        face = face_join(face, phi)
+    return comp_v(k, line, face, make_system(pieces), base)
+
+
 def fill_at(k: str, line: Value, phi: Face, tube: Value, base: Value,
             r: IExpr) -> Value:
     """The connection-based filler of the composition, at interval element r."""
@@ -776,11 +780,9 @@ def fill_at(k: str, line: Value, phi: Face, tube: Value, base: Value,
         return base
     k2 = fresh_iname()
     conn = {k: IMeet(r, IVar(k2))}
-    pieces = [(face_of_eq(r, 0), base)]
-    if not face_is_false(phi):
-        pieces.insert(0, (phi, act(tube, conn)))
-    return comp_v(k2, act(line, conn), face_join(phi, face_of_eq(r, 0)),
-                  make_system(pieces), base)
+    return comp_pieces(k2, act(line, conn),
+                       [(phi, act(tube, conn)), (face_of_eq(r, 0), base)],
+                       base)
 
 
 def transp_at(k: str, line: Value, base: Value, r: IExpr) -> Value:
@@ -814,15 +816,9 @@ def comp_sigma(k, line, phi, tube, base):
 
 def comp_path(k, line, phi, tube, base):
     def fn(k, line, phi, tube, base, j):
-        pieces = [
-            (face_of_eq(j, 0), line.lhs),
-            (face_of_eq(j, 1), line.rhs),
-        ]
-        if not face_is_false(phi):
-            pieces.insert(0, (phi, papp_v(tube, j)))
-        face = face_join(phi, face_join(face_of_eq(j, 0), face_of_eq(j, 1)))
-        return comp_v(k, line.space, face, make_system(pieces),
-                      papp_v(base, j))
+        pieces = [(phi, papp_v(tube, j)), (face_of_eq(j, 0), line.lhs),
+                  (face_of_eq(j, 1), line.rhs)]
+        return comp_pieces(k, line.space, pieces, papp_v(base, j))
 
     return VPLam(FnClosure(fn, captured=(k, line, phi, tube, base)))
 
@@ -881,7 +877,7 @@ def transport_equiv(k: str, tube: Value) -> Value:
     k2 = fresh_iname()
     target_line = act(tube, {k: INeg(IVar(k2))})
     equiv_line = equiv_type_value(t_end, target_line)
-    return comp_v(k2, equiv_line, FACE_BOT, make_system([]), IDENTITY_EQUIV)
+    return comp_pieces(k2, equiv_line, [], IDENTITY_EQUIV)
 
 
 def comp_univ(k, phi, tube, base):
@@ -912,32 +908,31 @@ def extend_fiber(equiv: Value, domain: Value, space: Value, a: Value,
     contract = snd_v(contr)
     fiber_ty = fiber_type(fst_v(equiv), domain, space, a)
     j = fresh_iname()
-    tube = [(f, papp_v(apply_v(contract, fb), IVar(j))) for f, fb in pieces]
-    face = FACE_BOT
-    for f, _ in pieces:
-        face = face_join(face, f)
-    return comp_v(j, fiber_ty, face, make_system(tube), center)
+    return comp_pieces(
+        j, fiber_ty,
+        [(f, papp_v(apply_v(contract, fb), IVar(j))) for f, fb in pieces],
+        center)
 
 
 _refl_path = surface("<i> a", "a")  # the constant path at a
 
 
-def _pres(k, glue_line, psi, tube, base, part_fill):
+def _pres(k, equiv, base_line, psi, tube, base, part_fill):
     """Path (in a fresh direction j) from the composition in the base line to
     the image of the composed partial-type element, where the glue face holds
-    along the whole line."""
-    base_img = apply_v(fst_v(act(glue_line.equiv, {k: ZERO})), base)
+    along the whole line.  `equiv` is the line of equivalences from the
+    partial type to `base_line` there; `tube`, `base` and the filler
+    `part_fill` are partial-type elements."""
+    base_img = apply_v(fst_v(act(equiv, {k: ZERO})), base)
 
-    def fn(k, glue_line, psi, tube, part_fill, base_img, j):
-        w = fst_v(glue_line.equiv)
-        pieces = [(face_of_eq(j, 1), apply_v(w, part_fill))]
-        if not face_is_false(psi):
-            pieces.insert(0, (psi, apply_v(w, tube)))
-        return comp_v(k, glue_line.base, face_join(psi, face_of_eq(j, 1)),
-                      make_system(pieces), base_img)
+    def fn(k, equiv, base_line, psi, tube, part_fill, base_img, j):
+        w = fst_v(equiv)
+        pieces = [(psi, apply_v(w, tube)),
+                  (face_of_eq(j, 1), apply_v(w, part_fill))]
+        return comp_pieces(k, base_line, pieces, base_img)
 
     return VPLam(FnClosure(
-        fn, captured=(k, glue_line, psi, tube, part_fill, base_img)))
+        fn, captured=(k, equiv, base_line, psi, tube, part_fill, base_img)))
 
 
 def _unglue_on(line: Value, asg: dict, v: Value) -> Value:
@@ -950,13 +945,15 @@ def _unglue_on(line: Value, asg: dict, v: Value) -> Value:
 
 
 def comp_glue(k, line, psi, tube, base):
-    """Composition in a line of glue types (face, parts may vary with k)."""
+    """Composition in a line of glue types (face, parts may vary with k).
+    On each clause of delta, the part of the glue face that holds along the
+    whole line, the line's parts are restricted one by one, since the
+    restricted glue type itself collapses to its partial type there."""
     a0 = _unglue_on(line, {k: ZERO}, base)
-    a_tube = make_system(
-        [(clause_face(cl), _unglue_on(line, clause_assignment(cl), tube))
-         for cl in face_clauses(psi)]
-    )
-    a1p = comp_v(k, line.base, psi, a_tube, a0)
+    a_pieces = [
+        (clause_face(cl), _unglue_on(line, clause_assignment(cl), tube))
+        for cl in face_clauses(psi)]
+    a1p = comp_pieces(k, line.base, a_pieces, a0)
 
     face1 = face_subst_all(line.face, {k: ONE})
     if face_is_false(face1):
@@ -966,14 +963,13 @@ def comp_glue(k, line, psi, tube, base):
     fiber_pieces = []
     for cl in face_clauses(delta):
         asg = clause_assignment(cl)
-        line_c = act(line, asg)
+        partial_c = act(line.partial, asg)
         psi_c = face_subst_all(psi, asg)
         tube_c, base_c = act(tube, asg), act(base, asg)
-        if not isinstance(line_c, VGlueT):
-            continue  # face became total under the clause; psi piece covers it
-        t1p = comp_v(k, line_c.partial, psi_c, tube_c, base_c)
-        fill_c = fill_at(k, line_c.partial, psi_c, tube_c, base_c, IVar(k))
-        omega = _pres(k, line_c, psi_c, tube_c, base_c, fill_c)
+        t1p = comp_v(k, partial_c, psi_c, tube_c, base_c)
+        fill_c = fill_at(k, partial_c, psi_c, tube_c, base_c, IVar(k))
+        omega = _pres(k, act(line.equiv, asg), act(line.base, asg), psi_c,
+                      tube_c, base_c, fill_c)
         fiber_pieces.append((clause_face(cl), VPair(t1p, omega)))
     for cl in face_clauses(psi):
         asg = clause_assignment(cl)
@@ -998,11 +994,11 @@ def comp_glue(k, line, psi, tube, base):
         alpha_pieces.append((clause_face(cl), snd_v(fb)))
 
     j = fresh_iname()
-    alpha_tube = [(f, papp_v(al, IVar(j))) for f, al in alpha_pieces]
-    if not face_is_false(psi):
-        alpha_tube.append((psi, line_at(a_tube, k, ONE)))
-    a1 = comp_v(j, line_at(line.base, k, ONE), face_join(face1, psi),
-                make_system(alpha_tube), a1p)
+    a1 = comp_pieces(
+        j, base1,
+        [(f, papp_v(al, IVar(j))) for f, al in alpha_pieces]
+        + [(f, line_at(a, k, ONE)) for f, a in a_pieces],
+        a1p)
     t1 = t1_pieces[0][1] if len(t1_pieces) == 1 else make_system(t1_pieces)
     return make_glue_intro(face1, t1, a1)
 

@@ -63,10 +63,11 @@ class IJoin(IExpr):
 ZERO = I0()
 ONE = I1()
 
-# A literal is (name, positive); a clause a frozenset of literals; a normal
+# A literal is (name, polarity): polarity 1 stands for i, 0 for -i, as in
+# the face (i=1) or (i=0); a clause is a frozenset of literals, a normal
 # form a frozenset of clauses.  Bottom is the empty set of clauses, top the
 # singleton of the empty clause.
-Literal = tuple[Name, bool]
+Literal = tuple[Name, int]
 Dnf = frozenset
 
 
@@ -124,28 +125,28 @@ def _dnf_join(a: Dnf, b: Dnf) -> Dnf:
     return _antichain(a | b)
 
 
-def dm_dnf(r: IExpr, positive: bool = True) -> Dnf:
-    """Canonical DNF over the literals {i, -i}.
+def dm_dnf(r: IExpr, polarity: int = 1) -> Dnf:
+    """Canonical DNF of r (of -r at polarity 0) over the literals {i, -i}.
 
-    Negation is pushed to the leaves (the `positive` flag tracks parity), so
-    the result is a normal form in the free distributive lattice on twice the
+    Negation is pushed to the leaves (`polarity` tracks parity), so the
+    result is a normal form in the free distributive lattice on twice the
     names.  No relation between i and -i is assumed.
     """
     match r:
         case I0():
-            return DNF_BOT if positive else DNF_TOP
+            return DNF_TOP if polarity == 0 else DNF_BOT
         case I1():
-            return DNF_TOP if positive else DNF_BOT
+            return DNF_TOP if polarity == 1 else DNF_BOT
         case IVar(name):
-            return frozenset((frozenset(((name, positive),)),))
+            return frozenset((frozenset(((name, polarity),)),))
         case INeg(arg):
-            return dm_dnf(arg, not positive)
+            return dm_dnf(arg, 1 - polarity)
         case IMeet(lhs, rhs):
-            op = _dnf_meet if positive else _dnf_join
-            return op(dm_dnf(lhs, positive), dm_dnf(rhs, positive))
+            op = _dnf_meet if polarity == 1 else _dnf_join
+            return op(dm_dnf(lhs, polarity), dm_dnf(rhs, polarity))
         case IJoin(lhs, rhs):
-            op = _dnf_join if positive else _dnf_meet
-            return op(dm_dnf(lhs, positive), dm_dnf(rhs, positive))
+            op = _dnf_join if polarity == 1 else _dnf_meet
+            return op(dm_dnf(lhs, polarity), dm_dnf(rhs, polarity))
     raise TypeError(f"not an interval expression: {r!r}")
 
 
@@ -238,25 +239,10 @@ def face_equal(phi: Face, psi: Face) -> bool:
 
 
 def face_of_eq(r: IExpr, polarity: int) -> Face:
-    """The face (r = polarity), computed homomorphically."""
-    match r:
-        case I0():
-            return FACE_TOP if polarity == 0 else FACE_BOT
-        case I1():
-            return FACE_TOP if polarity == 1 else FACE_BOT
-        case IVar(name):
-            return face_lit(name, polarity)
-        case INeg(arg):
-            return face_of_eq(arg, 1 - polarity)
-        case IMeet(lhs, rhs):
-            if polarity == 1:
-                return face_meet(face_of_eq(lhs, 1), face_of_eq(rhs, 1))
-            return face_join(face_of_eq(lhs, 0), face_of_eq(rhs, 0))
-        case IJoin(lhs, rhs):
-            if polarity == 1:
-                return face_join(face_of_eq(lhs, 1), face_of_eq(rhs, 1))
-            return face_meet(face_of_eq(lhs, 0), face_of_eq(rhs, 0))
-    raise TypeError(f"not an interval expression: {r!r}")
+    """The face (r = polarity): the normal form of r (of -r at polarity 0)
+    read as a face, literal (i, p) as the atom (i=p), with the clauses that
+    hold both (i=0) and (i=1) dropped."""
+    return _mk_face(dm_dnf(r, polarity))
 
 
 def face_subst_all(phi: Face, sub: dict[Name, IExpr]) -> Face:

@@ -37,6 +37,7 @@ from .eval import (
     fresh_iname,
     fst_v,
     make_later,
+    make_system,
     match_later,
     match_next,
     neutral_var,
@@ -44,7 +45,6 @@ from .eval import (
     register_dfix_type,
     registered_dfix_type,
     surface,
-    tube_face,
 )
 from .interval import (
     FACE_BOT,
@@ -382,7 +382,13 @@ class Checker:
                 register_dfix_type(t, readback(ctx.used, later))
                 return
             case S.SystemTerm(branches=bs):
-                self.check_system(ctx, bs, ty, t.span)
+                face, _ = self.check_system(ctx, bs, ty, t.span)
+                if not face_equal(face_meet(ctx.face, face), ctx.face):
+                    raise GcttTypeError(
+                        t.span, "face-not-covering",
+                        f"system faces {face_str(face)} do not cover the"
+                        " context",
+                    )
                 return
             case S.GlueIntro(face=phi, partial=p, base=a) \
                     if isinstance(ty, VGlueT):
@@ -437,9 +443,6 @@ class Checker:
             part_v = eval_term(ctx.env, partial)
             base_v = eval_term(ctx.env, base)
             self.check(ctx_p, equiv, equiv_type_value(part_v, base_v))
-        elif not face_is_false(phi_v):
-            raise GcttTypeError(span, "mismatch",
-                                "glue type missing its partial type")
         return VUniv()
 
     # -- delayed substitutions -----------------------------------------------
@@ -485,20 +488,18 @@ class Checker:
     # -- systems ---------------------------------------------------------
 
     def check_system(self, ctx: Ctx, branches, ty: Value, span):
+        """Check each branch at `ty` on its face, and that the branches agree
+        where their faces overlap.  Returns the face the system is defined
+        on, the join of its branch faces, and its value.  Whether that face
+        covers the context is for the caller to decide."""
         total = FACE_BOT
         for phi, _ in branches:
             self.check_face(ctx, phi, span)
             total = face_join(total, env_face(ctx.env, phi))
-        if not face_equal(face_meet(ctx.face, total), ctx.face):
-            raise GcttTypeError(
-                span, "face-not-covering",
-                f"system faces {face_str(total)} do not cover the context",
-            )
         vals = []
         for phi, u in branches:
             phi_v = env_face(ctx.env, phi)
-            ctx_b = ctx.restrict(phi_v)
-            self.check(ctx_b, u, ty)
+            self.check(ctx.restrict(phi_v), u, ty)
             vals.append((phi_v, eval_term(ctx.env, u)))
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
@@ -513,24 +514,25 @@ class Checker:
                         f"branches {i + 1} and {j + 1} disagree on"
                         f" {face_str(overlap)}",
                     )
+        return total, make_system(vals)
 
     # -- compositions ------------------------------------------------------
 
     def check_comp(self, ctx: Ctx, t: S.Comp) -> Value:
+        # the faces of the tube are checked outside the binder, which they
+        # may not name even where it shadows an interval name
         for psi, _ in t.tube.branches:
+            if t.binder in face_names(psi):
+                raise GcttTypeError(t.span, "unbound",
+                                    f"interval name {t.binder} not in scope")
             self.check_face(ctx, psi, t.span)
-        phi = tube_face(ctx.env, t.tube)
         ctx_i, iname = ctx.bind_interval(t.binder)
         line = self.check_type(ctx_i, t.line)
         line0 = act(line, {iname: ZERO})
         line1 = act(line, {iname: ONE})
-        tube_v = None
-        if t.tube.branches:
-            self.check_system(ctx_i.restrict(phi), t.tube.branches, line,
-                              t.span)
-            tube_v = eval_term(ctx_i.env, t.tube)
+        phi, tube_v = self.check_system(ctx_i, t.tube.branches, line, t.span)
         self.check(ctx, t.base, line0)
-        if tube_v is not None and not face_is_false(phi):
+        if not face_is_false(phi):
             base_v = eval_term(ctx.env, t.base)
             tube0 = act(tube_v, {iname: ZERO})
             if not conv_under(face_meet(ctx.face, phi), ctx.used,

@@ -17,9 +17,9 @@ from gctt.eval import (
     VSuc,
     VZero,
     act,
+    env_face,
     eval_term,
     readback,
-    tube_face,
 )
 from gctt.interval import (
     FACE_BOT,
@@ -218,7 +218,10 @@ def test_criterion_8_boundary_law_200():
         env_i = dict(ctx.env)
         env_i[comp.binder] = IVar("?bl8")
         tube1 = act(eval_term(env_i, comp.tube), {"?bl8": ONE})
-        for clause in face_clauses(tube_face(ctx.env, comp.tube)):
+        phi = FACE_BOT
+        for psi, _ in comp.tube.branches:
+            phi = face_join(phi, env_face(ctx.env, psi))
+        for clause in face_clauses(phi):
             asg = clause_assignment(clause)
             assert conv(ctx.used, act(result, asg), act(tube1, asg)), src
         count += 1

@@ -206,6 +206,28 @@ def test_unglue_of_glue_intro():
     assert norm("unglue (glue [] 0)") == "0"
 
 
+# an equivalence from N to N, typed as the kernel spells the equivalence type
+EQ_NN = ("(x : (x1 : N) -> N) * ((x1 : N) -> (x2 : (x3 : N) * Path N x1"
+         " (x x3)) * ((x3 : (x4 : N) * Path N x1 (x x4))"
+         " -> Path ((x4 : N) * Path N x1 (x x4)) x2 x3))")
+
+
+def test_comp_glue_commutes_with_restriction_where_the_face_holds():
+    # the glue face (i=0) holds along the whole line, so at i=0 the
+    # transport is one in the partial type N
+    from gctt.typechecker import Checker, Ctx
+
+    ck, ctx = Checker(), Ctx()
+    ctx, i = ctx.bind_interval("i")
+    ctx, _ = ctx.bind_term("e", ck.check_type(ctx, parse_term(EQ_NN)))
+    t = parse_term("transp k (Glue [ (i=0) -> N, e ] N)"
+                   " (glue [ (i=0) -> 0 ] (e.1 0))")
+    ck.infer(ctx, t)
+    restricted = act(eval_term(ctx.env, t), {i: ZERO})
+    at_zero = eval_term({**ctx.env, "i": ZERO}, t)
+    assert norm_v(restricted, ctx.used) == norm_v(at_zero, ctx.used) == "0"
+
+
 # ---------------------------------------------------------------------------
 # fill
 
@@ -355,7 +377,7 @@ def boundary_instances(count, seed=7):
 def test_boundary_law_sampled():
     from gctt.typechecker import Checker, Ctx
     from gctt.interval import clause_assignment, face_clauses
-    from gctt.eval import act, tube_face
+    from gctt.eval import act, env_face
 
     ck = Checker()
     ctx = Ctx()
@@ -366,7 +388,9 @@ def test_boundary_law_sampled():
     for src in boundary_instances(40):
         comp = parse_term(src)
         ck.infer(ctx, comp)
-        phi = tube_face(ctx.env, comp.tube)
+        phi = FACE_BOT
+        for psi, _ in comp.tube.branches:
+            phi = face_join(phi, env_face(ctx.env, psi))
         result = eval_term(ctx.env, comp)
         env_i = dict(ctx.env)
         env_i[comp.binder] = IVar("?bl")

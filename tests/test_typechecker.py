@@ -18,6 +18,8 @@ from gctt.parser import parse_module, parse_term
 from gctt.syntax import term_str
 from gctt.typechecker import Checker, Ctx, GcttTypeError
 
+from test_eval import EQ_NN
+
 
 def make_ctx(*bindings):
     ck = Checker()
@@ -226,8 +228,8 @@ def parse_face_join(name):
 def test_system_not_covering():
     ck, ctx = make_ctx("A : U", "a : A", "i : I")
     with pytest.raises(GcttTypeError) as exc:
-        ck.check_system(ctx, parse_term("[ (i=0) -> a ]").branches,
-                        eval_term(ctx.env, parse_term("A")), None)
+        ck.check(ctx, parse_term("[ (i=0) -> a ]"),
+                 eval_term(ctx.env, parse_term("A")))
     assert exc.value.kind == "face-not-covering"
 
 
@@ -274,10 +276,13 @@ def test_comp_base_boundary_violation():
 
 
 def test_comp_face_names_must_be_scoped():
-    ck, ctx = make_ctx()
     # the second face names only the composition's own binder, which does
-    # not scope over the faces of its tube
-    for src in ("comp j N [ (i=0) -> 1 ] 1", "comp j N [ (j=0) -> 1 ] 1"):
+    # not scope over the faces of its tube; in the third the binder shadows
+    # an interval name in scope, and the face still may not name it
+    for bound, src in (((), "comp j N [ (i=0) -> 1 ] 1"),
+                       ((), "comp j N [ (j=0) -> 1 ] 1"),
+                       (("i : I",), "comp i N [ (i=0) -> 1 ] 1")):
+        ck, ctx = make_ctx(*bound)
         with pytest.raises(GcttTypeError) as exc:
             ck.infer(ctx, parse_term(src))
         assert exc.value.kind == "unbound"
@@ -351,6 +356,34 @@ def test_glue_formation_rejects_non_equiv():
     ck, ctx = make_ctx("i : I", "T : U", "A : U", "f : T -> A")
     with pytest.raises(GcttTypeError):
         ck.check(ctx, parse_term("Glue [ (i=0) -> T, f ] A"), VUniv())
+
+
+GLUE_NN = "Glue [ (i=0) -> N, e ] N"
+
+
+def test_glue_base_must_be_the_image_of_its_partial_part():
+    ck, ctx = make_ctx("i : I", f"e : {EQ_NN}")
+    err = check_fails(ck, ctx, "glue [ (i=0) -> 1 ] (e.1 0)", GLUE_NN,
+                      "boundary-violation")
+    assert err.message == "glue base must equal the image of its partial part"
+
+
+def test_glue_element_with_a_partial_part_and_a_path_of_them():
+    # the path's endpoints are compared at the glue type
+    ck, ctx = make_ctx("i : I", f"e : {EQ_NN}")
+    g = "glue [ (i=0) -> 0 ] (e.1 0)"
+    check_ok(ck, ctx, g, GLUE_NN)
+    check_ok(ck, ctx, f"<j> {g}", f"Path ({GLUE_NN}) ({g}) ({g})")
+
+
+def test_unglue_of_a_glue_transport_where_the_face_holds():
+    # at i=0 the transport is one in the partial type N, whose image under
+    # e.1 is the left endpoint
+    ck, ctx = make_ctx(f"e : {EQ_NN}")
+    check_ok(ck, ctx,
+             "<i> unglue (transp k (Glue [ (i=0) -> N, e ] N)"
+             " (glue [ (i=0) -> 0 ] (e.1 0)))",
+             "Path N (e.1 0) (transp k N (transp k N (e.1 0)))")
 
 
 # ---------------------------------------------------------------------------
