@@ -598,9 +598,10 @@ def make_later(entries, body: Closure) -> Value:
     return VLaterT(entries, body)
 
 
-# Types established by the checker for delayed fixed points, keyed by the
-# identity of the (shared, immutable) term node; the term is kept alive so
-# ids stay stable.
+# Types established by the checker for delayed fixed points (for a `fix`,
+# the type of the `dfix` its binder stands for), keyed by the identity of
+# the (shared, immutable) term node; the term is kept alive so ids stay
+# stable.
 DFIX_TYPES: dict = {}
 
 
@@ -708,6 +709,11 @@ def eval_term(env: dict, t: Term) -> Value:
         case S.DFix(clock=r, binder=x, body=b):
             return dfix_v(env_iexpr(env, r), capture(env, (x,), b),
                           registered_dfix_type(env, t))
+        case S.Fix(clock=r, binder=x, body=b):
+            env_x = dict(env)
+            env_x[x] = dfix_v(env_iexpr(env, r), capture(env, (x,), b),
+                              registered_dfix_type(env, t))
+            return eval_term(env_x, b)
     raise TypeError(f"cannot evaluate {t!r}")
 
 

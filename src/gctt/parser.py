@@ -4,10 +4,12 @@ One module per file: `module name where` followed by declarations
 `name : Type = term`.  There is no layout rule; an application chain stops
 when the next identifier is followed by `:`, which begins a new declaration.
 
-`fix r x. t` and `transp i A a` are surface sugar, eliminated here:
-the former becomes t[dfix r x.t / x], the latter a composition with an
-empty tube.  The tube of `comp i A [ phi1 -> u1, ... ] a` is the system
-as written, defined on the join of its faces.
+`transp i A a` is surface sugar for a composition with an empty tube.
+`fix r x. t` stays a term of its own: the checker types it by the guarded
+fixed-point rule and unfolds it to t[dfix r x. t / x] only where its type
+must be inferred (`syntax.unfold_fix`).  The tube of
+`comp i A [ phi1 -> u1, ... ] a` is the system as written, defined on the
+join of its faces.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .syntax import (
     Comp,
     DFix,
     Declaration,
+    Fix,
     Fst,
     GlueIntro,
     GlueT,
@@ -58,7 +61,6 @@ from .syntax import (
     Univ,
     Var,
     Zero,
-    subst_term,
 )
 
 KEYWORDS = frozenset((
@@ -256,10 +258,7 @@ class Parser:
         x = self.ident()
         self.expect("symbol", ".")
         body = self.term()
-        node = DFix(span, clock, x, body)
-        if kw == "fix":
-            return subst_term(body, x, node).with_span(span)
-        return node
+        return (Fix if kw == "fix" else DFix)(span, clock, x, body)
 
     def _binder_groups_ahead(self) -> bool:
         """Is the upcoming '(' the start of a (x y : A) binder group?"""

@@ -219,6 +219,13 @@ class DFix(Term):
 
 
 @dataclass(frozen=True)
+class Fix(Term):
+    clock: IExpr = _part(IEXPR)  # the clock of the delayed fixed point
+    binder: str = _part(BINDER, "")
+    body: Term = _part(TERM, under="binder")
+
+
+@dataclass(frozen=True)
 class Declaration:
     name: str
     type: Term
@@ -360,6 +367,12 @@ def subst_terms(t: Term, sub: dict) -> Term:
     return substitute(t, sub, {})
 
 
+def unfold_fix(t: Fix) -> Term:
+    """The definition of `fix r x. t`: t[dfix r x. t / x]."""
+    dfix = DFix(t.span, t.clock, t.binder, t.body)
+    return subst_term(t.body, t.binder, dfix).with_span(t.span)
+
+
 def subst_interval(t: Term, i: str, r: IExpr) -> Term:
     """Substitute the interval expression r for the name i everywhere."""
     return substitute(t, {}, {i: r})
@@ -455,7 +468,7 @@ def _rebuild(t: Term, terms: dict, intervals: dict, rename,
 
 # ---------------------------------------------------------------------------
 # Pretty printer.  Precedence levels, loosest to tightest:
-#   0 lambdas / arrows / sigma / later / next / dfix
+#   0 lambdas / arrows / sigma / later / next / dfix / fix
 #   1 pairs never bare (always parenthesized), path application @
 #   2 application
 #   3 atoms and projections
@@ -564,8 +577,9 @@ def term_str(t: Term, prec: int = ARROW) -> str:
             return _wrap(f"|> {_ds_str(ds)}{term_str(b, ATOM)}", APPLY, prec)
         case Next(subst=ds, body=b):
             return _wrap(f"next {_ds_str(ds)}{term_str(b, ATOM)}", APPLY, prec)
-        case DFix(clock=r, binder=x, body=b):
-            s = f"dfix {iexpr_str(r, 2)} {x}. {term_str(b, ARROW)}"
+        case DFix(clock=r, binder=x, body=b) | Fix(clock=r, binder=x, body=b):
+            kw = "dfix" if isinstance(t, DFix) else "fix"
+            s = f"{kw} {iexpr_str(r, 2)} {x}. {term_str(b, ARROW)}"
             return _wrap(s, ARROW, prec)
         case _:
             raise TypeError(f"not a term: {t!r}")

@@ -71,9 +71,12 @@ class GcttTypeError(Exception):
         self.message = message
         super().__init__(message)
 
-    def render(self, filename: str = "<input>") -> str:
+    def located(self) -> str:
         where = f"{self.span.line}:{self.span.col}" if self.span else "?:?"
-        return f"{filename}:{where}: [{self.kind}] {self.message}"
+        return f"{where}: [{self.kind}] {self.message}"
+
+    def render(self, filename: str = "<input>") -> str:
+        return f"{filename}:{self.located()}"
 
 
 @dataclass(frozen=True)
@@ -136,8 +139,8 @@ class Checker:
     def __init__(self, fuel: Optional[int] = None):
         self.fuel = fuel
         # expected types of the enclosing check frames; used to recover the
-        # Löb hypothesis when a delayed fixed point produced by the
-        # `fix r x. t` sugar lands in an inference position
+        # Löb hypothesis when a delayed fixed point without a registered
+        # type lands in an inference position, as in a re-checked normal form
         self._expected: list = []
 
     # -- helpers -------------------------------------------------------------
@@ -310,6 +313,9 @@ class Checker:
                     "cannot infer the type of a delayed fixed point here;"
                     " no enclosing expected type fits its body",
                 )
+            case S.Fix(clock=r):
+                self.check_interval(ctx, r, t.span)
+                return self.infer(ctx, S.unfold_fix(t))
             case S.Pair() | S.GlueIntro():
                 raise GcttTypeError(
                     t.span, "mismatch",
@@ -379,6 +385,20 @@ class Checker:
                 inner = later.body.apply()
                 ctx2, _ = ctx.bind_term(x, later)
                 self.check(ctx2, b, inner)
+                register_dfix_type(t, readback(ctx.used, later))
+                return
+            case S.Fix(clock=r, binder=x, body=b):
+                # guarded fixed points: from x : |> A |- b : A, fix r x. b : A
+                self.check_interval(ctx, r, t.span)
+                later = VLaterT((), ValueClosure(ty))
+                ctx2, _ = ctx.bind_term(x, later)
+                try:
+                    self.check(ctx2, b, ty)
+                except GcttTypeError as err:
+                    raise GcttTypeError(
+                        t.span, "mismatch",
+                        f"fixed point body does not check: {err.located()}",
+                    ) from None
                 register_dfix_type(t, readback(ctx.used, later))
                 return
             case S.SystemTerm(branches=bs):

@@ -1,11 +1,14 @@
 """Command-line interface tests: exit codes, reports, determinism."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from gctt.cli import main
+from gctt.parser import parse_module
+from gctt.syntax import term_str, unfold_fix
 
 
 def run(capsys, *argv):
@@ -192,25 +195,52 @@ def test_fix_sugar_over_unglue(capsys, tmp_path):
     assert (code, err) == (0, "") and out.endswith(": ok (1 declarations)\n")
 
 
-def test_fix_sugar_does_not_capture_its_clock(capsys, tmp_path):
+def _unfolded_body(path):
+    """The body of the module's one declaration, a binder over a fixed
+    point, with the fixed point unfolded."""
+    (decl,) = parse_module(Path(path).read_text()).declarations
+    return term_str(replace(decl.body, body=unfold_fix(decl.body.body)))
+
+
+def test_fix_sugar_does_not_capture_its_clock(tmp_path):
     # the fixed point's clock i is the outer i: the inner binder is renamed
     path = write_module(tmp_path, "capt", "c : N = <i> fix i x. <i> x")
-    code, out, _ = run(capsys, "parse", path)
-    assert code == 0
-    assert "c : N = <i> <i1> dfix i x. <i> x" in out.splitlines()
+    assert _unfolded_body(path) == "<i> <i1> dfix i x. <i> x"
 
 
-def test_fix_sugar_renames_apart_nested_binders(capsys, tmp_path):
+def test_fix_sugar_renames_apart_nested_binders(tmp_path):
     # the inner y is renamed to y1 for the outer y; the binder already named
     # y1 is renamed to y2, so the last y still refers to the middle binder
     path = write_module(
         tmp_path, "nest",
         r"g : N -> N = \y -> fix 0 x. (y, \(y : N) -> \(y1 : N) -> (x, y))")
-    code, out, _ = run(capsys, "parse", path)
-    assert code == 0
-    assert (r"g : N -> N = \y -> (y, \(y1 : N) -> \(y2 : N) -> "
-            r"(dfix 0 x. (y, \(y : N) -> \(y1 : N) -> (x, y)), y1))"
-            in out.splitlines())
+    assert _unfolded_body(path) == (
+        r"\y -> (y, \(y1 : N) -> \(y2 : N) -> "
+        r"(dfix 0 x. (y, \(y : N) -> \(y1 : N) -> (x, y)), y1))")
+
+
+def test_fixed_point_clock_is_checked_when_the_body_ignores_it(capsys,
+                                                               tmp_path):
+    path = write_module(tmp_path, "c", "c : N = fix i x. 0")
+    code, _, err = run(capsys, "check", path)
+    assert code == 1
+    assert err.strip() == f"{path}:3:9: [unbound] interval name i not in scope"
+
+
+def test_loeb_induction_failure_names_the_failure_in_its_body(capsys,
+                                                              tmp_path,
+                                                              corpus_dir):
+    # the statement's right side made equal to its left: the comp's base no
+    # longer agrees with the swapped tube at (i=1), a failure inside the fix
+    (tmp_path / "streams.gctt").write_text(
+        (corpus_dir / "streams.gctt").read_text())
+    path = tmp_path / "zipwith.gctt"
+    path.write_text((corpus_dir / "zipwith.gctt").read_text().replace(
+        "(zipWith A A B f s2 s1)", "(zipWith A A B f s1 s2)"))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert err.startswith(f"{path}:29:7: [mismatch] ")
+    assert "30:9: [boundary-violation]" in err
 
 
 def test_next_is_eta_equal_to_a_neutral(capsys, tmp_path):

@@ -8,6 +8,7 @@ from gctt.syntax import (
     App,
     Comp,
     DFix,
+    Fix,
     GlueIntro,
     GlueT,
     Lam,
@@ -29,6 +30,7 @@ from gctt.syntax import (
     alpha_canonical,
     module_str,
     term_str,
+    unfold_fix,
 )
 
 
@@ -109,9 +111,10 @@ def test_parse_transp_sugar():
 
 def test_parse_fix_sugar_substitutes():
     t = parse_term("fix 0 x. f x")
-    assert t == App(None, Var(None, "f"),
-                    DFix(None, ZERO, "x", App(None, Var(None, "f"),
-                                              Var(None, "x"))))
+    body = App(None, Var(None, "f"), Var(None, "x"))
+    assert t == Fix(None, ZERO, "x", body)
+    assert unfold_fix(t) == App(None, Var(None, "f"),
+                                DFix(None, ZERO, "x", body))
 
 
 def test_parse_precedences():
@@ -232,6 +235,7 @@ ROUND_TRIP_TERMS = [
     "next [x <- s, y <- t] (f x y)",
     "|> [x <- s] (P x)",
     "dfix -r x. f x",
+    "fix -r x. f x",
     "natrec (\\n -> N) 0 (\\n r -> suc r) 2",
     "Glue [ (i=1) -> T, e ] A",
     "glue [] a",

@@ -27,6 +27,7 @@ from gctt.syntax import (
     App,
     Comp,
     DFix,
+    Fix,
     Fst,
     GlueIntro,
     GlueT,
@@ -132,6 +133,7 @@ BINDING_FORMERS = {
     LaterT: (lambda x, b: LaterT(None, ((x, v("a")),), b), v),
     Next: (lambda x, b: Next(None, ((x, v("a")),), b), v),
     DFix: (lambda x, b: DFix(None, ZERO, x, b), v),
+    Fix: (lambda x, b: Fix(None, ZERO, x, b), v),
     PLam: (lambda i, b: PLam(None, i, b), _interval_occurrence),
     Comp: (lambda i, b: Comp(None, i, b, SystemTerm(None, ()), Zero()),
            _interval_occurrence),
@@ -233,6 +235,7 @@ def formers(sub, names=name_st, inames=iname_st):
         LaterT: st.builds(LaterT, st.none(), ds, sub),
         Next: st.builds(Next, st.none(), ds, sub),
         DFix: st.builds(DFix, st.none(), iexpr, names, sub),
+        Fix: st.builds(Fix, st.none(), iexpr, names, sub),
     }
 
 

@@ -3,6 +3,7 @@ compositions, glue formation, modules, and the negative suite."""
 
 import pytest
 
+from gctt import syntax as S
 from gctt.eval import (
     IDENTITY_EQUIV,
     VNat,
@@ -147,9 +148,49 @@ def test_later_extensionality_term_checks():
 
 def test_ill_guarded_fix_rejected():
     ck, ctx = make_ctx("A : U", "f : A -> A")
-    with pytest.raises(GcttTypeError):
+    with pytest.raises(GcttTypeError) as exc:
         ck.check(ctx, parse_term("fix 0 x. f x"),
                  eval_term(ctx.env, parse_term("A")))
+    assert exc.value.kind == "mismatch"
+
+
+class _RecordingChecker(Checker):
+    """A checker that records the terms it checks and infers."""
+
+    def __init__(self):
+        super().__init__()
+        self.checked, self.inferred = [], []
+
+    def check(self, ctx, t, ty):
+        self.checked.append(t)
+        super().check(ctx, t, ty)
+
+    def infer(self, ctx, t):
+        self.inferred.append(t)
+        return super().infer(ctx, t)
+
+
+def test_loeb_induction_body_is_checked_once(corpus_dir):
+    from gctt.cli import Loader
+
+    loader = Loader([str(corpus_dir)])
+    loader.checker = _RecordingChecker()
+    loader.load(corpus_dir / "zipwith.gctt")
+    # the body of zipWith_preserves_comm's fix: `\s1 s2 -> ...` at 29:17
+    body = [t for t in loader.checker.checked
+            if isinstance(t, S.Lam) and t.binder == "s1"
+            and (t.span.line, t.span.col) == (29, 17)]
+    assert len(body) == 1
+
+
+def test_positive_corpus_infers_no_delayed_fixed_point(corpus_dir):
+    from gctt.cli import Loader
+
+    loader = Loader([str(corpus_dir)])
+    loader.checker = _RecordingChecker()
+    for path in sorted(corpus_dir.glob("*.gctt")):
+        loader.load(path)
+    assert not [t for t in loader.checker.inferred if isinstance(t, S.DFix)]
 
 
 # ---------------------------------------------------------------------------
