@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .eval import act, eval_term, readback
+from .interval import IVar
 from .parser import ParseError, parse_interval, parse_module, parse_term
 from .syntax import ModuleFile, module_str, term_str
 from .typechecker import Checker, CheckedModule, Ctx, GcttTypeError
@@ -137,10 +138,13 @@ def cmd_normalize(args) -> int:
                            " name=1", EXIT_PARSE_ERROR)
         name, _, val = at.partition("=")
         try:
-            expr = parse_interval(val.strip())
+            var, expr = parse_interval(name), parse_interval(val)
         except ParseError as exc:
             raise CliError(f"--at: {exc}", EXIT_PARSE_ERROR)
-        subs[name.strip()] = expr
+        if not isinstance(var, IVar):
+            raise CliError(f"bad --at argument {at!r}: {name!r} is not an"
+                           " interval name", EXIT_PARSE_ERROR)
+        subs[var.name] = expr
 
     if args.expr is not None:
         try:

@@ -299,22 +299,25 @@ class VNeutral(Value):
 
 
 # The term former of each constructor value and stuck eliminator, and the
-# name of the eliminator that re-runs a stuck one.  A node's fields are in
-# the order of its term former's fields and of its eliminator's parameters:
-# the interval action re-runs the eliminator on the acted fields
-# (`act_neutral`), readback applies the term former to the read-back fields
-# (`_readback_former`), and conversion compares field by field.  A stuck
-# composition has no term former: it keeps the face that `S.Comp` leaves
-# to its tube, and `readback_neutral` reads it back.  The eliminator is
-# looked up by name when it runs, so that it is whatever the module global
-# is bound to then.
+# name of the function that builds or re-runs the node from its fields (a
+# smart constructor or an eliminator; None: the class itself), whose
+# parameters are the node's fields, in the former's order.  `eval_term`
+# applies the function to a former's evaluated fields (`_EVALUATED`), the
+# interval action to a node's acted fields, readback applies the former to
+# the read-back fields, and conversion compares field by field; both write
+# path and glue types out, to compare endpoints and equivalences at a type.
+# A stuck composition has no former: it keeps the face `S.Comp` leaves to
+# its tube.  A function is looked up by name when it runs, so it is
+# whatever the module global is bound to then.
 FORMERS = {
     VNat: (S.Nat, None),
     VUniv: (S.Univ, None),
     VZero: (S.Zero, None),
     VSuc: (S.Suc, None),
     VPair: (S.Pair, None),
-    VGlueIntro: (S.GlueIntro, None),
+    VPathT: (S.PathT, None),
+    VGlueT: (S.GlueT, "make_glue_type"),
+    VGlueIntro: (S.GlueIntro, "make_glue_intro"),
     NApp: (S.App, "apply_v"),
     NPApp: (S.PApp, "papp_v"),
     NFst: (S.Fst, "fst_v"),
@@ -322,6 +325,12 @@ FORMERS = {
     NNatRec: (S.NatRec, "natrec_v"),
     NUnglue: (S.Unglue, "unglue_v"),
     NComp: (None, "comp_v"),
+}
+# each entry's function by global name, and each former's with its fields
+_BUILDERS = {cls: build or cls.__name__ for cls, (_, build) in FORMERS.items()}
+_EVALUATED = {
+    former: (_BUILDERS[cls], tuple((n, k) for n, k, _, _ in S._SCHEME[former]))
+    for cls, (former, _) in FORMERS.items() if former is not None
 }
 
 
@@ -382,11 +391,11 @@ def support(x) -> frozenset:
 
 def act(x, sub: dict):
     """The interval substitution `sub` applied to a value or closure: the
-    node rebuilt from its fields, each acted on (`_act_field`).  A system
-    rebuilds through `make_system`, a glue type or glue element through its
-    smart constructor, and a neutral re-runs its eliminators
-    (`act_neutral`), which may unstick it.  Whatever has no interval names
-    in `sub`, None included, is returned as it is."""
+    node rebuilt from its fields, each acted on (`_act_field`), by its
+    `FORMERS` function where it has one.  A system rebuilds through
+    `make_system`, and a neutral re-runs its eliminators (`act_neutral`),
+    which may unstick it.  Whatever has no interval names in `sub`, None
+    included, is returned as it is."""
     if not sub or support(x).isdisjoint(sub):
         return x
     cls = type(x)
@@ -398,11 +407,8 @@ def act(x, sub: dict):
         return make_system([(phi, act(val, sub)) for phi, val in pieces
                             if not face_is_false(phi)])
     parts = [_act_field(p, sub) for p in x.field_values]
-    if cls is VGlueT:
-        return make_glue_type(*parts)
-    if cls is VGlueIntro:
-        return make_glue_intro(*parts)
-    return cls(*parts)
+    build = _BUILDERS.get(cls)
+    return globals()[build](*parts) if build else cls(*parts)
 
 
 def _act_field(p, sub: dict):
@@ -427,7 +433,7 @@ def act_neutral(ne: Neutral, sub: dict, ty: Optional[Value]) -> Value:
             return VNeutral(ne, act(ty, sub))
         case NDFix(clock=r, closure=c):
             return dfix_v(dm_subst_all(r, sub), act(c, sub), act(ty, sub))
-    elim = globals()[FORMERS[type(ne)][1]]
+    elim = globals()[_BUILDERS[type(ne)]]
     return elim(*[_act_field(p, sub) for p in ne.field_values])
 
 
@@ -553,20 +559,20 @@ def make_system(pieces) -> Value:
     ))
 
 
-def make_glue_type(phi: Face, partial, equiv, base) -> Value:
-    if face_is_true(phi):
+def make_glue_type(face: Face, partial, equiv, base) -> Value:
+    if face_is_true(face):
         return partial
-    if face_is_false(phi):
+    if face_is_false(face):
         return VGlueT(FACE_BOT, None, None, base)
-    return VGlueT(phi, partial, equiv, base)
+    return VGlueT(face, partial, equiv, base)
 
 
-def make_glue_intro(phi: Face, partial, base) -> Value:
-    if face_is_true(phi):
+def make_glue_intro(face: Face, partial, base) -> Value:
+    if face_is_true(face):
         return partial
-    if face_is_false(phi):
+    if face_is_false(face):
         return VGlueIntro(FACE_BOT, None, base)
-    return VGlueIntro(phi, partial, base)
+    return VGlueIntro(face, partial, base)
 
 
 def _prune_ds(entries: tuple, body: Closure):
@@ -634,44 +640,34 @@ def dfix_v(clock: IExpr, closure: Closure, ty: Optional[Value] = None) -> Value:
 
 
 def eval_term(env: dict, t: Term) -> Value:
+    cls = type(t)
+    if cls is S.Var:
+        v = env.get(t.name)
+        if not isinstance(v, Value):
+            raise RuntimeError(f"ill-scoped variable {t.name!r} (checker bug)")
+        return v
+    entry = _EVALUATED.get(cls)
+    if entry is not None:
+        build, parts = entry
+        args = []
+        for name, kind in parts:  # each field evaluated by its kind
+            p = getattr(t, name)
+            if kind is S.TERM:
+                args.append(None if p is None else eval_term(env, p))
+            elif kind is S.IEXPR:
+                args.append(env_iexpr(env, p))
+            else:
+                args.append(env_face(env, p))
+        return globals()[build](*args)
     match t:
-        case S.Var(name=x):
-            v = env.get(x)
-            if not isinstance(v, Value):
-                raise RuntimeError(f"ill-scoped variable {x!r} (checker bug)")
-            return v
         case S.Lam(binder=x, body=b):
             return VLam(capture(env, (x,), b))
-        case S.App(fn=f, arg=a):
-            return apply_v(eval_term(env, f), eval_term(env, a))
         case S.Pi(binder=x, domain=d, codomain=c):
             return VPi(eval_term(env, d), capture(env, (x,), c))
         case S.Sigma(binder=x, first=d, second=c):
             return VSigma(eval_term(env, d), capture(env, (x,), c))
-        case S.Pair(fst=a, snd=b):
-            return VPair(eval_term(env, a), eval_term(env, b))
-        case S.Fst(pair=p):
-            return fst_v(eval_term(env, p))
-        case S.Snd(pair=p):
-            return snd_v(eval_term(env, p))
-        case S.Zero():
-            return VZero()
-        case S.Suc(pred=p):
-            return VSuc(eval_term(env, p))
-        case S.NatRec(motive=m, base=z, step=s, scrutinee=n):
-            return natrec_v(eval_term(env, m), eval_term(env, z),
-                            eval_term(env, s), eval_term(env, n))
-        case S.Nat():
-            return VNat()
-        case S.Univ():
-            return VUniv()
         case S.PLam(binder=x, body=b):
             return VPLam(capture(env, (x,), b))
-        case S.PApp(fn=f, arg=r):
-            return papp_v(eval_term(env, f), env_iexpr(env, r))
-        case S.PathT(space=a, lhs=l, rhs=r):
-            return VPathT(eval_term(env, a), eval_term(env, l),
-                          eval_term(env, r))
         case S.SystemTerm(branches=bs):
             return make_system(
                 [(env_face(env, phi), eval_term(env, u)) for phi, u in bs]
@@ -685,21 +681,6 @@ def eval_term(env: dict, t: Term) -> Value:
                 [(env_face(env, phi), eval_term(env_k, v))
                  for phi, v in u.branches],
                 eval_term(env, b))
-        case S.GlueT(face=phi, partial=p, equiv=e, base=b):
-            return make_glue_type(
-                env_face(env, phi),
-                eval_term(env, p) if p is not None else None,
-                eval_term(env, e) if e is not None else None,
-                eval_term(env, b),
-            )
-        case S.GlueIntro(face=phi, partial=p, base=b):
-            return make_glue_intro(
-                env_face(env, phi),
-                eval_term(env, p) if p is not None else None,
-                eval_term(env, b),
-            )
-        case S.Unglue(arg=a):
-            return unglue_v(eval_term(env, a))
         case S.LaterT(subst=ds, body=b):
             entries = [(x, eval_term(env, u)) for x, u in ds]
             return make_later(entries, capture(env, tuple(x for x, _ in ds), b))

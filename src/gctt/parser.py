@@ -68,6 +68,11 @@ KEYWORDS = frozenset((
     "U", "N", "Path", "comp", "Glue", "glue", "unglue",
     "next", "dfix", "fix", "transp", "suc", "natrec",
 ))
+# the keywords that start an atom (`Parser.keyword_atom`)
+ATOM_KEYWORDS = frozenset((
+    "U", "N", "Path", "comp", "Glue", "glue", "unglue",
+    "next", "suc", "natrec", "transp",
+))
 
 SYMBOLS = (
     "->", "<-", "|>", "/\\", "\\/",
@@ -332,10 +337,7 @@ class Parser:
         if t.kind in ("ident", "int"):
             return not self._stops_chain()
         if t.kind == "keyword":
-            return t.lexeme in (
-                "U", "N", "Path", "comp", "Glue", "glue", "unglue",
-                "next", "suc", "natrec", "transp",
-            )
+            return t.lexeme in ATOM_KEYWORDS
         return t.kind == "symbol" and t.lexeme in ("(", "[", "|>")
 
     def app(self) -> Term:
@@ -390,38 +392,31 @@ class Parser:
         return t
 
     def keyword_atom(self) -> Term:
-        t = self.peek()
-        span = t.span
-        kw = t.lexeme
+        kw = self.peek().lexeme
+        if kw not in ATOM_KEYWORDS:
+            raise self.fail(["a term"])
+        span = self.next().span
         if kw == "U":
-            self.next()
             return Univ(span)
         if kw == "N":
-            self.next()
             return Nat(span)
         if kw == "Path":
-            self.next()
             return PathT(span, self.atom(), self.atom(), self.atom())
         if kw == "suc":
-            self.next()
             return Suc(span, self.atom())
         if kw == "natrec":
-            self.next()
             return NatRec(span, self.atom(), self.atom(), self.atom(), self.atom())
         if kw == "comp":
-            self.next()
             binder = self.ident()
             line = self.atom()
             tube = self.system(self.peek().span)
             return Comp(span, binder, line, tube, self.atom())
         if kw == "transp":
-            self.next()
             binder = self.ident()
             line = self.atom()
             base = self.atom()
             return Comp(span, binder, line, SystemTerm(span, ()), base)
         if kw == "Glue":
-            self.next()
             self.expect("symbol", "[")
             if self.at_symbol("]"):
                 self.next()
@@ -434,7 +429,6 @@ class Parser:
             self.expect("symbol", "]")
             return GlueT(span, face, part, equiv, self.atom())
         if kw == "glue":
-            self.next()
             self.expect("symbol", "[")
             if self.at_symbol("]"):
                 self.next()
@@ -445,13 +439,8 @@ class Parser:
             self.expect("symbol", "]")
             return GlueIntro(span, face, part, self.atom())
         if kw == "unglue":
-            self.next()
             return Unglue(span, self.atom())
-        if kw == "next":
-            self.next()
-            ds = self.delayed_subst()
-            return Next(span, ds, self.atom())
-        raise self.fail(["a term"])
+        return Next(span, self.delayed_subst(), self.atom())  # "next"
 
     def _at_delayed_subst(self) -> bool:
         return (

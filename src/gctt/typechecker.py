@@ -366,13 +366,9 @@ class Checker:
                 ctx2, entries, binders = self.check_ds(ctx, ds, t.span)
                 matched = match_later(ty, entries, [v for _, v in binders],
                                       ctx.used, ctx.face)
-                if matched is None:
-                    # fall back to inference and conversion
-                    got = self.infer(ctx, t)
-                    self.ensure_conv(ctx, got, ty, t.span, "type")
+                if matched is not None:
+                    self.check(ctx2, b, matched[0])
                     return
-                self.check(ctx2, b, matched[0])
-                return
             case S.DFix(clock=r, binder=x, body=b) if isinstance(ty, VLaterT):
                 self.check_interval(ctx, r, t.span)
                 later = canon_later_value(ty, ctx.used)

@@ -131,6 +131,16 @@ def test_normalize_expr_with_at(capsys, corpus_dir):
     assert out1.strip() == r"\A -> \f -> f (next (f (dfix 0 x. f x)))"
 
 
+def test_normalize_at_needs_an_interval_name(capsys):
+    expr = r"\(p : Path N 0 0) -> p @ x"
+    for bad in ("=1", "1=0"):
+        code, out, err = run(capsys, "normalize", "--expr", expr, "--at", bad)
+        assert (code, out) == (2, ""), bad
+        assert "--at" in err, bad
+    code, out, _ = run(capsys, "normalize", "--expr", expr, "--at", "x=1")
+    assert code == 0 and out.strip() == r"\p -> 0"
+
+
 def test_normalize_ill_typed_expr(capsys, corpus_dir):
     code, _, err = run(capsys, "normalize", str(corpus_dir / "funext.gctt"),
                        "--expr", "funext 0")

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import gctt.eval as E
+import gctt.syntax as S
 from gctt.conversion import conv
 from gctt.eval import (
     FnClosure,
@@ -308,21 +309,34 @@ def test_readback_fresh_names_avoid_used():
 
 def test_formers_describe_every_stuck_eliminator_and_constructor():
     """Each neutral class but a variable and a delayed fixed point has an
-    entry, and each entry's fields are, in order, its term former's fields,
-    where it has a former, and its eliminator's parameters."""
+    entry, and names the eliminator that re-runs it.  Each entry's fields
+    are, in order, its term former's fields, where it has a former, and the
+    parameters of the function it names, where it names one."""
     explicit = {E.NVar, E.NDFix}
     assert set(E.Neutral.__subclasses__()) - explicit == {
         cls for cls in E.FORMERS if issubclass(cls, E.Neutral)}
-    for cls, (former, elim) in E.FORMERS.items():
+    for cls, (former, build) in E.FORMERS.items():
         names = [f.name for f in dataclasses.fields(cls)]
         if former is not None:
             assert names == [f.name for f in dataclasses.fields(former)
                              if f.name != "span"], cls
         if issubclass(cls, E.Neutral):
-            params = inspect.signature(getattr(E, elim)).parameters
+            assert build is not None, cls
+        if build is not None:
+            params = inspect.signature(getattr(E, build)).parameters
             assert list(params) == names, cls
-        else:
-            assert elim is None, cls
+
+
+def test_formers_cover_exactly_the_first_order_term_formers():
+    """A term former has an entry iff none of its fields is a binder, a
+    delayed substitution, a system or a variable name: `eval_term`
+    evaluates exactly those through the table."""
+    first_order = {
+        former for former, scheme in S._SCHEME.items()
+        if not {kind for _, kind, _, _ in scheme}
+        & {S.BINDER, S.IBINDER, S.DS, S.SYSTEM, S.NAME}}
+    assert first_order == {
+        former for former, _ in E.FORMERS.values() if former is not None}
 
 
 def test_readback_idempotent_through_eval():
@@ -419,9 +433,6 @@ def _node_classes():
 def _interval_cases():
     """Per class, per field that can hold an interval name: a node with i
     in that field only (for a system, also one with i in a clause)."""
-    from gctt import eval as E
-    from gctt import syntax as S
-
     p_at_i = VNeutral(E.NPApp(neutral_var("p"), IVar("i")))  # support {i}
     clo = ValueClosure(p_at_i)
     n, m = VNat(), neutral_var("m")
