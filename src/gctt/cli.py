@@ -122,6 +122,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    if args.at and args.expr is None:
+        # a checked declaration's value is closed: nothing for --at to act on
+        raise CliError("--at applies to --expr only", EXIT_PARSE_ERROR)
     loader = Loader(_search_path(args), fuel=args.fuel)
     path = Path(args.path) if args.path else None
     ctx = Ctx()
@@ -209,7 +212,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="inline term to normalize")
     p_norm.add_argument("--at", action="append", default=[],
                         metavar="i=0",
-                        help="interval substitution applied before printing")
+                        help="interval substitution applied to --expr")
     common(p_norm)
     p_parse = sub.add_parser("parse", help="parse and print the module")
     p_parse.add_argument("paths", nargs="*", help=".gctt files")

@@ -1,5 +1,12 @@
 r"""Lexer and parser for the surface language.
 
+Lexical grammar: an identifier starts with a letter or `_` and continues
+with word characters and `'`; a numeral is a run of decimal digits; a `--`
+comment runs to the end of the line.  Keywords are identifiers reserved in
+`KEYWORDS`; the symbols are `-> <- |> /\ \/ \ < > @ . , : = ( ) [ ] * -`,
+the longest match first.  Blanks are space, tab and carriage return; a
+column counts characters, so a tab is one column.
+
 One module per file: `module name where` followed by declarations
 `name : Type = term`.  There is no layout rule; an application chain stops
 when the next identifier is followed by `:`, which begins a new declaration.
@@ -14,6 +21,7 @@ join of its faces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,21 +71,25 @@ from .syntax import (
     Zero,
 )
 
-KEYWORDS = frozenset((
-    "module", "where", "import", "data", "let",
-    "U", "N", "Path", "comp", "Glue", "glue", "unglue",
-    "next", "dfix", "fix", "transp", "suc", "natrec",
-))
 # the keywords that start an atom (`Parser.keyword_atom`)
 ATOM_KEYWORDS = frozenset((
     "U", "N", "Path", "comp", "Glue", "glue", "unglue",
     "next", "suc", "natrec", "transp",
 ))
+KEYWORDS = ATOM_KEYWORDS | {"module", "where", "import", "data", "let",
+                            "dfix", "fix"}
 
-SYMBOLS = (
-    "->", "<-", "|>", "/\\", "\\/",
-    "\\", "<", ">", "@", ".", ",", ":", "=", "(", ")", "[", "]", "*", "-",
-)
+# One alternative per token kind, tried in order; symbols longest first.
+# An identifier group may start with a numeric character that is not a
+# letter (`½`); `tokenize` rejects it.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<skip>[ \t\r]+|--[^\n]*)
+  | (?P<int>\d+)
+  | (?P<ident>[^\W\d][\w']*)
+  | (?P<symbol>->|<-|\|>|/\\|\\/|[\\<>@.,:=()\[\]*-])
+  | (?P<illegal>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -97,58 +109,24 @@ class ParseError(Exception):
         super().__init__(f"{where}: expected {exp}, found {found}")
 
 
-def _ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
-
-
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    pos, line, col = 0, 1, 1
-    n = len(source)
-    while pos < n:
-        c = source[pos]
-        if c == "\n":
-            pos += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            pos += 1
-            col += 1
-            continue
-        if source.startswith("--", pos):
-            while pos < n and source[pos] != "\n":
-                pos += 1
-            continue
-        start_span = Span(line, col, pos, pos)
-        if c.isdigit():
-            end = pos
-            while end < n and source[end].isdigit():
-                end += 1
-            lex = source[pos:end]
-            tokens.append(Token("int", lex, Span(line, col, pos, end)))
-            col += end - pos
-            pos = end
-            continue
-        if c.isalpha() or c == "_":
-            end = pos
-            while end < n and _ident_char(source[end]):
-                end += 1
-            lex = source[pos:end]
-            kind = "keyword" if lex in KEYWORDS else "ident"
-            tokens.append(Token(kind, lex, Span(line, col, pos, end)))
-            col += end - pos
-            pos = end
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, pos):
-                tokens.append(Token("symbol", sym, Span(line, col, pos, pos + len(sym))))
-                pos += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(start_span, ["a token"], repr(c))
-    tokens.append(Token("eof", "", Span(line, col, pos, pos)))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind, lexeme, start = m.lastgroup, m.group(), m.start()
+        col = start - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "illegal" or kind == "ident" and not (
+                lexeme[0].isalpha() or lexeme[0] == "_"):
+            raise ParseError(Span(line, col, start, start), ["a token"],
+                             repr(lexeme[0]))
+        elif kind != "skip":
+            if kind == "ident" and lexeme in KEYWORDS:
+                kind = "keyword"
+            tokens.append(Token(kind, lexeme, Span(line, col, start, m.end())))
+    end = len(source)
+    tokens.append(Token("eof", "", Span(line, end - line_start + 1, end, end)))
     return tokens
 
 
@@ -417,30 +395,28 @@ class Parser:
             base = self.atom()
             return Comp(span, binder, line, SystemTerm(span, ()), base)
         if kw == "Glue":
-            self.expect("symbol", "[")
-            if self.at_symbol("]"):
-                self.next()
-                return GlueT(span, FACE_BOT, None, None, self.atom())
-            face = self.face()
-            self.expect("symbol", "->")
-            part = self.term()
-            self.expect("symbol", ",")
-            equiv = self.term()
-            self.expect("symbol", "]")
-            return GlueT(span, face, part, equiv, self.atom())
+            return GlueT(span, *self.glue_head(equiv=True), self.atom())
         if kw == "glue":
-            self.expect("symbol", "[")
-            if self.at_symbol("]"):
-                self.next()
-                return GlueIntro(span, FACE_BOT, None, self.atom())
-            face = self.face()
-            self.expect("symbol", "->")
-            part = self.term()
-            self.expect("symbol", "]")
+            face, part, _ = self.glue_head(equiv=False)
             return GlueIntro(span, face, part, self.atom())
         if kw == "unglue":
             return Unglue(span, self.atom())
         return Next(span, self.delayed_subst(), self.atom())  # "next"
+
+    def glue_head(self, equiv: bool) -> tuple:
+        """The `[]` or `[ phi -> t ]` of `glue`, `[ phi -> t, e ]` of `Glue`,
+        as (face, t, e); an empty head is on the false face."""
+        self.expect("symbol", "[")
+        if self.at_symbol("]"):
+            self.next()
+            return FACE_BOT, None, None
+        face, part = self.branch()
+        e = None
+        if equiv:
+            self.expect("symbol", ",")
+            e = self.term()
+        self.expect("symbol", "]")
+        return face, part, e
 
     def _at_delayed_subst(self) -> bool:
         return (
@@ -451,53 +427,47 @@ class Parser:
         )
 
     def delayed_subst(self) -> tuple:
-        if not self._at_delayed_subst():
-            return ()
-        self.next()
-        entries = []
-        while True:
-            x = self.ident()
-            self.expect("symbol", "<-")
-            entries.append((x, self.term()))
-            if self.at_symbol(","):
-                self.next()
-                continue
-            break
-        self.expect("symbol", "]")
-        return tuple(entries)
+        return self.bracketed(self.ds_entry) if self._at_delayed_subst() else ()
+
+    def ds_entry(self) -> tuple:
+        x = self.ident()
+        self.expect("symbol", "<-")
+        return (x, self.term())
 
     def system(self, span: Span) -> Term:
-        self.expect("symbol", "[")
-        if self.at_symbol("]"):
-            self.next()
-            return SystemTerm(span, ())
-        branches = [self.branch()]
-        while self.at_symbol(","):
-            self.next()
-            branches.append(self.branch())
-        self.expect("symbol", "]")
-        return SystemTerm(span, tuple(branches))
+        return SystemTerm(span, self.bracketed(self.branch))
 
     def branch(self) -> tuple:
         face = self.face()
         self.expect("symbol", "->")
         return (face, self.term())
 
+    def bracketed(self, item) -> tuple:
+        """`[ item, ..., item ]`, or `[]` for none."""
+        self.expect("symbol", "[")
+        items = []
+        if not self.at_symbol("]"):
+            items.append(item())
+            while self.at_symbol(","):
+                self.next()
+                items.append(item())
+        self.expect("symbol", "]")
+        return tuple(items)
+
     # -- faces and intervals ------------------------------------------------
 
-    def face(self) -> Face:
-        phi = self.face_clause()
-        while self.at_symbol("\\/"):
+    def _chain(self, operand, symbol: str, combine):
+        """`operand symbol operand ...`, combined from the left."""
+        x = operand()
+        while self.at_symbol(symbol):
             self.next()
-            phi = face_join(phi, self.face_clause())
-        return phi
+            x = combine(x, operand())
+        return x
 
-    def face_clause(self) -> Face:
-        phi = self.face_atom()
-        while self.at_symbol("/\\"):
-            self.next()
-            phi = face_meet(phi, self.face_atom())
-        return phi
+    def face(self) -> Face:
+        return self._chain(
+            lambda: self._chain(self.face_atom, "/\\", face_meet),
+            "\\/", face_join)
 
     def face_atom(self) -> Face:
         self.expect("symbol", "(")
@@ -514,18 +484,9 @@ class Parser:
         return face_of_eq(r, int(pol.lexeme))
 
     def interval(self) -> IExpr:
-        r = self.interval_meet()
-        while self.at_symbol("\\/"):
-            self.next()
-            r = IJoin(r, self.interval_meet())
-        return r
-
-    def interval_meet(self) -> IExpr:
-        r = self.interval_atom()
-        while self.at_symbol("/\\"):
-            self.next()
-            r = IMeet(r, self.interval_atom())
-        return r
+        return self._chain(
+            lambda: self._chain(self.interval_atom, "/\\", IMeet),
+            "\\/", IJoin)
 
     def interval_atom(self) -> IExpr:
         t = self.peek()

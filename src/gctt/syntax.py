@@ -514,18 +514,14 @@ def term_str(t: Term, prec: int = ARROW) -> str:
         case App(fn=f, arg=a):
             s = f"{term_str(f, APPLY)} {term_str(a, ATOM)}"
             return _wrap(s, APPLY, prec)
-        case Pi(binder=x, domain=d, codomain=c):
+        case Pi(binder=x, domain=d, codomain=c) | Sigma(
+                binder=x, first=d, second=c):
             if x in free_names(c)[0]:
                 dom = f"({x} : {term_str(d, ARROW)})"
             else:
                 dom = term_str(d, PATHAPP)
-            return _wrap(f"{dom} -> {term_str(c, ARROW)}", ARROW, prec)
-        case Sigma(binder=x, first=d, second=c):
-            if x in free_names(c)[0]:
-                dom = f"({x} : {term_str(d, ARROW)})"
-            else:
-                dom = term_str(d, PATHAPP)
-            return _wrap(f"{dom} * {term_str(c, PATHAPP)}", ARROW, prec)
+            op, rhs = ("->", ARROW) if isinstance(t, Pi) else ("*", PATHAPP)
+            return _wrap(f"{dom} {op} {term_str(c, rhs)}", ARROW, prec)
         case Pair(fst=a, snd=b):
             return f"({term_str(a, ARROW)}, {term_str(b, ARROW)})"
         case Fst(pair=p):
@@ -573,10 +569,9 @@ def term_str(t: Term, prec: int = ARROW) -> str:
             return _wrap(s, APPLY, prec)
         case Unglue(arg=p):
             return _wrap(f"unglue {term_str(p, ATOM)}", APPLY, prec)
-        case LaterT(subst=ds, body=b):
-            return _wrap(f"|> {_ds_str(ds)}{term_str(b, ATOM)}", APPLY, prec)
-        case Next(subst=ds, body=b):
-            return _wrap(f"next {_ds_str(ds)}{term_str(b, ATOM)}", APPLY, prec)
+        case LaterT(subst=ds, body=b) | Next(subst=ds, body=b):
+            kw = "|>" if isinstance(t, LaterT) else "next"
+            return _wrap(f"{kw} {_ds_str(ds)}{term_str(b, ATOM)}", APPLY, prec)
         case DFix(clock=r, binder=x, body=b) | Fix(clock=r, binder=x, body=b):
             kw = "dfix" if isinstance(t, DFix) else "fix"
             s = f"{kw} {iexpr_str(r, 2)} {x}. {term_str(b, ARROW)}"

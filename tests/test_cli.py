@@ -141,6 +141,14 @@ def test_normalize_at_needs_an_interval_name(capsys):
     assert code == 0 and out.strip() == r"\p -> 0"
 
 
+def test_normalize_at_needs_an_expr(capsys, corpus_dir):
+    # a declaration's value is closed: no interval substitution can act on it
+    code, out, err = run(capsys, "normalize", str(corpus_dir / "streams.gctt"),
+                         "headOfCons", "--at", "i=0")
+    assert (code, out) == (2, "")
+    assert "--at" in err
+
+
 def test_normalize_ill_typed_expr(capsys, corpus_dir):
     code, _, err = run(capsys, "normalize", str(corpus_dir / "funext.gctt"),
                        "--expr", "funext 0")
@@ -380,6 +388,21 @@ def test_parse_garbage_exit_2(capsys, tmp_path):
     p.write_text("module g where\n= : =")
     code, _, err = run(capsys, "parse", str(p))
     assert code == 2 and "expected" in err
+
+
+def test_a_digit_that_is_not_decimal_is_an_illegal_character(capsys,
+                                                             tmp_path):
+    # '²' passes str.isdigit but not int(); '١' is a decimal digit
+    p = tmp_path / "sup.gctt"
+    p.write_text("module sup where\n\nx : N = ²\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (2, "")
+    assert err.strip() == f"{p}:3:9: expected a token, found '²'"
+    code, out, err = run(capsys, "normalize", "--expr", "²")
+    assert (code, out) == (2, "")
+    assert err.strip() == "--expr: 1:1: expected a token, found '²'"
+    code, out, _ = run(capsys, "normalize", "--expr", "١٢")
+    assert code == 0 and out.strip() == "12"
 
 
 # ---------------------------------------------------------------------------

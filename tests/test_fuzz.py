@@ -30,6 +30,19 @@ def mutate(source: str, rng: random.Random) -> str:
             + text + source[n.end:])
 
 
+def check_variant(capsys, corpus_dir, work, name, text) -> int:
+    """Check `text` as the module file `work/name` under a fuel bound; the
+    run must end with an exit code."""
+    work.mkdir()
+    path = work / name
+    path.write_text(text, encoding="utf-8")
+    code = main(["check", "--fuel", "20000", "--search-path",
+                 str(corpus_dir), str(path)])
+    capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_TYPE_ERROR, EXIT_PARSE_ERROR), path
+    return code
+
+
 def test_mutated_corpus_files_end_with_an_exit_code(capsys, tmp_path,
                                                     corpus_dir):
     files = sorted(corpus_dir.glob("*.gctt")) \
@@ -38,15 +51,31 @@ def test_mutated_corpus_files_end_with_an_exit_code(capsys, tmp_path,
     codes = collections.Counter()
     for n in range(MUTATIONS):
         original = rng.choice(files)
-        work = tmp_path / str(n)
-        work.mkdir()
-        path = work / original.name
-        path.write_text(mutate(original.read_text(encoding="utf-8"), rng),
-                        encoding="utf-8")
-        code = main(["check", "--fuel", "20000", "--search-path",
-                     str(corpus_dir), str(path)])
-        capsys.readouterr()
-        assert code in (EXIT_OK, EXIT_TYPE_ERROR, EXIT_PARSE_ERROR), path
-        codes[code] += 1
+        text = mutate(original.read_text(encoding="utf-8"), rng)
+        codes[check_variant(capsys, corpus_dir, tmp_path / str(n),
+                            original.name, text)] += 1
     # both the parser and the checker are reached
     assert {EXIT_TYPE_ERROR, EXIT_PARSE_ERROR} <= set(codes), codes
+
+
+# characters a lexer may mistake: digits that are not decimal ('²', '½'),
+# a decimal digit of another script ('١'), a letter outside ASCII, an
+# illegal character, the prime of an identifier and a bare carriage return
+INSERTED = "²½١é#'\r"
+INSERTIONS = 80
+
+
+def test_corpus_files_with_one_inserted_character_end_with_an_exit_code(
+        capsys, tmp_path, corpus_dir):
+    files = sorted(corpus_dir.glob("*.gctt"))
+    rng = random.Random(SEED)
+    drawn = set()
+    for n in range(INSERTIONS):
+        original = rng.choice(files)
+        source = original.read_text(encoding="utf-8")
+        k = rng.randrange(len(source) + 1)
+        char = rng.choice(INSERTED)
+        drawn.add(char)
+        check_variant(capsys, corpus_dir, tmp_path / str(n), original.name,
+                      source[:k] + char + source[k:])
+    assert drawn == set(INSERTED)

@@ -82,6 +82,50 @@ def test_tokenize_illegal_character():
         tokenize("a # b")
 
 
+# Each row is a source and either its tokens, eof included, as
+# (kind, lexeme, line, col, start, end), or the ParseError it raises, as
+# (line, col, start, end, expected, found).
+LEXER_TABLE = [
+    ("x' _y", [("ident", "x'", 1, 1, 0, 2), ("ident", "_y", 1, 4, 3, 5),
+               ("eof", "", 1, 6, 5, 5)]),
+    ("->-", [("symbol", "->", 1, 1, 0, 2), ("symbol", "-", 1, 3, 2, 3),
+             ("eof", "", 1, 4, 3, 3)]),
+    ("\\/\\", [("symbol", "\\/", 1, 1, 0, 2), ("symbol", "\\", 1, 3, 2, 3),
+               ("eof", "", 1, 4, 3, 3)]),
+    ("/\\/", (1, 3, 2, 2, ("a token",), "'/'")),
+    ("|>>", [("symbol", "|>", 1, 1, 0, 2), ("symbol", ">", 1, 3, 2, 3),
+             ("eof", "", 1, 4, 3, 3)]),
+    ("next nexts", [("keyword", "next", 1, 1, 0, 4),
+                    ("ident", "nexts", 1, 6, 5, 10),
+                    ("eof", "", 1, 11, 10, 10)]),
+    ("a -- c -> d\nb", [("ident", "a", 1, 1, 0, 1),
+                        ("ident", "b", 2, 1, 12, 13),
+                        ("eof", "", 2, 2, 13, 13)]),
+    ("a -- c\n", [("ident", "a", 1, 1, 0, 1), ("eof", "", 2, 1, 7, 7)]),
+    ("a -- c", [("ident", "a", 1, 1, 0, 1), ("eof", "", 1, 7, 6, 6)]),
+    ("a\r\n\tb c", [("ident", "a", 1, 1, 0, 1), ("ident", "b", 2, 2, 4, 5),
+                    ("ident", "c", 2, 4, 6, 7), ("eof", "", 2, 5, 7, 7)]),
+    ("é ١٢", [("ident", "é", 1, 1, 0, 1), ("int", "١٢", 1, 3, 2, 4),
+              ("eof", "", 1, 5, 4, 4)]),
+    ("x ½", (1, 3, 2, 2, ("a token",), "'½'")),
+    ("x =\n ²", (2, 2, 5, 5, ("a token",), "'²'")),
+]
+
+
+@pytest.mark.parametrize("source,expected", LEXER_TABLE)
+def test_lexer_table(source, expected):
+    if isinstance(expected, list):
+        got = [(t.kind, t.lexeme, t.span.line, t.span.col, t.span.start,
+                t.span.end) for t in tokenize(source)]
+        assert got == expected
+        return
+    with pytest.raises(ParseError) as exc:
+        tokenize(source)
+    e = exc.value
+    assert (e.span.line, e.span.col, e.span.start, e.span.end, e.expected,
+            e.found) == expected
+
+
 # ---------------------------------------------------------------------------
 # terms
 
