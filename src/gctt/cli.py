@@ -131,8 +131,7 @@ def cmd_normalize(args) -> int:
     checked = None
     if path is not None:
         checked = loader.load(path)
-        for name in checked.order:
-            ty, val = checked.table[name]
+        for name, (ty, val) in checked.table.items():
             ctx = ctx.define(name, ty, val)
     subs = {}
     for at in args.at or []:
@@ -160,23 +159,30 @@ def cmd_normalize(args) -> int:
             check_ctx, bound = check_ctx.bind_interval(name)
             renamed[bound] = subs[name]
         subs = renamed
-        try:
-            ty = loader.checker.infer_top(check_ctx, term)
-        except GcttTypeError as exc:
-            raise CliError(exc.render("<expr>"), EXIT_TYPE_ERROR)
-        value = eval_term(check_ctx.env, term)
+        where, span = "<expr>", term.span
     elif args.name is not None:
         if checked is None or args.name not in checked.table:
             raise CliError(f"unknown declaration {args.name}",
                            EXIT_TYPE_ERROR)
-        ty, value = checked.table[args.name]
+        where, span = str(path), None
     else:
         raise CliError("normalize needs a declaration name or --expr",
                        EXIT_PARSE_ERROR)
-    if subs:
-        value = act(value, subs)
-        ty = act(ty, subs)
-    print(term_str(readback(frozenset(ctx.used), value, ty)))
+    # inference, evaluation and readback share one conversion budget
+    try:
+        with loader.checker.fuelled(span):
+            if args.expr is not None:
+                ty = loader.checker.infer(check_ctx, term)
+                value = eval_term(check_ctx.env, term)
+            else:
+                ty, value = checked.table[args.name]
+            if subs:
+                value = act(value, subs)
+                ty = act(ty, subs)
+            normal = readback(frozenset(ctx.used), value, ty)
+    except GcttTypeError as exc:
+        raise CliError(exc.render(where), EXIT_TYPE_ERROR)
+    print(term_str(normal))
     return EXIT_OK
 
 

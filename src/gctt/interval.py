@@ -298,7 +298,9 @@ def iexpr_str(r: IExpr, prec: int = 0) -> str:
         case IVar(name):
             return name
         case INeg(arg):
-            return "-" + iexpr_str(arg, 2)
+            s = iexpr_str(arg, 2)
+            # `--` would begin a comment
+            return f"-({s})" if isinstance(arg, INeg) else "-" + s
         case IMeet(lhs, rhs):
             s = f"{iexpr_str(lhs, 1)} /\\ {iexpr_str(rhs, 1)}"
             return f"({s})" if prec > 1 else s

@@ -1,16 +1,20 @@
 r"""Lexer and parser for the surface language.
 
 Lexical grammar: an identifier starts with a letter or `_` and continues
-with word characters and `'`; a numeral is a run of decimal digits; a `--`
-comment runs to the end of the line.  Keywords are identifiers reserved in
-`KEYWORDS`; the symbols are `-> <- |> /\ \/ \ < > @ . , : = ( ) [ ] * -`,
-the longest match first.  Blanks are space, tab and carriage return; a
-column counts characters, so a tab is one column.
+with word characters and `'`; a numeral is a run of decimal digits, of
+value at most `MAX_NUMERAL`; a `--` comment runs to the end of the line.
+Keywords are identifiers reserved in `KEYWORDS`; the symbols are
+`-> <- |> /\ \/ \ < > @ . , : = ( ) [ ] * -`, the longest match first.
+Blanks are space, tab and carriage return; a column counts characters, so
+a tab is one column.
 
 One module per file: `module name where` followed by declarations
 `name : Type = term`.  There is no layout rule; an application chain stops
 when the next identifier is followed by `:`, which begins a new declaration.
 
+The formers written as a keyword (or `|>`) followed by their fields are
+read from the table `syntax.KEYWORD_FORMERS`, from which the printer also
+writes them.  Every atom takes the projections `.1` and `.2` after it.
 `transp i A a` is surface sugar for a composition with an empty tube.
 `fix r x. t` stays a term of its own: the checker types it by the guarded
 fixed-point rule and unfolds it to t[dfix r x. t / x] only where its type
@@ -40,6 +44,9 @@ from .interval import (
     face_of_eq,
 )
 from .syntax import (
+    DS,
+    KEYWORD_FORMERS,
+    _SCHEME,
     App,
     Comp,
     DFix,
@@ -49,15 +56,10 @@ from .syntax import (
     GlueIntro,
     GlueT,
     Lam,
-    LaterT,
     ModuleFile,
-    Nat,
-    NatRec,
-    Next,
     PApp,
     PLam,
     Pair,
-    PathT,
     Pi,
     Sigma,
     Snd,
@@ -65,19 +67,17 @@ from .syntax import (
     Suc,
     SystemTerm,
     Term,
-    Unglue,
-    Univ,
     Var,
     Zero,
 )
 
-# the keywords that start an atom (`Parser.keyword_atom`)
-ATOM_KEYWORDS = frozenset((
-    "U", "N", "Path", "comp", "Glue", "glue", "unglue",
-    "next", "suc", "natrec", "transp",
-))
-KEYWORDS = ATOM_KEYWORDS | {"module", "where", "import", "data", "let",
-                            "dfix", "fix"}
+# what starts an atom of `Parser.keyword_atom`: the keywords of the keyword
+# formers, and their one symbol `|>`, then four formers written out
+ATOM_KEYWORDS = frozenset(KEYWORD_FORMERS) | {"comp", "transp", "Glue", "glue"}
+KEYWORDS = (ATOM_KEYWORDS - {"|>"}) | {"module", "where", "import", "data",
+                                       "let", "dfix", "fix"}
+# the largest numeral; `Parser.numeral` builds one node per unit
+MAX_NUMERAL = 100_000
 
 # One alternative per token kind, tried in order; symbols longest first.
 # An identifier group may start with a numeric character that is not a
@@ -314,9 +314,7 @@ class Parser:
         t = self.peek()
         if t.kind in ("ident", "int"):
             return not self._stops_chain()
-        if t.kind == "keyword":
-            return t.lexeme in ATOM_KEYWORDS
-        return t.kind == "symbol" and t.lexeme in ("(", "[", "|>")
+        return t.lexeme in ATOM_KEYWORDS or self.at_symbol("(", "[")
 
     def app(self) -> Term:
         span = self.peek().span
@@ -326,64 +324,60 @@ class Parser:
         return t
 
     def atom(self) -> Term:
+        """An atom, then any `.1` and `.2` projections of it."""
         t = self.peek()
         span = t.span
         if t.kind == "ident":
             self.next()
-            return self.postfix(Var(span, t.lexeme))
-        if t.kind == "int":
+            term = Var(span, t.lexeme)
+        elif t.kind == "int":
+            term = self.numeral()
+        elif t.lexeme in ATOM_KEYWORDS:
+            term = self.keyword_atom()
+        elif self.at_symbol("("):
             self.next()
-            term: Term = Zero(span)
-            for _ in range(int(t.lexeme)):
-                term = Suc(span, term)
-            return term
-        if t.kind == "keyword":
-            return self.keyword_atom()
-        if self.at_symbol("("):
-            self.next()
-            inner = self.term()
+            term = self.term()
             if self.at_symbol(","):
                 self.next()
-                snd = self.term()
-                self.expect("symbol", ")")
-                return self.postfix(Pair(span, inner, snd))
+                term = Pair(span, term, self.term())
             self.expect("symbol", ")")
-            return self.postfix(inner.with_span(span))
-        if self.at_symbol("["):
-            return self.postfix(self.system(span))
-        if self.at_symbol("|>"):
-            self.next()
-            ds = self.delayed_subst()
-            return self.postfix(LaterT(span, ds, self.atom()))
-        raise self.fail(["a term"])
-
-    def postfix(self, t: Term) -> Term:
+            term = term.with_span(span)
+        elif self.at_symbol("["):
+            term = self.system(span)
+        else:
+            raise self.fail(["a term"])
         while self.at_symbol(".") and self.peek(1).kind == "int":
             span = self.next().span
             idx = self.next().lexeme
-            if idx == "1":
-                t = Fst(span, t)
-            elif idx == "2":
-                t = Snd(span, t)
-            else:
+            if idx not in ("1", "2"):
                 raise ParseError(span, [".1", ".2"], f".{idx}")
-        return t
+            term = (Fst if idx == "1" else Snd)(span, term)
+        return term
+
+    def numeral(self) -> Term:
+        """A numeral n as n `Suc`s of `Zero`.  One above MAX_NUMERAL is an
+        error, found before its digits are converted: a long numeral would
+        take long to convert, and its nodes would not fit in memory."""
+        t = self.next()
+        # leading zeros, of any script, left out
+        k = next((k for k, c in enumerate(t.lexeme) if int(c)), len(t.lexeme))
+        digits = t.lexeme[k:] or "0"
+        if len(digits) > len(str(MAX_NUMERAL)) or int(digits) > MAX_NUMERAL:
+            found = t.lexeme if len(t.lexeme) <= 12 else t.lexeme[:12] + "..."
+            raise ParseError(t.span, [f"a numeral up to {MAX_NUMERAL}"], found)
+        term: Term = Zero(t.span)
+        for _ in range(int(digits)):
+            term = Suc(t.span, term)
+        return term
 
     def keyword_atom(self) -> Term:
         kw = self.peek().lexeme
-        if kw not in ATOM_KEYWORDS:
-            raise self.fail(["a term"])
         span = self.next().span
-        if kw == "U":
-            return Univ(span)
-        if kw == "N":
-            return Nat(span)
-        if kw == "Path":
-            return PathT(span, self.atom(), self.atom(), self.atom())
-        if kw == "suc":
-            return Suc(span, self.atom())
-        if kw == "natrec":
-            return NatRec(span, self.atom(), self.atom(), self.atom(), self.atom())
+        former = KEYWORD_FORMERS.get(kw)
+        if former is not None:
+            return former(span, *[
+                self.delayed_subst() if kind is DS else self.atom()
+                for _, kind, _, _ in _SCHEME[former]])
         if kw == "comp":
             binder = self.ident()
             line = self.atom()
@@ -396,12 +390,8 @@ class Parser:
             return Comp(span, binder, line, SystemTerm(span, ()), base)
         if kw == "Glue":
             return GlueT(span, *self.glue_head(equiv=True), self.atom())
-        if kw == "glue":
-            face, part, _ = self.glue_head(equiv=False)
-            return GlueIntro(span, face, part, self.atom())
-        if kw == "unglue":
-            return Unglue(span, self.atom())
-        return Next(span, self.delayed_subst(), self.atom())  # "next"
+        face, part, _ = self.glue_head(equiv=False)  # "glue"
+        return GlueIntro(span, face, part, self.atom())
 
     def glue_head(self, equiv: bool) -> tuple:
         """The `[]` or `[ phi -> t ]` of `glue`, `[ phi -> t, e ]` of `Glue`,

@@ -467,10 +467,23 @@ def _rebuild(t: Term, terms: dict, intervals: dict, rename,
 
 
 # ---------------------------------------------------------------------------
+# Concrete syntax of the formers written as a keyword (or `|>`) followed by
+# their fields in order: each field an atom, except a delayed substitution,
+# written `[x <- t, ...]` and left out when it is empty.  The parser reads
+# them from this table (`Parser.keyword_atom`) and `term_str` prints them
+# from it.
+
+KEYWORD_FORMERS = {"U": Univ, "N": Nat, "Path": PathT, "suc": Suc,
+                   "natrec": NatRec, "unglue": Unglue, "next": Next,
+                   "|>": LaterT}
+_KEYWORD_OF = {cls: kw for kw, cls in KEYWORD_FORMERS.items()}
+
+
+# ---------------------------------------------------------------------------
 # Pretty printer.  Precedence levels, loosest to tightest:
-#   0 lambdas / arrows / sigma / later / next / dfix / fix
+#   0 lambdas / arrows / sigma / dfix / fix
 #   1 pairs never bare (always parenthesized), path application @
-#   2 application
+#   2 application and the keyword formers with fields
 #   3 atoms and projections
 
 ARROW = 0
@@ -489,19 +502,6 @@ def _numeral(t: Term):
         t = t.pred
         n += 1
     return n if isinstance(t, Zero) else None
-
-
-def _ds_str(ds) -> str:
-    if not ds:
-        return ""
-    inner = ", ".join(f"{x} <- {term_str(u, ARROW)}" for x, u in ds)
-    return f"[{inner}] "
-
-
-def _system_body(branches) -> str:
-    return ", ".join(
-        f"{face_str(phi)} -> {term_str(u, ARROW)}" for phi, u in branches
-    )
 
 
 def term_str(t: Term, prec: int = ARROW) -> str:
@@ -530,52 +530,43 @@ def term_str(t: Term, prec: int = ARROW) -> str:
             return f"{term_str(p, ATOM)}.2"
         case Zero():
             return "0"
-        case Suc():
-            n = _numeral(t)
-            if n is not None:
-                return str(n)
-            return _wrap(f"suc {term_str(t.pred, ATOM)}", APPLY, prec)
-        case NatRec(motive=m, base=z, step=s, scrutinee=n):
-            parts = " ".join(term_str(u, ATOM) for u in (m, z, s, n))
-            return _wrap(f"natrec {parts}", APPLY, prec)
-        case Nat():
-            return "N"
-        case Univ():
-            return "U"
+        case Suc() if (n := _numeral(t)) is not None:
+            return str(n)
         case PLam(binder=x, body=b):
             return _wrap(f"<{x}> {term_str(b, ARROW)}", ARROW, prec)
         case PApp(fn=f, arg=r):
             s = f"{term_str(f, PATHAPP)} @ {iexpr_str(r)}"
             return _wrap(s, PATHAPP, prec)
-        case PathT(space=a, lhs=l, rhs=r):
-            s = f"Path {term_str(a, ATOM)} {term_str(l, ATOM)} {term_str(r, ATOM)}"
-            return _wrap(s, APPLY, prec)
         case SystemTerm(branches=bs):
-            return f"[ {_system_body(bs)} ]" if bs else "[]"
+            body = ", ".join(f"{face_str(phi)} -> {term_str(u, ARROW)}"
+                             for phi, u in bs)
+            return f"[ {body} ]" if bs else "[]"
         case Comp(binder=x, line=a, tube=u, base=b):
             s = (f"comp {x} {term_str(a, ATOM)} {term_str(u, ATOM)}"
                  f" {term_str(b, ATOM)}")
             return _wrap(s, APPLY, prec)
-        case GlueT(face=phi, partial=p, equiv=e, base=b):
-            if p is None:
-                return _wrap(f"Glue [] {term_str(b, ATOM)}", APPLY, prec)
-            s = (f"Glue [ {face_str(phi)} -> {term_str(p, ARROW)},"
-                 f" {term_str(e, ARROW)} ] {term_str(b, ATOM)}")
-            return _wrap(s, APPLY, prec)
-        case GlueIntro(face=phi, partial=p, base=b):
-            if p is None:
-                return _wrap(f"glue [] {term_str(b, ATOM)}", APPLY, prec)
-            s = f"glue [ {face_str(phi)} -> {term_str(p, ARROW)} ] {term_str(b, ATOM)}"
-            return _wrap(s, APPLY, prec)
-        case Unglue(arg=p):
-            return _wrap(f"unglue {term_str(p, ATOM)}", APPLY, prec)
-        case LaterT(subst=ds, body=b) | Next(subst=ds, body=b):
-            kw = "|>" if isinstance(t, LaterT) else "next"
-            return _wrap(f"{kw} {_ds_str(ds)}{term_str(b, ATOM)}", APPLY, prec)
+        case GlueT(face=phi, partial=p, base=b) | GlueIntro(
+                face=phi, partial=p, base=b):
+            kw, head = ("Glue" if isinstance(t, GlueT) else "glue"), "[]"
+            if p is not None:
+                e = f", {term_str(t.equiv, ARROW)}" if kw == "Glue" else ""
+                head = f"[ {face_str(phi)} -> {term_str(p, ARROW)}{e} ]"
+            return _wrap(f"{kw} {head} {term_str(b, ATOM)}", APPLY, prec)
         case DFix(clock=r, binder=x, body=b) | Fix(clock=r, binder=x, body=b):
             kw = "dfix" if isinstance(t, DFix) else "fix"
             s = f"{kw} {iexpr_str(r, 2)} {x}. {term_str(b, ARROW)}"
             return _wrap(s, ARROW, prec)
+        case _ if type(t) in _KEYWORD_OF:
+            words = [_KEYWORD_OF[type(t)]]
+            for name, kind, _, _ in _SCHEME[type(t)]:
+                value = getattr(t, name)
+                if kind is not DS:
+                    words.append(term_str(value, ATOM))
+                elif value:
+                    entries = (f"{x} <- {term_str(u, ARROW)}" for x, u in value)
+                    words.append(f"[{', '.join(entries)}]")
+            s = " ".join(words)
+            return _wrap(s, APPLY, prec) if len(words) > 1 else s
         case _:
             raise TypeError(f"not a term: {t!r}")
 

@@ -562,21 +562,18 @@ class Checker:
     # -- top level ---------------------------------------------------------
 
     @contextmanager
-    def _fuelled(self):
-        """Bound the conversion steps of what runs inside by the fuel."""
+    def fuelled(self, span: Optional[Span] = None):
+        """Bound the conversion steps of what runs inside by one budget of
+        fuel, and report running out of it as a type error at `span`."""
         FUEL.set(self.fuel)
         try:
-            yield
+            with _fuel_error_at(span):
+                yield
         finally:
             FUEL.set(None)
 
-    def infer_top(self, ctx: Ctx, t: Term) -> Value:
-        """Infer the type of a term standing on its own, under the fuel."""
-        with self._fuelled(), _fuel_error_at(t.span):
-            return self.infer(ctx, t)
-
     def check_module(self, module: S.ModuleFile, imports=()) -> CheckedModule:
-        with self._fuelled():
+        with self.fuelled():
             ctx = Ctx()
             table = {}
             reports = []

@@ -165,6 +165,39 @@ def test_normalize_expr_respects_fuel(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+LATER_SHARING = (r"\(s : |> N) -> next [x <- s, y <- next [z <- s] (suc z)]"
+                 " (suc y)")
+
+
+def test_normalize_fuel_bounds_evaluation_and_readback(capsys, tmp_path):
+    # inference makes five conversion steps, readback the sixth
+    code, out, err = run(capsys, "normalize", "--fuel", "5",
+                         "--expr", LATER_SHARING)
+    assert (code, out) == (1, "")
+    assert err == ("<expr>:1:1: [mismatch] conversion fuel exhausted"
+                   " (see --fuel)\n")
+    code, out, _ = run(capsys, "normalize", "--fuel", "6",
+                       "--expr", LATER_SHARING)
+    assert (code, out) == (0, "\\s -> next [x <- s] (suc (suc x))\n")
+    # checking d spends all nine steps; its readback has a budget of its own
+    p = tmp_path / "m.gctt"
+    p.write_text(f"module m where\n\nd : (s : |> N) -> |> N ="
+                 f" {LATER_SHARING.replace('(s : |> N)', 's')}\n")
+    code, out, _ = run(capsys, "normalize", "--fuel", "9", str(p), "d")
+    assert (code, out) == (0, "\\s -> next [x <- s] (suc (suc x))\n")
+    code, _, err = run(capsys, "normalize", "--fuel", "8", str(p), "d")
+    assert code == 1 and err.startswith(f"{p}:3:1: [mismatch] conversion fuel")
+
+
+def test_normalize_expr_sees_imported_declarations(capsys, tmp_path):
+    (tmp_path / "a.gctt").write_text("module a where\n\nza : N = 0\n")
+    b = tmp_path / "b.gctt"
+    b.write_text("module b where\n\nimport a\n")
+    assert run(capsys, "normalize", str(b), "--expr", "suc za") == (0, "1\n",
+                                                                   "")
+    assert run(capsys, "normalize", str(b), "za") == (0, "0\n", "")
+
+
 def test_fuel_error_carries_the_declaration_span(capsys, corpus_dir):
     path = corpus_dir / "funext.gctt"
     code, _, err = run(capsys, "check", "--fuel", "1", str(path))
@@ -403,6 +436,14 @@ def test_a_digit_that_is_not_decimal_is_an_illegal_character(capsys,
     assert err.strip() == "--expr: 1:1: expected a token, found '²'"
     code, out, _ = run(capsys, "normalize", "--expr", "١٢")
     assert code == 0 and out.strip() == "12"
+
+
+def test_a_numeral_too_large_is_a_parse_error(capsys):
+    # int() refuses more than 4300 digits; the bound is checked first
+    code, out, err = run(capsys, "normalize", "--expr", "1" * 4301)
+    assert (code, out) == (2, "")
+    assert err == ("--expr: 1:1: expected a numeral up to 100000,"
+                   " found 111111111111...\n")
 
 
 # ---------------------------------------------------------------------------

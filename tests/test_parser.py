@@ -1,6 +1,7 @@
 """Lexer and parser tests, including the print/parse round trip."""
 
 import pytest
+from hypothesis import given, settings
 
 from gctt.interval import IVar, ONE, ZERO, face_join, face_lit, face_meet
 from gctt.parser import ParseError, Parser, parse_module, parse_term, tokenize
@@ -22,6 +23,7 @@ from gctt.syntax import (
     PathT,
     Pi,
     Sigma,
+    Span,
     Suc,
     SystemTerm,
     Unglue,
@@ -32,6 +34,7 @@ from gctt.syntax import (
     term_str,
     unfold_fix,
 )
+from test_syntax import term_st
 
 
 def toks(src):
@@ -184,6 +187,21 @@ def test_parse_numerals():
     assert parse_term("2") == Suc(None, Suc(None, Zero()))
 
 
+def test_numerals_are_bounded():
+    # leading zeros and decimal digits of any script count for nothing
+    assert parse_term("0" * 5000 + "12") == parse_term("١٢") == parse_term(
+        "٠٠١٢")
+    t, n = parse_term("100000"), 0
+    while isinstance(t, Suc):
+        t, n = t.pred, n + 1
+    assert (n, t) == (100000, Zero())
+    for digits in ("100001", "0099999999", "1" * 4301):
+        with pytest.raises(ParseError) as exc:
+            parse_term(f"f {digits}")
+        assert exc.value.span == Span(1, 3, 2, 2 + len(digits))
+        assert exc.value.expected == ("a numeral up to 100000",)
+
+
 def test_parse_path_type():
     t = parse_term("Path N 0 1")
     assert t == PathT(None, Nat(), Zero(), Suc(None, Zero()))
@@ -288,6 +306,9 @@ ROUND_TRIP_TERMS = [
     "(p @ 0) q",
     "[ (i=0) -> a, (i=1) -> b ]",
     "3",
+    "p @ -(-i)",
+    "0.1",
+    "N.1",
 ]
 
 
@@ -295,6 +316,13 @@ ROUND_TRIP_TERMS = [
 def test_round_trip_terms(src):
     t = parse_term(src)
     assert parse_term(term_str(t)) == t
+
+
+@given(term_st())
+@settings(max_examples=400)
+def test_printed_terms_reparse(t):
+    s = term_str(t)
+    assert term_str(parse_term(s)) == s
 
 
 def test_round_trip_corpus_modules(corpus_dir):

@@ -229,8 +229,14 @@ def formers(sub, names=name_st, inames=iname_st):
         SystemTerm: st.builds(SystemTerm, st.none(), system),
         Comp: st.builds(Comp, st.none(), inames, sub,
                         st.builds(SystemTerm, st.none(), system), sub),
-        GlueT: st.builds(GlueT, st.none(), face, opt, opt, sub),
-        GlueIntro: st.builds(GlueIntro, st.none(), face, opt, sub),
+        # in the shapes the parser builds: no partial term iff the head is
+        # `[]`, and a Glue type has an equivalence iff it has a partial type
+        GlueT: st.builds(GlueT, st.none(), st.just(FACE_BOT), st.none(),
+                         st.none(), sub)
+        | st.builds(GlueT, st.none(), face, sub, sub, sub),
+        GlueIntro: st.builds(GlueIntro, st.none(), st.just(FACE_BOT),
+                             st.none(), sub)
+        | st.builds(GlueIntro, st.none(), face, sub, sub),
         Unglue: st.builds(Unglue, st.none(), sub),
         LaterT: st.builds(LaterT, st.none(), ds, sub),
         Next: st.builds(Next, st.none(), ds, sub),
