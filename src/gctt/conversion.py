@@ -5,6 +5,11 @@ pairs, paths, and glue) and structural otherwise.  Later types and nexts are
 compared on values, up to weakening, exchange, next-substitution and eta
 (`_conv_later`); a neutral met by a next is eta-expanded.  Equality under a
 face restriction is checked clause by clause.
+
+Two sides that are one object are equal at once.  That test is lifted to
+closures (`_same_closure`): closures over one body term and identical
+captured values are equal without applying them to a probe, for lambdas,
+codomains, delayed fixed points and the bodies of later values.
 """
 
 from __future__ import annotations
@@ -22,10 +27,12 @@ from .interval import (
 )
 from .eval import (
     FnClosure,
+    InlinedDsClosure,
     NApp,
     NComp,
     NDFix,
     NVar,
+    TermClosure,
     VGlueIntro,
     VGlueT,
     VLam,
@@ -40,6 +47,7 @@ from .eval import (
     VSystem,
     VUniv,
     Value,
+    ValueClosure,
     act,
     apply_v,
     canon_later_value,
@@ -82,7 +90,8 @@ FUEL = _Fuel()
 def conv(used: frozenset, a: Value, b: Value,
          ty: Optional[Value] = None) -> bool:
     FUEL.tick()
-    if a is b:
+    if a is b or (type(a) is type(b) in (VLam, VPLam)
+                  and _same_closure(a.closure, b.closure)):
         return True
     match ty:
         case VPi(domain=d, codomain=c):
@@ -122,8 +131,7 @@ def _conv_structural(used: frozenset, a: Value, b: Value) -> bool:
              (VSigma(first=d1, second=c1), VSigma(first=d2, second=c2)):
             if type(a) is not type(b) or not conv(used, d1, d2):
                 return False
-            x = probe_var(d1)
-            return conv(used, c1.apply(x), c2.apply(x))
+            return _conv_bodies(used, c1, c2, probe_var(d1))
         case (VPathT(space=s1, lhs=l1, rhs=r1),
               VPathT(space=s2, lhs=l2, rhs=r2)):
             return (conv(used, s1, s2) and conv(used, l1, l2, s1)
@@ -172,15 +180,72 @@ def _conv_later(used: frozenset, a: Value, b: Value) -> bool:
     one pass, in any order (exchange).  A binding never paired stays a probe
     of its own side, so the bodies agree only if neither uses it
     (weakening).  The type dependencies of paired bindings must be paired
-    with each other too."""
-    st = _Pairing(used, canon_later_value(a, used), canon_later_value(b, used))
+    with each other too.
+
+    Before pairing, the `a is b` test lifted to closures is tried
+    (`_same_later`): two sides with one body closure (`_same_closure`) are
+    equal if their bindings convert position by position."""
+    a, b = canon_later_value(a, used), canon_later_value(b, used)
+    if _same_later(used, a, b):
+        return True
+    st = _Pairing(used, a, b)
+    _OPEN.append(st)
     try:
-        return (conv(used, st.a.body.apply(*st.probes_a),
-                     st.b.body.apply(*st.probes_b))
+        return (conv(used, a.body.apply(*st.probes_a),
+                     b.body.apply(*st.probes_b))
                 and _pair_dependencies(used, st))
     finally:
+        _OPEN.pop()
         # probes that outlive the call in some value are plain variables
         st.pairs, st.left = {}, {}
+
+
+# the pairing state of each `_conv_later` call in progress, innermost last
+_OPEN: list = []
+
+
+def _same_later(used: frozenset, a: Value, b: Value) -> bool:
+    """One body closure and bindings convertible position by position.  The
+    check holds only if it paired no binding of an enclosing call: pairing
+    might leave an unused binding unpaired, or pair it otherwise, so such
+    pairings are undone and the caller pairs as if the check had not run."""
+    if len(a.entries) != len(b.entries) or not _same_closure(a.body, b.body):
+        return False
+    sizes = [len(st.pairs) for st in _OPEN]
+    same = all(conv(used, u, v) for (_, u), (_, v) in zip(a.entries, b.entries))
+    for st, n in zip(_OPEN, sizes):
+        while len(st.pairs) > n:
+            same = False
+            st.taken.discard(st.pairs.popitem()[1])
+    return same
+
+
+def _same_closure(c, d) -> bool:
+    """Closures equal on every argument because they are built alike: one
+    body term over the same binders and identical captured values (interval
+    expressions equal), or one inlining of such closures, or one value."""
+    if c is d:
+        return True
+    match (c, d):
+        case (TermClosure(), TermClosure()):
+            # `==` on the environments compares a value by identity and an
+            # interval expression by value
+            return (c.body is d.body and c.names == d.names
+                    and c.env == d.env)
+        case (InlinedDsClosure(), InlinedDsClosure()):
+            return (c.kept == d.kept and len(c.recipe) == len(d.recipe)
+                    and _same_closure(c.base, d.base)
+                    and all(p == q and ps == qs and _same_closure(f, g)
+                            for (p, f, ps), (q, g, qs)
+                            in zip(c.recipe, d.recipe)))
+        case (ValueClosure(), ValueClosure()):
+            return c.value is d.value
+    return False
+
+
+def _conv_bodies(used: frozenset, c, d, x: Value) -> bool:
+    """Two closures agree at x: at once if they are the same."""
+    return _same_closure(c, d) or conv(used, c.apply(x), d.apply(x))
 
 
 _IDENTITY = FnClosure(lambda v: v)
@@ -288,10 +353,7 @@ def _conv_neutral(used: frozenset, a, b) -> bool:
                     return False
             return conv(used, b1, b2)
         case (NDFix(clock=r1, closure=c1), NDFix(clock=r2, closure=c2)):
-            if not dm_equal(r1, r2):
-                return False
-            x = probe_var()
-            return conv(used, c1.apply(x), c2.apply(x))
+            return dm_equal(r1, r2) and _conv_bodies(used, c1, c2, probe_var())
     return _conv_fields(used, a, b)
 
 

@@ -206,6 +206,14 @@ def test_fuel_error_carries_the_declaration_span(capsys, corpus_dir):
     assert err.startswith(f"{path}:4:1: [mismatch] conversion fuel exhausted")
 
 
+def test_zipwith_checks_within_a_fuel_bound(capsys, corpus_dir):
+    # a deterministic work bound: comparing closures built alike without
+    # applying them takes zipwith from 2087 conversion steps to 865
+    code, out, err = run(capsys, "check", "--fuel", "1200",
+                         str(corpus_dir / "zipwith.gctt"))
+    assert (code, err) == (0, "") and "ok" in out
+
+
 def test_transport_through_a_composed_universe_line(capsys, corpus_dir):
     # the contraction of the identity equivalence's fibers is a path
     code, out, err = run(capsys, "normalize", str(corpus_dir / "funext.gctt"),

@@ -3,6 +3,8 @@ systems, and general properties of judgemental equality."""
 
 import itertools
 
+import pytest
+
 from gctt import conversion
 from gctt.conversion import conv, conv_under
 from gctt.eval import (
@@ -252,6 +254,22 @@ def test_identical_bindings_are_paired_without_a_search():
         conversion.FUEL.set(None)
 
 
+@pytest.mark.xfail(strict=True, reason="_pair_dependencies pairs an unmet "
+                   "dependency with the first convertible candidate")
+def test_dependencies_paired_through_an_exchange_of_identical_bindings():
+    # exchanging a1 with a3 and a2 with a4 makes the two sides equal
+    env, used = std_env()
+    env["F2"] = neutral_var("F2", VPi(VNat(), FnClosure(
+        lambda _x: VPi(VNat(), FnClosure(lambda _y: later_of(VNat()))))))
+    env["V"] = neutral_var("V", ev(
+        "|> [a1 <- t, a2 <- t, a3 <- t, a4 <- t] (|> [z1 <- F2 a1 a2,"
+        " z2 <- F2 a3 a4] (Path N (g z1 z2) (g z1 z2)))", env))
+    env["k"] = neutral_var("k")
+    src = ("next [a1 <- t, a2 <- t, a3 <- t, a4 <- t, v <- V] (k (next"
+           " [e1 <- F2 a1 a2, e2 <- F2 a3 a4, q <- v] (k q {})))")
+    assert cv(src.format("a4"), src.format("a2"), env)
+
+
 def test_flexible_probe_has_no_support_of_its_own():
     # its pairing state holds both sides' values, which the interval action
     # does not walk
@@ -288,6 +306,114 @@ def test_later_conversion_agrees_with_readback_on_corpus(corpus_dir,
         by_readback = (alpha_canonical(readback_value(used, a))
                        == alpha_canonical(readback_value(used, b)))
         assert conv(used, a, b) == by_readback
+
+
+def test_closure_check_agrees_with_applying_the_closures_on_corpus(
+        corpus_dir, monkeypatch):
+    """Every comparison made while checking the corpus is decided alike
+    when closures built alike are applied and compared instead.  A nested
+    comparison's verdict may rest on the pairings of its enclosing later
+    comparison, so each is decided afresh both ways."""
+    from gctt.cli import Loader
+
+    seen = []
+    plain = conversion.conv
+
+    def recording(used, a, b, ty=None):
+        seen.append((used, a, b, ty))
+        return plain(used, a, b, ty)
+
+    monkeypatch.setattr(conversion, "conv", recording)
+    loader = Loader([str(corpus_dir)])
+    for path in sorted(corpus_dir.glob("*.gctt")):
+        loader.load(path)
+    monkeypatch.setattr(conversion, "conv", plain)
+    verdicts = [conv(*call) for call in seen]
+    monkeypatch.setattr(conversion, "_same_closure", lambda c, d: False)
+    assert len(seen) > 1000 and not all(verdicts)
+    for call, verdict in zip(seen, verdicts):
+        assert conv(*call) == verdict
+
+
+# ---------------------------------------------------------------------------
+# closures built alike: one body term over identical values
+
+
+def ev_twice(src, env, other=None):
+    """One parsed term evaluated in `env` and in `other` (default: `env`),
+    so that the two values close the same body terms."""
+    term = parse_term(src)
+    return eval_term(dict(env), term), eval_term(dict(other or env), term)
+
+
+def deep(leaf):
+    body = "u"
+    for _ in range(12):
+        body = f"(g {leaf} {body})"
+    return body
+
+
+@pytest.mark.parametrize("src", [
+    "dfix 0 x. " + deep("(f x)"),
+    # bindings convertible, but not the same objects
+    "next [x <- k1 u, y <- k1 (suc u)] " + deep("(g x y)"),
+    "\\(z : N) -> " + deep("(h z)"),
+], ids=["dfix", "next", "lambda"])
+def test_closures_built_alike_convert_without_applying_them(src):
+    # applying the closures and comparing the bodies takes over 100 steps
+    env, used = std_env()
+    env["k1"] = neutral_var("k1", VPi(VNat(), FnClosure(
+        lambda _x: later_of(VNat()))))
+    a, b = ev_twice(src, env)
+    assert a is not b
+    conversion.FUEL.set(20)
+    try:
+        assert conv(used | {"k1"}, a, b)
+    finally:
+        conversion.FUEL.set(None)
+
+
+@pytest.mark.parametrize("src", ["\\(z : N) -> g z u",
+                                 "dfix 0 x. g (f x) u"],
+                         ids=["lambda", "dfix"])
+def test_closures_over_different_values_are_applied(src):
+    env, used = std_env()
+    assert not conv(used, *ev_twice(src, env, dict(
+        env, u=neutral_var("w", VNat()))))
+    # a captured value convertible with, but not identical to, the other
+    assert conv(used, *ev_twice(src, env, dict(
+        env, u=neutral_var("u", VNat()))))
+
+
+def test_one_next_over_exchanged_bindings_is_not_equal():
+    env, used = std_env()
+    src = "next [x <- a, y <- b] (g x y)"
+    a, b = ev_twice(src, dict(env, a=env["t"], b=env["s"]),
+                    dict(env, a=env["s"], b=env["t"]))
+    assert a.body is not b.body and conversion._same_closure(a.body, b.body)
+    assert not conv(used, a, b)
+
+
+def test_one_next_with_a_different_unused_binding_is_equal():
+    env, used = std_env()
+    for src in ["next [x <- a, y <- s] (h y)", "|> [x <- a, y <- s] N"]:
+        assert conv(used, *ev_twice(src, dict(env, a=env["t"]),
+                                    dict(env, a=env["r"])))
+
+
+def test_closure_check_pairs_no_binding_of_an_enclosing_next():
+    # both sides apply G, whose next closes one body over u and w but uses
+    # only w; its bindings are outer probes.  Checking the inner nexts
+    # binding by binding must not pair the outer p with p: the right p is
+    # the left r.  And a check that fails must not keep its pairings.
+    env, used = std_env()
+    env["T"] = neutral_var("T", later_of(later_of(VNat())))
+    env["k"] = neutral_var("k")
+    env["G"] = ev("\\(p : |> N) -> \\(q : |> N) -> next [u <- p, w <- q]"
+                  " (h w)", env)
+    ds = "next [p <- T, q <- T, r <- T] "
+    assert cv(ds + "(k (G p q) r)", ds + "(k (G p q) p)", env)
+    assert cv(ds + "(k (G p q))", ds + "(k (G q q))", env)
 
 
 # ---------------------------------------------------------------------------
