@@ -1,7 +1,8 @@
 """Command-line front end: check, normalize, parse.
 
-Exit codes: 0 success, 1 type error, 2 parse error (I/O failures are
-reported distinctly on stderr but share the parse-error exit code).
+Exit codes: 0 success, 1 type error, 2 parse error. I/O failures, a file
+that is not UTF-8 among them, and usage errors such as a negative `--fuel`
+are reported distinctly on stderr but share the parse-error exit code.
 Imports are resolved along a search path, then in the importing file's
 directory; within one invocation each module file is checked once, and the
 result is reused wherever that file is imported or named again.
@@ -41,6 +42,9 @@ def _read_module(path: Path) -> ModuleFile:
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"io error: {exc}", EXIT_PARSE_ERROR)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"io error: {path}: not UTF-8 ({exc.reason} at byte"
+                       f" {exc.start})", EXIT_PARSE_ERROR)
     try:
         return parse_module(source)
     except ParseError as exc:
@@ -192,6 +196,18 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+def _fuel(text: str) -> int:
+    """A `--fuel` value: a number of conversion steps, 0 or more."""
+    try:
+        fuel = int(text)
+    except ValueError:
+        fuel = -1
+    if fuel < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, found {text!r}")
+    return fuel
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gctt",
@@ -202,7 +218,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--search-path", action="append", default=[],
                        metavar="DIR", help="module search directory")
-        p.add_argument("--fuel", type=int, default=None,
+        p.add_argument("--fuel", type=_fuel, default=None,
                        help="conversion step bound")
 
     p_check = sub.add_parser("check", help="type check modules")

@@ -607,24 +607,47 @@ def make_later(entries, body: Closure) -> Value:
 # Types established by the checker for delayed fixed points (for a `fix`,
 # the type of the `dfix` its binder stands for), keyed by the identity of
 # the (shared, immutable) term node; the term is kept alive so ids stay
-# stable.
+# stable.  An entry is `[node, term, pending]`: the type is read back from
+# `pending` (the readback's arguments) only when the node is first looked
+# up, which is when it is evaluated.
 DFIX_TYPES: dict = {}
 
 
-def register_dfix_type(node, type_term: Term):
-    DFIX_TYPES[id(node)] = (node, type_term)
+def register_dfix_type(node, used: frozenset, later: Value):
+    """Record the later type `later` of a fixed-point node, to be read back
+    over `used` under the delayed-substitution expansions in force now."""
+    DFIX_TYPES[id(node)] = [node, None, (used, later, dict(_ds_expansion))]
+
+
+def _dfix_type_term(entry) -> Optional[Term]:
+    """The read-back type of a registry entry, read back on first use.
+    While it is being read back the entry has no term yet, so a lookup of
+    it from inside that readback misses."""
+    pending = entry[2]
+    if pending is not None:
+        global _ds_expansion
+        used, later, expansion = pending
+        saved, _ds_expansion, entry[2] = _ds_expansion, expansion, None
+        try:
+            entry[1] = readback(used, later)
+        finally:
+            _ds_expansion = saved
+            if entry[1] is None:  # the readback failed: retry on next use
+                entry[2] = pending
+    return entry[1]
 
 
 def registered_dfix_type(env: dict, node) -> Optional[Value]:
     """The later type registered for this fixed-point node, evaluated in
     `env`, when its free names are all in scope there."""
     hit = DFIX_TYPES.get(id(node))
-    if hit is None:
+    term = None if hit is None else _dfix_type_term(hit)
+    if term is None:
         return None
-    fvs, fis = S.free_names(hit[1])
+    fvs, fis = S.free_names(term)
     if not all(n in env for n in fvs | fis):
         return None
-    return eval_term(env, hit[1])
+    return eval_term(env, term)
 
 
 def dfix_v(clock: IExpr, closure: Closure, ty: Optional[Value] = None) -> Value:
@@ -1269,6 +1292,6 @@ def readback_neutral(used: frozenset, ne: Neutral,
             # keep the checked type attached to the printed fixed point, so
             # normal forms stay inferable when rechecked
             if isinstance(ty, VLaterT) and not ty.entries:
-                register_dfix_type(node, readback(used, ty))
+                register_dfix_type(node, used, ty)
             return node
     return _readback_former(used, ne)

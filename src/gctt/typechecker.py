@@ -304,7 +304,7 @@ class Checker:
                     try:
                         ctx2, _ = ctx.bind_term(x, later)
                         self.check(ctx2, b, cand)
-                        register_dfix_type(t, readback(ctx.used, later))
+                        register_dfix_type(t, ctx.used, later)
                         return later
                     except GcttTypeError:
                         continue
@@ -381,7 +381,7 @@ class Checker:
                 inner = later.body.apply()
                 ctx2, _ = ctx.bind_term(x, later)
                 self.check(ctx2, b, inner)
-                register_dfix_type(t, readback(ctx.used, later))
+                register_dfix_type(t, ctx.used, later)
                 return
             case S.Fix(clock=r, binder=x, body=b):
                 # guarded fixed points: from x : |> A |- b : A, fix r x. b : A
@@ -395,7 +395,7 @@ class Checker:
                         t.span, "mismatch",
                         f"fixed point body does not check: {err.located()}",
                     ) from None
-                register_dfix_type(t, readback(ctx.used, later))
+                register_dfix_type(t, ctx.used, later)
                 return
             case S.SystemTerm(branches=bs):
                 face, _ = self.check_system(ctx, bs, ty, t.span)

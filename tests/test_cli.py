@@ -46,6 +46,24 @@ def test_check_missing_file_reports_io(capsys, tmp_path):
     assert code == 2 and "io error" in err
 
 
+@pytest.mark.parametrize("command", ["check", "normalize", "parse"])
+def test_a_file_that_is_not_utf8_reports_io(capsys, tmp_path, command):
+    p = tmp_path / "bin.gctt"
+    p.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert err == f"io error: {p}: not UTF-8 (invalid start byte at byte 0)\n"
+
+
+def test_an_import_that_is_not_utf8_reports_io(capsys, tmp_path):
+    (tmp_path / "lib.gctt").write_bytes(b"module lib where\n\xe9\n")
+    p = tmp_path / "m.gctt"
+    p.write_text("module m where\n\nimport lib\n")
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"io error: {tmp_path / 'lib.gctt'}: not UTF-8")
+
+
 def test_check_module_name_must_match_stem(capsys, tmp_path):
     p = tmp_path / "left.gctt"
     p.write_text("module right where")
@@ -204,6 +222,26 @@ def test_fuel_error_carries_the_declaration_span(capsys, corpus_dir):
     assert code == 1
     # the first declaration, funext, starts on line 4
     assert err.startswith(f"{path}:4:1: [mismatch] conversion fuel exhausted")
+
+
+@pytest.mark.parametrize("command", ["check", "normalize"])
+@pytest.mark.parametrize("fuel", ["-1", "x"])
+def test_a_fuel_that_is_not_a_count_is_a_usage_error(capsys, corpus_dir,
+                                                      command, fuel):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--fuel", fuel, str(corpus_dir / "funext.gctt")])
+    assert exc.value.code == 2
+    assert ("argument --fuel: expected a non-negative integer, found"
+            f" {fuel!r}") in capsys.readouterr().err
+
+
+def test_zero_fuel_allows_no_conversion_step(capsys):
+    assert run(capsys, "normalize", "--fuel", "0", "--expr", "0") == (
+        0, "0\n", "")
+    # checking the argument of `suc` against N is one step
+    code, out, err = run(capsys, "normalize", "--fuel", "0", "--expr", "1")
+    assert (code, out) == (1, "")
+    assert "conversion fuel exhausted" in err
 
 
 def test_zipwith_checks_within_a_fuel_bound(capsys, corpus_dir):

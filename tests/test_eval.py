@@ -287,6 +287,45 @@ def test_readback_of_next_weakens():
     assert norm("next [x <- t] 0", {"t": t}) == "next 0"
 
 
+def test_a_fixed_point_type_is_read_back_once_when_first_looked_up():
+    node = parse_term("dfix 0 x. x")
+    seen, runs = [], []
+
+    def body():
+        runs.append(None)
+        if len(runs) == 1:
+            raise RuntimeError("interrupted")
+        # the entry is being read back: looking it up misses
+        seen.append(E.registered_dfix_type({}, node))
+        return VNat()
+
+    E.register_dfix_type(node, frozenset(), VLaterT((), FnClosure(body)))
+    assert runs == []
+    with pytest.raises(RuntimeError):
+        E.registered_dfix_type({}, node)
+    for _ in range(2):  # a failed readback is retried, a done one kept
+        assert norm_v(E.registered_dfix_type({}, node)) == "|> N"
+    assert len(runs) == 2 and seen == [None]
+
+
+def test_a_fixed_point_type_is_read_back_under_its_registration_expansions(
+        monkeypatch):
+    """Delayed-substitution bindings are ordered by their contents under the
+    expansions of the enclosing binders in force at registration."""
+    later_n = ev("|> N")
+    env = {"u": neutral_var("u", later_n), "w": neutral_var("w", later_n)}
+    inner = ev("|> [a <- u, b <- w] Path N a b", env)
+    ty = VLaterT((), ValueClosure(inner))
+    node = parse_term("dfix 0 x. x")
+    monkeypatch.setattr(E, "_ds_expansion",
+                        {"u": S.Var(None, "z"), "w": S.Var(None, "a")})
+    E.register_dfix_type(node, frozenset(env), ty)
+    monkeypatch.setattr(E, "_ds_expansion", {})
+    assert norm_v(ty, env) == "|> (|> [a <- u, b <- w] (Path N a b))"
+    assert term_str(E._dfix_type_term(E.DFIX_TYPES[id(node)])) == (
+        "|> (|> [b <- w, a <- u] (Path N a b))")
+
+
 # ---------------------------------------------------------------------------
 # readback
 

@@ -1,8 +1,11 @@
 """Typechecker tests: inference, checking, delayed substitutions, systems,
 compositions, glue formation, modules, and the negative suite."""
 
+import sys
+
 import pytest
 
+import gctt.eval as E
 from gctt import syntax as S
 from gctt.eval import (
     IDENTITY_EQUIV,
@@ -508,3 +511,83 @@ def test_subject_reduction_across_corpus(corpus_dir):
 def test_no_closed_path_from_zero_to_one(candidate):
     ck, ctx = make_ctx()
     check_fails(ck, ctx, candidate, "Path N 0 1")
+
+
+def _count_readbacks(monkeypatch) -> list:
+    """Count calls of the readback functions, wherever a gctt module names
+    them; returns a one-element list holding the count."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("readback", "readback_value", "readback_neutral"):
+        fn = getattr(E, name)
+        wrapper = counted(fn)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("gctt") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_checking_never_reads_back_the_type_of_an_unevaluated_fix(
+        corpus_dir, monkeypatch):
+    """Checking zipwith.gctt never evaluates the Löb proof's fixed point, so
+    its registered type stays unread, and the module's readbacks stay few
+    (1048 when each registered type was read back at registration)."""
+    ck = Checker()
+    streams = ck.check_module(
+        parse_module((corpus_dir / "streams.gctt").read_text()))
+    module = parse_module((corpus_dir / "zipwith.gctt").read_text())
+    (proof,) = [d for d in module.declarations
+                if d.name == "zipWith_preserves_comm"]
+    fix = proof.body
+    while isinstance(fix, S.Lam):
+        fix = fix.body
+    assert isinstance(fix, S.Fix)
+    calls = _count_readbacks(monkeypatch)
+    ck.check_module(module, [streams])
+    assert calls[0] <= 400
+    node, term, pending = E.DFIX_TYPES[id(fix)]
+    assert node is fix and term is None and pending is not None
+
+
+def test_deferred_fixed_point_types_read_back_as_eager_ones(
+        corpus_dir, monkeypatch):
+    """Every fixed-point type registered while the corpus is checked and
+    normalized, read back at the end, is the term a readback at its
+    registration gives."""
+    import gctt.typechecker as T
+    from gctt.cli import CliError, Loader
+
+    register = E.register_dfix_type
+    recorded = []
+
+    def register_recording(node, used, later):
+        eager = readback(used, later)
+        register(node, used, later)
+        recorded.append((E.DFIX_TYPES[id(node)], eager))
+
+    for mod in (E, T):
+        monkeypatch.setattr(mod, "register_dfix_type", register_recording)
+    loader = Loader([str(corpus_dir)])
+    for path in sorted(corpus_dir.rglob("*.gctt")):
+        try:
+            checked = loader.load(path)
+        except CliError:
+            assert path.parent.name == "negative", path
+            continue
+        used = frozenset(checked.table)
+        for name in checked.order:
+            ty, val = checked.table[name]
+            readback(used, val, ty)
+    differ = []
+    for entry, eager in recorded:
+        term = E._dfix_type_term(entry)
+        if term != eager or term_str(term) != term_str(eager):
+            differ.append((term_str(entry[0]), term_str(term),
+                           term_str(eager)))
+    assert len(recorded) > 50 and differ == []
