@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 type error, 2 parse error. I/O failures, a file
 that is not UTF-8 among them, and usage errors such as a negative `--fuel`
 are reported distinctly on stderr but share the parse-error exit code.
+Output cut short by its reader (`gctt parse F | head -1`) ends quietly with
+141, the code of a process that SIGPIPE ended.
 Imports are resolved along a search path, then in the importing file's
 directory; within one invocation each module file is checked once, and the
 result is reused wherever that file is imported or named again.
@@ -26,6 +28,7 @@ from .typechecker import Checker, CheckedModule, Ctx, GcttTypeError
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
 EXIT_PARSE_ERROR = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: the output's reader closed it
 
 SEARCH_PATH_VAR = "GCTT_PATH"
 
@@ -247,18 +250,34 @@ def main(argv=None) -> int:
     if args.command in ("check", "parse") and not args.paths:
         print("error: no input files", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    command = {"check": cmd_check, "normalize": cmd_normalize,
+               "parse": cmd_parse}[args.command]
     try:
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "normalize":
-            return cmd_normalize(args)
-        return cmd_parse(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
     except RecursionError:
         print("error: recursion limit exceeded", file=sys.stderr)
         return EXIT_TYPE_ERROR
+    except BrokenPipeError:
+        # the output's reader is gone: stop quietly, as SIGPIPE would
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
+
+
+def _discard_stdout():
+    """Point standard output at the null device, so that flushing what is
+    still buffered at exit does not fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):
+        return  # not backed by a file descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

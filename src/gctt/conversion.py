@@ -129,7 +129,7 @@ def _conv_structural(used: frozenset, a: Value, b: Value) -> bool:
                     and conv(used, snd_v(a), snd_v(b)))
         case (VPi(domain=d1, codomain=c1), VPi(domain=d2, codomain=c2)) | \
              (VSigma(first=d1, second=c1), VSigma(first=d2, second=c2)):
-            if type(a) is not type(b) or not conv(used, d1, d2):
+            if not conv(used, d1, d2):
                 return False
             return _conv_bodies(used, c1, c2, probe_var(d1))
         case (VPathT(space=s1, lhs=l1, rhs=r1),

@@ -81,6 +81,16 @@ class Closure(Nominal):
     def apply(self, *vals):
         raise NotImplementedError
 
+    def constant(self) -> bool:
+        """Whether the closure ignores its arguments: then `apply()`, with
+        none, gives its value, and no placeholder stands for them."""
+        return False
+
+    def apply_lazy(self, arg: Callable[[], "Value"]) -> "Value":
+        """Apply to the value `arg()`, calling `arg` only if the closure
+        reads it."""
+        return self.apply() if self.constant() else self.apply(arg())
+
 
 @node
 class TermClosure(Closure):
@@ -92,6 +102,11 @@ class TermClosure(Closure):
         env = dict(self.env)
         env.update(zip(self.names, vals))
         return eval_term(env, self.body)
+
+    def constant(self) -> bool:
+        # a path lambda's parameter is an interval name
+        fvs, fis = S.free_names(self.body)
+        return fvs.isdisjoint(self.names) and fis.isdisjoint(self.names)
 
 
 def capture(env: dict, names: tuple, body: Term) -> TermClosure:
@@ -119,6 +134,9 @@ class ValueClosure(Closure):
 
     def apply(self, *vals):
         return self.value
+
+    def constant(self) -> bool:
+        return True
 
 
 @node
@@ -818,9 +836,9 @@ def comp_pi(k, line, phi, tube, base):
 def comp_sigma(k, line, phi, tube, base):
     fst_tube, fst_base = fst_v(tube), fst_v(base)
     first = comp_v(k, line.first, phi, fst_tube, fst_base)
-    fill_fst = fill_at(k, line.first, phi, fst_tube, fst_base, IVar(k))
-    second = comp_v(k, line.second.apply(fill_fst), phi,
-                    snd_v(tube), snd_v(base))
+    second_line = line.second.apply_lazy(
+        lambda: fill_at(k, line.first, phi, fst_tube, fst_base, IVar(k)))
+    second = comp_v(k, second_line, phi, snd_v(tube), snd_v(base))
     return VPair(first, second)
 
 

@@ -18,6 +18,7 @@ from .conversion import FUEL, FuelExhausted, conv_under
 from .eval import (
     ValueClosure,
     VGlueT,
+    VLam,
     VLaterT,
     VNat,
     VPathT,
@@ -196,7 +197,7 @@ class Checker:
                         f"applied a term of type {self._show(ctx, fty)}",
                     )
                 self.check(ctx, a, fty.domain)
-                return fty.codomain.apply(eval_term(ctx.env, a))
+                return fty.codomain.apply_lazy(lambda: eval_term(ctx.env, a))
             case S.PApp(fn=f, arg=r):
                 fty = self.infer(ctx, f)
                 if not isinstance(fty, VPathT):
@@ -217,7 +218,8 @@ class Checker:
                 if not isinstance(pty, VSigma):
                     raise GcttTypeError(t.span, "mismatch",
                                         "projection from a non-pair")
-                return pty.second.apply(fst_v(eval_term(ctx.env, p)))
+                return pty.second.apply_lazy(
+                    lambda: fst_v(eval_term(ctx.env, p)))
             case S.Lam(binder=x, annotation=ann, body=b):
                 if ann is None:
                     raise GcttTypeError(
@@ -240,6 +242,8 @@ class Checker:
                 self.check(ctx, z, apply_v(mv, VZero()))
                 self.check(ctx, s, _NATREC_STEP(mv))
                 self.check(ctx, n, VNat())
+                if isinstance(mv, VLam):
+                    return mv.closure.apply_lazy(lambda: eval_term(ctx.env, n))
                 return apply_v(mv, eval_term(ctx.env, n))
             case S.Nat() | S.Univ():
                 return VUniv()
@@ -344,7 +348,8 @@ class Checker:
                 return
             case S.Pair(fst=a, snd=b) if isinstance(ty, VSigma):
                 self.check(ctx, a, ty.first)
-                self.check(ctx, b, ty.second.apply(eval_term(ctx.env, a)))
+                self.check(ctx, b,
+                           ty.second.apply_lazy(lambda: eval_term(ctx.env, a)))
                 return
             case S.PLam(binder=i, body=b) if isinstance(ty, VPathT):
                 ctx2, iname = ctx.bind_interval(i)
@@ -582,7 +587,7 @@ class Checker:
                     if name not in table:
                         table[name] = (ty, val)
                         ctx = ctx.define(name, ty, val)
-            order = []
+            order = {}  # the declared names, in order
             for decl in module.declarations:
                 if decl.name in order:
                     raise GcttTypeError(decl.span, "mismatch",
@@ -594,7 +599,7 @@ class Checker:
                     value = eval_term(ctx.env, decl.body)
                 ctx = ctx.define(decl.name, ty, value)
                 table[decl.name] = (ty, value)
-                order.append(decl.name)
+                order[decl.name] = None
                 reports.append(DeclReport(
                     decl.name, "ok", (time.monotonic() - start) * 1000.0
                 ))

@@ -1,11 +1,15 @@
 """Command-line interface tests: exit codes, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import gctt
 from gctt.cli import main
 from gctt.parser import parse_module
 from gctt.syntax import term_str, unfold_fix
@@ -224,6 +228,42 @@ def test_fuel_error_carries_the_declaration_span(capsys, corpus_dir):
     assert err.startswith(f"{path}:4:1: [mismatch] conversion fuel exhausted")
 
 
+class _ClosedPipe:
+    """A standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["parse", "{corpus}/streams.gctt"],
+                                  ["check", "--report", "{corpus}/streams.gctt"],
+                                  ["normalize", "--expr", "0"]])
+def test_output_to_a_closed_pipe_ends_quietly(capsys, monkeypatch, corpus_dir,
+                                              argv):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    code = main([a.format(corpus=corpus_dir) for a in argv])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_leaves_no_traceback_at_exit(corpus_dir):
+    # the output is block-buffered, as in a shell pipeline, so the pipe is
+    # found closed when the output is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(gctt.__file__).parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gctt.cli", "parse",
+         str(corpus_dir / "streams.gctt")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 @pytest.mark.parametrize("command", ["check", "normalize"])
 @pytest.mark.parametrize("fuel", ["-1", "x"])
 def test_a_fuel_that_is_not_a_count_is_a_usage_error(capsys, corpus_dir,
@@ -322,6 +362,13 @@ def test_fixed_point_clock_is_checked_when_the_body_ignores_it(capsys,
     code, _, err = run(capsys, "check", path)
     assert code == 1
     assert err.strip() == f"{path}:3:9: [unbound] interval name i not in scope"
+
+
+def test_an_inferred_fixed_point_clock_is_checked_when_the_body_ignores_it(
+        capsys):
+    code, out, err = run(capsys, "normalize", "--expr", "fix i x. 0")
+    assert (code, out) == (1, "")
+    assert err.strip() == "<expr>:1:1: [unbound] interval name i not in scope"
 
 
 def test_loeb_induction_failure_names_the_failure_in_its_body(capsys,

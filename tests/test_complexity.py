@@ -1,0 +1,77 @@
+"""Growth of the work normalization does with the size of its input.
+
+Call counts do not depend on the machine's speed. Each family of terms
+below is linear in its size n; it is normalized at n and 2n, and the ratio
+of the calls each counted function gets at 2n to those at n is bounded.
+The glue, path and Pi families are the `kan_normalize` benchmark's
+builders; an application chain nests `(\\(x : N) -> x) (...)`.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import gctt.eval as E
+from gctt.cli import Loader
+from gctt.parser import parse_term
+from gctt.syntax import term_str
+from gctt.typechecker import Ctx
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+COUNTED = ("eval_term", "comp_v", "readback_value")
+SIZES = (8, 16)
+MAX_GROWTH = 2.2
+
+
+def _applications(n):
+    t = "0"
+    for _ in range(n):
+        t = f"(\\(x : N) -> x) ({t})"
+    return t, "0"
+
+
+FAMILIES = {
+    "glue": lambda n: workloads.glue_roundtrips(n, 5),
+    "paths": lambda n: workloads.path_chain(["inv", "transitivity"] * (n // 2),
+                                            5, 0),
+    "pi": lambda n: workloads.pi_transport([m % 10 for m in range(n)],
+                                           n // 2),
+    "applications": _applications,
+}
+
+
+@pytest.fixture(scope="module")
+def kan(tmp_path_factory):
+    """The checker and context of the benchmark's Kan prelude."""
+    path = tmp_path_factory.mktemp("kan") / "kan.gctt"
+    path.write_text(workloads.KAN_PRELUDE, encoding="utf-8")
+    loader = Loader([])
+    ctx = Ctx()
+    for name, (ty, val) in loader.load(path).table.items():
+        ctx = ctx.define(name, ty, val)
+    return loader.checker, ctx
+
+
+def _calls(kan, calls: dict, source: str, expected: str) -> dict:
+    """The calls counted in `calls` while `source` is normalized as
+    `normalize --expr` does: its type inferred, and it evaluated and read
+    back at that type."""
+    checker, ctx = kan
+    before = dict(calls)
+    term = parse_term(source)
+    ty = checker.infer(ctx, term)
+    normal = E.readback(frozenset(ctx.used), E.eval_term(ctx.env, term), ty)
+    assert term_str(normal) == expected
+    return {name: calls[name] - before[name] for name in calls}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_normalization_work_grows_linearly(kan, count_calls, family):
+    calls = count_calls(*COUNTED)
+    small, large = (_calls(kan, calls, *FAMILIES[family](n)) for n in SIZES)
+    for name in COUNTED:
+        assert large[name] <= MAX_GROWTH * max(small[name], 1), (
+            f"{family}: {name} {small[name]} -> {large[name]} calls")

@@ -14,6 +14,7 @@ from gctt.eval import (
     VNext,
     VPathT,
     VPi,
+    VSigma,
     ValueClosure,
     canon_later_value,
     eval_term,
@@ -163,6 +164,13 @@ def test_identical_contents_do_not_identify_distinct_uses():
 
 def test_next_is_not_a_later_type():
     assert not cv("next [x <- t] (suc x)", "|> [x <- t] N")
+
+
+def test_pi_and_sigma_types_with_convertible_parts_are_not_equal():
+    body = ValueClosure(VNat())
+    assert not conv(frozenset(), VPi(VNat(), body), VSigma(VNat(), body))
+    assert not conv(frozenset(), VSigma(VNat(), body), VPi(VNat(), body))
+    assert not cv("N -> N", "N * N")
 
 
 def test_next_substitution_of_several_bindings_under_a_prefix():

@@ -12,6 +12,7 @@ import gctt.syntax as S
 from gctt.conversion import conv
 from gctt.eval import (
     FnClosure,
+    InlinedDsClosure,
     NComp,
     VGlueIntro,
     VGlueT,
@@ -175,6 +176,57 @@ def test_comp_sigma_fst_commutes():
     v = ev("(comp i ((x : N) * N) [] (1, 2)).1")
     w = ev("comp i N [] 1")
     assert conv(frozenset(), v, w)
+
+
+def test_comp_sigma_fills_the_first_component_only_for_a_dependent_family(
+        monkeypatch):
+    fills = []
+    fill_at = E.fill_at
+
+    def recording(*args):
+        fills.append(args)
+        return fill_at(*args)
+
+    monkeypatch.setattr(E, "fill_at", recording)
+    assert norm_v(ev("comp i ((x : N) * N) [] (1, 2)")) == "(1, 2)"
+    assert fills == []
+    assert norm_v(ev("comp i ((x : N) * Path N x x) [] (1, <j> 1)")) \
+        == "(1, <i> 1)"
+    assert fills
+
+
+def test_a_closure_is_constant_when_it_ignores_its_arguments():
+    p = neutral_var("p", VPathT(VNat(), VZero(), VZero()))
+    assert ValueClosure(VZero()).constant()
+    assert ev(r"\x -> 0").closure.constant()
+    assert not ev(r"\x -> x").closure.constant()
+    assert ev("<i> 0").closure.constant()
+    # a path lambda's parameter is an interval name
+    assert not ev("<i> p @ i", {"p": p}).closure.constant()
+    assert not FnClosure(lambda x: VZero()).constant()
+    assert not InlinedDsClosure(ValueClosure(VZero()), (), ()).constant()
+
+
+def test_a_constant_closure_leaves_its_parameter_unbound():
+    """A fixed point's registered type can mention a name its body does
+    not, here the parameter `x` of a closure that ignores it. Applied to no
+    argument, the closure leaves `x` unbound, so that type is out of scope
+    and the fixed point gets none; a placeholder bound to `x` would be read
+    as a value when the type is."""
+    node = parse_term("dfix 0 r. r")
+    x = neutral_var("x", VNat())
+    E.register_dfix_type(node, frozenset({"x"}),
+                         VLaterT((), ValueClosure(VPathT(VNat(), x, x))))
+    closure = E.capture({}, ("x",), node)
+    assert closure.constant()
+
+    def no_argument():
+        raise AssertionError("a constant closure's argument was evaluated")
+
+    v = closure.apply_lazy(no_argument)
+    assert isinstance(v, VNeutral) and v.type is None
+    with pytest.raises(RuntimeError, match="ill-scoped variable 'x'"):
+        closure.apply(None).type.body.apply()
 
 
 def test_comp_path_endpoints():

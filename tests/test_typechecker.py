@@ -1,8 +1,6 @@
 """Typechecker tests: inference, checking, delayed substitutions, systems,
 compositions, glue formation, modules, and the negative suite."""
 
-import sys
-
 import pytest
 
 import gctt.eval as E
@@ -513,28 +511,8 @@ def test_no_closed_path_from_zero_to_one(candidate):
     check_fails(ck, ctx, candidate, "Path N 0 1")
 
 
-def _count_readbacks(monkeypatch) -> list:
-    """Count calls of the readback functions, wherever a gctt module names
-    them; returns a one-element list holding the count."""
-    calls = [0]
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls[0] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("readback", "readback_value", "readback_neutral"):
-        fn = getattr(E, name)
-        wrapper = counted(fn)
-        for modname, mod in list(sys.modules.items()):
-            if modname.startswith("gctt") and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, wrapper)
-    return calls
-
-
 def test_checking_never_reads_back_the_type_of_an_unevaluated_fix(
-        corpus_dir, monkeypatch):
+        corpus_dir, count_calls):
     """Checking zipwith.gctt never evaluates the Löb proof's fixed point, so
     its registered type stays unread, and the module's readbacks stay few
     (1048 when each registered type was read back at registration)."""
@@ -548,11 +526,30 @@ def test_checking_never_reads_back_the_type_of_an_unevaluated_fix(
     while isinstance(fix, S.Lam):
         fix = fix.body
     assert isinstance(fix, S.Fix)
-    calls = _count_readbacks(monkeypatch)
+    calls = count_calls("readback", "readback_value", "readback_neutral")
     ck.check_module(module, [streams])
-    assert calls[0] <= 400
+    assert sum(calls.values()) <= 400
     node, term, pending = E.DFIX_TYPES[id(fix)]
     assert node is fix and term is None and pending is not None
+
+
+def test_a_constant_codomain_is_instantiated_without_its_argument():
+    """`h`'s codomain ignores its binder `x`, which shadows the outer `x`.
+    The `fix` in it is registered at `|> Path N x x`, over the outer `x`,
+    though its body does not mention `x`. Inferring `h 0` instantiates the
+    codomain with `x` unbound, so that type is out of scope there; bound to
+    `0` it would type the fixed point at `|> Path N 0 0` and the module
+    would fail, and bound to a placeholder reading the type back in the
+    annotated lambda would raise."""
+    src = (
+        "module m where\n"
+        "shadow : (x : N) -> (g : Path N x x -> U)\n"
+        "  -> (k : |> N -> Path N x x)\n"
+        "  -> (h : (x : N) -> g (fix 0 r. k (next [y <- r] (y @ 0))))\n"
+        "  -> g (fix 0 r. k (next [y <- r] (y @ 0)))\n"
+        "  = \\x g k h -> (\\(z : N) -> h 0) 0\n")
+    checked = Checker().check_module(parse_module(src))
+    assert checked.order == ("shadow",)
 
 
 def test_deferred_fixed_point_types_read_back_as_eager_ones(
