@@ -8,6 +8,9 @@ Output cut short by its reader (`gctt parse F | head -1`) ends quietly with
 Imports are resolved along a search path, then in the importing file's
 directory; within one invocation each module file is checked once, and the
 result is reused wherever that file is imported or named again.
+One call of `main` is one session: nothing it builds, the fixed-point types
+it registers included, outlives the call, so repeated calls in one process
+keep memory flat.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .eval import act, eval_term, readback
+from .eval import act, dfix_session, eval_term, readback
 from .interval import IVar
 from .parser import ParseError, parse_interval, parse_module, parse_term
 from .syntax import ModuleFile, module_str, term_str
@@ -253,7 +256,8 @@ def main(argv=None) -> int:
     command = {"check": cmd_check, "normalize": cmd_normalize,
                "parse": cmd_parse}[args.command]
     try:
-        code = command(args)
+        with dfix_session():
+            code = command(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except CliError as exc:

@@ -12,6 +12,7 @@ an endpoint, a stuck composition whose face becomes total).
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Optional
@@ -627,8 +628,20 @@ def make_later(entries, body: Closure) -> Value:
 # the (shared, immutable) term node; the term is kept alive so ids stay
 # stable.  An entry is `[node, term, pending]`: the type is read back from
 # `pending` (the readback's arguments) only when the node is first looked
-# up, which is when it is evaluated.
+# up, which is when it is evaluated.  A `dfix_session` owns its entries.
 DFIX_TYPES: dict = {}
+
+
+@contextmanager
+def dfix_session():
+    """A fresh registry for the body; what it registers dies on exit, when
+    the enclosing registry is restored."""
+    global DFIX_TYPES
+    saved, DFIX_TYPES = DFIX_TYPES, {}
+    try:
+        yield
+    finally:
+        DFIX_TYPES = saved
 
 
 def register_dfix_type(node, used: frozenset, later: Value):

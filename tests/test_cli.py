@@ -1,9 +1,11 @@
 """Command-line interface tests: exit codes, reports, determinism."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -290,6 +292,33 @@ def test_zipwith_checks_within_a_fuel_bound(capsys, corpus_dir):
     code, out, err = run(capsys, "check", "--fuel", "1200",
                          str(corpus_dir / "zipwith.gctt"))
     assert (code, err) == (0, "") and "ok" in out
+
+
+def test_in_process_checks_keep_the_heap_flat(capsys, corpus_dir):
+    """One `main` call is one session: what it builds dies when it returns,
+    so repeated checks in one process do not grow the heap (0.33 MB a pass
+    while the fixed-point type registry outlived each call)."""
+    files = [str(corpus_dir / f"{name}.gctt")
+             for name in ("zipwith", "unique_fix", "y_combinator")]
+
+    def one_pass():
+        for path in files:
+            code, out, err = run(capsys, "check", path)
+            assert (code, err) == (0, "")
+
+    one_pass()  # warm-up
+    passes = 5
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(passes):
+            one_pass()
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth / passes < 0.05e6
 
 
 def test_transport_through_a_composed_universe_line(capsys, corpus_dir):

@@ -378,6 +378,30 @@ def test_a_fixed_point_type_is_read_back_under_its_registration_expansions(
         "|> (|> [b <- w, a <- u] (Path N a b))")
 
 
+def test_a_session_drops_what_it_registers_and_keeps_what_encloses_it():
+    def register(node):
+        E.register_dfix_type(node, frozenset(), VLaterT((), ValueClosure(
+            VNat())))
+
+    def registered(*nodes):
+        return [E.registered_dfix_type({}, node) is not None
+                for node in nodes]
+
+    before, outer, inner = (parse_term("dfix 0 x. x") for _ in range(3))
+    register(before)
+    with E.dfix_session():
+        register(outer)
+        with E.dfix_session():
+            register(inner)
+            assert registered(before, outer, inner) == [False, False, True]
+        assert registered(before, outer, inner) == [False, True, False]
+    assert registered(before, outer, inner) == [True, False, False]
+    with pytest.raises(RuntimeError), E.dfix_session():
+        register(inner)
+        raise RuntimeError("interrupted")
+    assert registered(before, inner) == [True, False]
+
+
 # ---------------------------------------------------------------------------
 # readback
 

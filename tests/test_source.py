@@ -1,8 +1,8 @@
 """Properties of the source itself: no failure is hidden by a catch-all
 handler, no table is keyed by object identity, only the evaluator reads the
 delayed fixed points' type registry, every field of a host closure is
-acted on by interval substitutions, and no module-level table hides a
-function from the benchmark's tracer."""
+acted on by interval substitutions, no module-level table hides a
+function from the benchmark's tracer, and none grows across invocations."""
 
 import dataclasses
 import importlib.util
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import gctt
 import gctt.cli  # noqa: F401  (loads every gctt module)
+from gctt.cli import main
 
 SOURCE = Path(gctt.__file__).resolve().parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -84,3 +85,26 @@ def test_no_module_level_table_holds_a_function_the_tracer_wraps():
     finally:
         tracer.uninstall()
     assert tracer._originals and hits == []
+
+
+def _table_sizes():
+    return {f"{modname}.{name}": len(table)
+            for modname, mod in sorted(sys.modules.items())
+            if modname == "gctt" or modname.startswith("gctt.")
+            for name, table in vars(mod).items()
+            if not name.startswith("__")
+            and isinstance(table, (dict, list, set))}
+
+
+def test_no_module_level_table_grows_across_invocations(
+        corpus_dir, count_calls, capsys):
+    """Whatever one `main` call puts in a module-level table, the fixed-point
+    types it registers among them, it takes out before it returns."""
+    argv = ["check", str(corpus_dir / "zipwith.gctt")]
+    assert main(argv) == 0  # warm-up
+    sizes = _table_sizes()
+    calls = count_calls("register_dfix_type")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls["register_dfix_type"] > 0
+    assert _table_sizes() == sizes

@@ -552,6 +552,24 @@ def test_a_constant_codomain_is_instantiated_without_its_argument():
     assert checked.order == ("shadow",)
 
 
+@pytest.mark.xfail(strict=True, raises=GcttTypeError,
+                   reason="a registered fixed-point type is evaluated over"
+                   " source names, so a binder that shadows one captures it")
+def test_a_shadowing_binder_leaves_a_fixed_point_type_alone():
+    """The `fix` is registered at `|> Path N x x` over the outer `x`.
+    Instantiating `h`'s codomain at `0` binds its own `x`, which the
+    registered type must not see."""
+    src = (
+        "module m where\n"
+        "m : (x : N) -> (g : N -> Path N x x -> U)\n"
+        "  -> (k : |> N -> Path N x x)\n"
+        "  -> (h : (x : N) -> g x (fix 0 r. k (next [y <- r] (y @ 0))))\n"
+        "  -> g 0 (fix 0 r. k (next [y <- r] (y @ 0)))\n"
+        "  = \\x g k h -> (\\(z : N) -> h 0) 0\n")
+    checked = Checker().check_module(parse_module(src))
+    assert checked.order == ("m",)
+
+
 def test_deferred_fixed_point_types_read_back_as_eager_ones(
         corpus_dir, monkeypatch):
     """Every fixed-point type registered while the corpus is checked and
