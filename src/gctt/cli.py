@@ -189,7 +189,7 @@ def cmd_normalize(args) -> int:
             if subs:
                 value = act(value, subs)
                 ty = act(ty, subs)
-            normal = readback(frozenset(ctx.used), value, ty)
+            normal = readback(ctx.used, value, ty)
     except GcttTypeError as exc:
         raise CliError(exc.render(where), EXIT_TYPE_ERROR)
     print(term_str(normal))

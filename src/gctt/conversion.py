@@ -3,7 +3,9 @@
 Conversion is type-directed where a type is available (eta for functions,
 pairs, paths, and glue) and structural otherwise.  Later types and nexts are
 compared on values, up to weakening, exchange, next-substitution and eta
-(`_conv_later`); a neutral met by a next is eta-expanded.  Equality under a
+(`_conv_later`); a neutral met by a next is eta-expanded.  The pairings of
+the enclosing later comparisons travel with the call, innermost last
+(`pairings`); a comparison started afresh passes `()`.  Equality under a
 face restriction is checked clause by clause.
 
 Two sides that are one object are equal at once.  That test is lifted to
@@ -87,7 +89,7 @@ FUEL = _Fuel()
 # Conversion
 
 
-def conv(used: frozenset, a: Value, b: Value,
+def conv(pairings: tuple, a: Value, b: Value,
          ty: Optional[Value] = None) -> bool:
     FUEL.tick()
     if a is b or (type(a) is type(b) in (VLam, VPLam)
@@ -96,80 +98,82 @@ def conv(used: frozenset, a: Value, b: Value,
     match ty:
         case VPi(domain=d, codomain=c):
             x = probe_var(d)
-            return conv(used, apply_v(a, x), apply_v(b, x), c.apply(x))
+            return conv(pairings, apply_v(a, x), apply_v(b, x), c.apply(x))
         case VSigma(first=d, second=c):
             fa = fst_v(a)
-            return (conv(used, fa, fst_v(b), d)
-                    and conv(used, snd_v(a), snd_v(b), c.apply(fa)))
+            return (conv(pairings, fa, fst_v(b), d)
+                    and conv(pairings, snd_v(a), snd_v(b), c.apply(fa)))
         case VPathT(space=sp):
             i = IVar(fresh_iname())
-            return conv(used, papp_v(a, i), papp_v(b, i), sp)
+            return conv(pairings, papp_v(a, i), papp_v(b, i), sp)
         case VGlueT(face=phi, partial=p, base=base):
-            return (conv(used, unglue_v(a), unglue_v(b), base)
-                    and _conv_clauses(used, face_clauses(phi), a, b, p))
+            return (conv(pairings, unglue_v(a), unglue_v(b), base)
+                    and _conv_clauses(pairings, face_clauses(phi), a, b, p))
     if isinstance(a, VSystem) or isinstance(b, VSystem):
         clauses = set()
         for v in (a, b):
             if isinstance(v, VSystem):
                 clauses.update(cl for cl, _ in v.branches)
-        return _conv_clauses(used, sorted(clauses, key=sorted), a, b, ty)
-    return _conv_structural(used, a, b)
+        return _conv_clauses(pairings, sorted(clauses, key=sorted), a, b, ty)
+    return _conv_structural(pairings, a, b)
 
 
-def _conv_structural(used: frozenset, a: Value, b: Value) -> bool:
+def _conv_structural(pairings: tuple, a: Value, b: Value) -> bool:
     match (a, b):
         case (VLam(), VLam() | VNeutral()) | (VNeutral(), VLam()):
             x = probe_var()
-            return conv(used, apply_v(a, x), apply_v(b, x))
+            return conv(pairings, apply_v(a, x), apply_v(b, x))
         case (VPLam(), VPLam() | VNeutral()) | (VNeutral(), VPLam()):
             i = IVar(fresh_iname())
-            return conv(used, papp_v(a, i), papp_v(b, i))
+            return conv(pairings, papp_v(a, i), papp_v(b, i))
         case (VPair(), VPair() | VNeutral()) | (VNeutral(), VPair()):
-            return (conv(used, fst_v(a), fst_v(b))
-                    and conv(used, snd_v(a), snd_v(b)))
+            return (conv(pairings, fst_v(a), fst_v(b))
+                    and conv(pairings, snd_v(a), snd_v(b)))
         case (VPi(domain=d1, codomain=c1), VPi(domain=d2, codomain=c2)) | \
              (VSigma(first=d1, second=c1), VSigma(first=d2, second=c2)):
-            if not conv(used, d1, d2):
+            if not conv(pairings, d1, d2):
                 return False
-            return _conv_bodies(used, c1, c2, probe_var(d1))
+            return _conv_bodies(pairings, c1, c2, probe_var(d1))
         case (VPathT(space=s1, lhs=l1, rhs=r1),
               VPathT(space=s2, lhs=l2, rhs=r2)):
-            return (conv(used, s1, s2) and conv(used, l1, l2, s1)
-                    and conv(used, r1, r2, s1))
+            return (conv(pairings, s1, s2) and conv(pairings, l1, l2, s1)
+                    and conv(pairings, r1, r2, s1))
         case (VLaterT(), VLaterT()) | (VNext(), VNext()):
-            return _conv_later(used, a, b)
+            return _conv_later(pairings, a, b)
         case (VNext(), VNeutral()):
-            return _conv_later(used, a, _eta_next(b))
+            return _conv_later(pairings, a, _eta_next(b))
         case (VNeutral(), VNext()):
-            return _conv_later(used, _eta_next(a), b)
+            return _conv_later(pairings, _eta_next(a), b)
         case (VGlueT(face=f1, partial=p1, equiv=e1, base=b1),
               VGlueT(face=f2, partial=p2, equiv=e2, base=b2)):
-            return (face_equal(f1, f2) and conv(used, b1, b2)
-                    and _conv_clauses(used, face_clauses(f1), p1, p2, VUniv())
-                    and _conv_clauses(used, face_clauses(f1), e1, e2))
+            return (face_equal(f1, f2) and conv(pairings, b1, b2)
+                    and _conv_clauses(pairings, face_clauses(f1), p1, p2,
+                                      VUniv())
+                    and _conv_clauses(pairings, face_clauses(f1), e1, e2))
         case (VGlueIntro(face=f1, partial=p1, base=b1),
               VGlueIntro(face=f2, partial=p2, base=b2)):
             clauses = set(face_clauses(f1)) | set(face_clauses(f2))
-            return (conv(used, b1, b2) and _conv_clauses(
-                used, sorted(clauses, key=sorted), a, b))
+            return (conv(pairings, b1, b2) and _conv_clauses(
+                pairings, sorted(clauses, key=sorted), a, b))
         case (VGlueIntro(), VNeutral()) | (VNeutral(), VGlueIntro()):
             intro, other = (a, b) if isinstance(a, VGlueIntro) else (b, a)
-            return (conv(used, intro.base, unglue_v(other)) and _conv_clauses(
-                used, face_clauses(intro.face), intro, other))
+            return (conv(pairings, intro.base, unglue_v(other))
+                    and _conv_clauses(pairings, face_clauses(intro.face),
+                                      intro, other))
         case (VNeutral(neutral=n1), VNeutral(neutral=n2)):
-            return _conv_neutral(used, n1, n2)
-    return _conv_fields(used, a, b)  # VNat, VUniv, VZero, VSuc
+            return _conv_neutral(pairings, n1, n2)
+    return _conv_fields(pairings, a, b)  # VNat, VUniv, VZero, VSuc
 
 
-def _conv_fields(used: frozenset, a, b) -> bool:
+def _conv_fields(pairings: tuple, a, b) -> bool:
     """Same class, and every field convertible: an interval field equal in
     the De Morgan algebra, any other by `conv`."""
     return type(a) is type(b) and all(
-        dm_equal(p, q) if isinstance(p, IExpr) else conv(used, p, q)
+        dm_equal(p, q) if isinstance(p, IExpr) else conv(pairings, p, q)
         for p, q in zip(a.field_values, b.field_values))
 
 
-def _conv_later(used: frozenset, a: Value, b: Value) -> bool:
+def _conv_later(pairings: tuple, a: Value, b: Value) -> bool:
     """Later types or nexts, up to the equational theory of delayed
     substitutions.  After next-substitution (`canon_later_value`), each
     binding gets a probe typed by `ds_binders`; the right side's
@@ -180,40 +184,37 @@ def _conv_later(used: frozenset, a: Value, b: Value) -> bool:
     one pass, in any order (exchange).  A binding never paired stays a probe
     of its own side, so the bodies agree only if neither uses it
     (weakening).  The type dependencies of paired bindings must be paired
-    with each other too.
+    with each other too.  This call's pairing travels on, after those of the
+    enclosing calls (`pairings`), into the comparisons it makes.
 
     Before pairing, the `a is b` test lifted to closures is tried
     (`_same_later`): two sides with one body closure (`_same_closure`) are
     equal if their bindings convert position by position."""
-    a, b = canon_later_value(a, used), canon_later_value(b, used)
-    if _same_later(used, a, b):
+    a, b = [canon_later_value(v, pairings=pairings) for v in (a, b)]
+    if _same_later(pairings, a, b):
         return True
-    st = _Pairing(used, a, b)
-    _OPEN.append(st)
+    st = _Pairing(pairings, a, b)
+    pairings += (st,)
     try:
-        return (conv(used, a.body.apply(*st.probes_a),
+        return (conv(pairings, a.body.apply(*st.probes_a),
                      b.body.apply(*st.probes_b))
-                and _pair_dependencies(used, st))
+                and _pair_dependencies(pairings, st))
     finally:
-        _OPEN.pop()
         # probes that outlive the call in some value are plain variables
         st.pairs, st.left = {}, {}
 
 
-# the pairing state of each `_conv_later` call in progress, innermost last
-_OPEN: list = []
-
-
-def _same_later(used: frozenset, a: Value, b: Value) -> bool:
+def _same_later(pairings: tuple, a: Value, b: Value) -> bool:
     """One body closure and bindings convertible position by position.  The
-    check holds only if it paired no binding of an enclosing call: pairing
-    might leave an unused binding unpaired, or pair it otherwise, so such
-    pairings are undone and the caller pairs as if the check had not run."""
+    check holds only if it paired no binding of an enclosing call (in
+    `pairings`): pairing might leave an unused binding unpaired, or pair it
+    otherwise, so such pairings are undone and the caller pairs anew."""
     if len(a.entries) != len(b.entries) or not _same_closure(a.body, b.body):
         return False
-    sizes = [len(st.pairs) for st in _OPEN]
-    same = all(conv(used, u, v) for (_, u), (_, v) in zip(a.entries, b.entries))
-    for st, n in zip(_OPEN, sizes):
+    sizes = [len(st.pairs) for st in pairings]
+    same = all(conv(pairings, u, v)
+               for (_, u), (_, v) in zip(a.entries, b.entries))
+    for st, n in zip(pairings, sizes):
         while len(st.pairs) > n:
             same = False
             st.taken.discard(st.pairs.popitem()[1])
@@ -243,9 +244,9 @@ def _same_closure(c, d) -> bool:
     return False
 
 
-def _conv_bodies(used: frozenset, c, d, x: Value) -> bool:
+def _conv_bodies(pairings: tuple, c, d, x: Value) -> bool:
     """Two closures agree at x: at once if they are the same."""
-    return _same_closure(c, d) or conv(used, c.apply(x), d.apply(x))
+    return _same_closure(c, d) or conv(pairings, c.apply(x), d.apply(x))
 
 
 _IDENTITY = FnClosure(lambda v: v)
@@ -260,20 +261,20 @@ class _Pairing:
     """One `_conv_later` call: the probes of both sides, and the left
     binding each right binding has been paired with."""
 
-    def __init__(self, used: frozenset, a: Value, b: Value):
+    def __init__(self, pairings: tuple, a: Value, b: Value):
         self.a, self.b = a, b
         self.probes_a, self.deps_a = ds_binders(
-            a.entries, used, lambda idx, ty: probe_var(ty))
+            a.entries, lambda idx, ty: probe_var(ty), pairings)
         self.probes_b, self.deps_b = ds_binders(
-            b.entries, used, lambda idx, ty: VNeutral(
-                _NFlex(probe_var().neutral.name, self, idx), ty))
+            b.entries, lambda idx, ty: VNeutral(
+                _NFlex(probe_var().neutral.name, self, idx), ty), pairings)
         self.left = {p.neutral.name: k for k, p in enumerate(self.probes_a)}
         self.pairs, self.taken = {}, set()
 
-    def pair(self, used: frozenset, j: int, k: int) -> bool:
+    def pair(self, pairings: tuple, j: int, k: int) -> bool:
         """Pair right binding j with left binding k if k is free and their
         contents are convertible."""
-        if k in self.taken or not conv(used, self.a.entries[k][1],
+        if k in self.taken or not conv(pairings, self.a.entries[k][1],
                                        self.b.entries[j][1]):
             return False
         self.pairs[j] = k
@@ -288,12 +289,12 @@ class _NFlex(NVar):
     index: int
 
 
-def _same_var(used: frozenset, x: NVar, y: NVar) -> bool:
+def _same_var(pairings: tuple, x: NVar, y: NVar) -> bool:
     """Two variables are equal if they are, or come to be, paired probes."""
     (nx, fx), (ny, fy) = _resolve(x), _resolve(y)
     for flex, rigid in ((fx, ny), (fy, nx)):
         if flex is not None and rigid in flex.pairing.left:
-            return flex.pairing.pair(used, flex.index,
+            return flex.pairing.pair(pairings, flex.index,
                                      flex.pairing.left[rigid])
     return nx == ny
 
@@ -309,7 +310,7 @@ def _resolve(x: NVar):
     return x.pairing.probes_a[k].neutral.name, None
 
 
-def _pair_dependencies(used: frozenset, st: _Pairing) -> bool:
+def _pair_dependencies(pairings: tuple, st: _Pairing) -> bool:
     """Every paired binding's type dependencies are paired with its
     partner's.  A dependency the bodies never met is paired here with the
     first free dependency of the partner whose contents are convertible.
@@ -323,7 +324,7 @@ def _pair_dependencies(used: frozenset, st: _Pairing) -> bool:
             return False
         for d in db:
             if d not in st.pairs:
-                if not any(st.pair(used, d, e) for e in da):
+                if not any(st.pair(pairings, d, e) for e in da):
                     return False
                 queue.append((d, st.pairs[d]))
             if st.pairs[d] not in da:
@@ -331,40 +332,40 @@ def _pair_dependencies(used: frozenset, st: _Pairing) -> bool:
     return True
 
 
-def _conv_neutral(used: frozenset, a, b) -> bool:
+def _conv_neutral(pairings: tuple, a, b) -> bool:
     FUEL.tick()
     match (a, b):
         case (NVar(name=x), NVar(name=y)):
-            return x == y or _same_var(used, a, b)
+            return x == y or _same_var(pairings, a, b)
         case (NApp(fn=f1, arg=a1), NApp(fn=f2, arg=a2)):
             arg_ty = f1.type.domain if isinstance(f1.type, VPi) else None
-            return conv(used, f1, f2) and conv(used, a1, a2, arg_ty)
+            return conv(pairings, f1, f2) and conv(pairings, a1, a2, arg_ty)
         case (NComp(binder=k1, line=l1, face=f1, tube=t1, base=b1),
               NComp(binder=k2, line=l2, face=f2, tube=t2, base=b2)):
             if not face_equal(f1, f2):
                 return False
             k = IVar(fresh_iname())
-            if not conv(used, act(l1, {k1: k}), act(l2, {k2: k})):
+            if not conv(pairings, act(l1, {k1: k}), act(l2, {k2: k})):
                 return False
             for cl in face_clauses(f1):
                 asg = clause_assignment(cl)
-                if not conv(used, act(act(t1, {k1: k}), asg),
+                if not conv(pairings, act(act(t1, {k1: k}), asg),
                             act(act(t2, {k2: k}), asg)):
                     return False
-            return conv(used, b1, b2)
-        case (NDFix(clock=r1, closure=c1), NDFix(clock=r2, closure=c2)):
-            return dm_equal(r1, r2) and _conv_bodies(used, c1, c2, probe_var())
-    return _conv_fields(used, a, b)
+            return conv(pairings, b1, b2)
+        case (NDFix(clock=r, closure=c), NDFix(clock=s, closure=d)):
+            return dm_equal(r, s) and _conv_bodies(pairings, c, d, probe_var())
+    return _conv_fields(pairings, a, b)
 
 
-def conv_under(phi: Face, used: frozenset, a: Value, b: Value,
-               ty: Optional[Value] = None) -> bool:
+def conv_under(phi: Face, a: Value, b: Value, ty: Optional[Value] = None,
+               pairings: tuple = ()) -> bool:
     """Equality under a face restriction: checked clause by clause.  A
     contradictory restriction makes everything equal."""
-    return _conv_clauses(used, face_clauses(phi), a, b, ty)
+    return _conv_clauses(pairings, face_clauses(phi), a, b, ty)
 
 
-def _conv_clauses(used: frozenset, clauses, a: Value, b: Value,
+def _conv_clauses(pairings: tuple, clauses, a: Value, b: Value,
                   ty: Optional[Value] = None) -> bool:
-    return all(conv(used, act(a, asg), act(b, asg), act(ty, asg))
+    return all(conv(pairings, act(a, asg), act(b, asg), act(ty, asg))
                for asg in map(clause_assignment, clauses))

@@ -1174,9 +1174,8 @@ def _readback_ds(used: frozenset, v: Value):
     for x, _ in es:
         names.append(fresh_name(x, used2))
         used2 = used2 | {names[-1]}
-    vars_, deps = ds_binders(
-        es, used2, lambda idx, ty: neutral_var(names[idx], ty))
-    canon = canon_later_value(v, used2)
+    vars_, deps = ds_binders(es, lambda idx, ty: neutral_var(names[idx], ty))
+    canon = canon_later_value(v)
     kept = range(len(es)) if canon is v else canon.body.kept
     body_v = canon.body.apply(*[vars_[i] for i in kept])
     entry_terms = {i: readback(used, es[i][1]) for i in kept}
@@ -1221,8 +1220,8 @@ def _readback_ds(used: frozenset, v: Value):
     return entries, body
 
 
-def _match_ds_positions(needed_entries, prefix_entries, used: frozenset,
-                        face: Face = FACE_TOP):
+def _match_ds_positions(needed_entries, prefix_entries, face: Face,
+                        pairings: tuple):
     """Match entry values, in order, against a subsequence of the prefix
     entry values (up to weakening), comparing under `face`; returns the
     matched positions or None.  Matching is greedy: each entry takes the
@@ -1232,7 +1231,7 @@ def _match_ds_positions(needed_entries, prefix_entries, used: frozenset,
     positions, pos = [], 0
     for _, needed in needed_entries:
         while pos < len(prefix_entries) and not conv_under(
-                face, used, needed, prefix_entries[pos][1]):
+                face, needed, prefix_entries[pos][1], pairings=pairings):
             pos += 1
         if pos == len(prefix_entries):
             return None
@@ -1241,8 +1240,8 @@ def _match_ds_positions(needed_entries, prefix_entries, used: frozenset,
     return positions
 
 
-def match_later(lty, entries, vars_, used: frozenset,
-                face: Face = FACE_TOP):
+def match_later(lty, entries, vars_, face: Face = FACE_TOP,
+                pairings: tuple = ()):
     """Instantiate a later type at a delayed substitution's bindings: match
     the later type's own delayed substitution (after next-substitution)
     against `entries`, both under `face`, and apply its body to the
@@ -1250,24 +1249,25 @@ def match_later(lty, entries, vars_, used: frozenset,
     matched positions, or None."""
     if not isinstance(lty, VLaterT):
         return None
-    lty = canon_later_value(lty, used, face)
-    positions = _match_ds_positions(lty.entries, entries, used, face)
+    lty = canon_later_value(lty, face, pairings)
+    positions = _match_ds_positions(lty.entries, entries, face, pairings)
     if positions is None:
         return None
     return lty.body.apply(*[vars_[p] for p in positions]), tuple(positions)
 
 
-def match_next(u: Value, entries, used: frozenset, face: Face = FACE_TOP):
+def match_next(u: Value, entries, face: Face = FACE_TOP,
+               pairings: tuple = ()):
     """Next-substitution of one binding: if its value u is `next ds' t` and
     ds' matches (under `face`) a subsequence of `entries`, the matched
     positions, at which the binding is inlined as t; else None."""
     if not isinstance(u, VNext):
         return None
-    return _match_ds_positions(u.entries, entries, used, face)
+    return _match_ds_positions(u.entries, entries, face, pairings)
 
 
-def canon_later_value(v: Value, used: frozenset = frozenset(),
-                      face: Face = FACE_TOP) -> Value:
+def canon_later_value(v: Value, face: Face = FACE_TOP,
+                      pairings: tuple = ()) -> Value:
     """Next-substitution on a later type or a next, at the value level:
     inline each binding `next ds' t` whose ds' matches (under `face`) a
     subsequence of the bindings kept before it.  One pass in order
@@ -1277,7 +1277,7 @@ def canon_later_value(v: Value, used: frozenset = frozenset(),
         return v
     kept, recipe = [], []
     for i, (_, u) in enumerate(v.entries):
-        pos = match_next(u, [v.entries[j] for j in kept], used, face)
+        pos = match_next(u, [v.entries[j] for j in kept], face, pairings)
         if pos is None:
             kept.append(i)
         else:
@@ -1288,7 +1288,7 @@ def canon_later_value(v: Value, used: frozenset = frozenset(),
     return type(v)(tuple(v.entries[i] for i in kept), body)
 
 
-def ds_binders(entries: tuple, used: frozenset, make_var):
+def ds_binders(entries: tuple, make_var, pairings: tuple = ()):
     """One variable per binding of a delayed substitution, in order, made by
     `make_var(position, type)`, and the earlier positions each type depends
     on.  The type a binder stands for is recovered from its entry's later
@@ -1297,7 +1297,8 @@ def ds_binders(entries: tuple, used: frozenset, make_var):
     vars_, deps = [], []
     for idx, (_, u) in enumerate(entries):
         lty = u.type if isinstance(u, VNeutral) else None
-        ty, dep = match_later(lty, entries[:idx], vars_, used) or (None, ())
+        ty, dep = match_later(lty, entries[:idx], vars_,
+                              pairings=pairings) or (None, ())
         vars_.append(make_var(idx, ty))
         deps.append(dep)
     return vars_, deps

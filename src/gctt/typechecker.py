@@ -151,7 +151,7 @@ class Checker:
 
     def ensure_conv(self, ctx: Ctx, got: Value, want: Value, span, what: str,
                     ty: Optional[Value] = None, kind: str = "mismatch"):
-        if not conv_under(ctx.face, ctx.used, got, want, ty):
+        if not conv_under(ctx.face, got, want, ty):
             raise GcttTypeError(
                 span, kind,
                 f"{what}: expected {self._show(ctx, want)}"
@@ -262,7 +262,7 @@ class Checker:
                 ctx2, iname = ctx.bind_interval(i)
                 body_ty = self.infer(ctx2, b)
                 space = act(body_ty, {iname: IVar(fresh_iname())})
-                if not conv_under(ctx2.face, ctx2.used, body_ty, space):
+                if not conv_under(ctx2.face, body_ty, space):
                     raise GcttTypeError(
                         t.span, "mismatch",
                         "path abstraction over a dependent type",
@@ -358,8 +358,7 @@ class Checker:
                 for r, endpoint, side in ((ZERO, ty.lhs, "left"),
                                           (ONE, ty.rhs, "right")):
                     got = act(body_v, {iname: r})
-                    if not conv_under(ctx.face, ctx.used, got, endpoint,
-                                      ty.space):
+                    if not conv_under(ctx.face, got, endpoint, ty.space):
                         raise GcttTypeError(
                             t.span, "boundary-violation",
                             f"{side} endpoint: expected"
@@ -370,13 +369,13 @@ class Checker:
             case S.Next(subst=ds, body=b) if isinstance(ty, VLaterT):
                 ctx2, entries, binders = self.check_ds(ctx, ds, t.span)
                 matched = match_later(ty, entries, [v for _, v in binders],
-                                      ctx.used, ctx.face)
+                                      ctx.face)
                 if matched is not None:
                     self.check(ctx2, b, matched[0])
                     return
             case S.DFix(clock=r, binder=x, body=b) if isinstance(ty, VLaterT):
                 self.check_interval(ctx, r, t.span)
-                later = canon_later_value(ty, ctx.used)
+                later = canon_later_value(ty)
                 if later.entries:
                     raise GcttTypeError(
                         t.span, "mismatch",
@@ -428,7 +427,7 @@ class Checker:
                 a_v = eval_term(ctx.env, a)
                 p_v = eval_term(ctx.env, p)
                 want = apply_v(fst_v(ty.equiv), p_v)
-                if not conv_under(ctx_p.face, ctx_p.used, a_v, want, ty.base):
+                if not conv_under(ctx_p.face, a_v, want, ty.base):
                     raise GcttTypeError(
                         t.span, "boundary-violation",
                         "glue base must equal the image of its partial part",
@@ -485,7 +484,7 @@ class Checker:
                     " which is not a later type",
                 )
             matched = match_later(uty, entries, [v for _, v in binders],
-                                  ctx.used, ctx.face)
+                                  ctx.face)
             if matched is None:
                 raise GcttTypeError(
                     span, "ds-ill-formed",
@@ -493,8 +492,7 @@ class Checker:
                     " does not match the preceding bindings",
                 )
             value = eval_term(ctx.env, u)
-            pos = match_next(value, [entries[k] for k in kept], ctx.used,
-                             ctx.face)
+            pos = match_next(value, [entries[k] for k in kept], ctx.face)
             if pos is None:
                 kept.append(len(entries))
                 ctx2, var = ctx2.bind_term(x, matched[0])
@@ -528,8 +526,7 @@ class Checker:
                 ctx_o = ctx.restrict(overlap)
                 if face_is_false(ctx_o.face):
                     continue
-                if not conv_under(ctx_o.face, ctx_o.used, vals[i][1],
-                                  vals[j][1], ty):
+                if not conv_under(ctx_o.face, vals[i][1], vals[j][1], ty):
                     raise GcttTypeError(
                         span, "system-incompatible",
                         f"branches {i + 1} and {j + 1} disagree on"
@@ -556,8 +553,8 @@ class Checker:
         if not face_is_false(phi):
             base_v = eval_term(ctx.env, t.base)
             tube0 = act(tube_v, {iname: ZERO})
-            if not conv_under(face_meet(ctx.face, phi), ctx.used,
-                              base_v, tube0, line0):
+            if not conv_under(face_meet(ctx.face, phi), base_v, tube0,
+                              line0):
                 raise GcttTypeError(
                     t.span, "boundary-violation",
                     "composition base disagrees with the tube at 0",

@@ -1,11 +1,13 @@
 """Properties of the source itself: no failure is hidden by a catch-all
 handler, no table is keyed by object identity, only the evaluator reads the
 delayed fixed points' type registry, every field of a host closure is
-acted on by interval substitutions, no module-level table hides a
-function from the benchmark's tracer, and none grows across invocations."""
+acted on by interval substitutions, conversion keeps no module-level table
+and takes no name set, no module-level table hides a function from the
+benchmark's tracer, and none grows across invocations."""
 
 import dataclasses
 import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -49,6 +51,33 @@ def test_host_closures_have_no_field_outside_the_interval_action():
 
     assert [f.name for f in dataclasses.fields(FnClosure)] == ["fn",
                                                                "captured"]
+
+
+def test_conversion_keeps_no_module_level_table():
+    """The state of the later comparisons in progress travels with the
+    call, not in a global."""
+    from gctt import conversion
+
+    assert [name for name, x in vars(conversion).items()
+            if isinstance(x, (list, dict, set))
+            and not name.startswith("__")] == []
+
+
+def test_conversion_and_the_matcher_take_no_name_set():
+    """Conversion draws globally fresh probes, so neither it nor the
+    delayed-substitution matcher takes the names in scope."""
+    from gctt import conversion, eval as E
+
+    functions = [E.canon_later_value, E.match_later, E.match_next,
+                 E._match_ds_positions, E.ds_binders]
+    for x in vars(conversion).values():
+        if getattr(x, "__module__", None) == conversion.__name__:
+            functions += ([x] if inspect.isfunction(x) else
+                          [f for f in vars(x).values()
+                           if inspect.isfunction(f)])
+    hits = [f.__qualname__ for f in functions
+            if "used" in inspect.signature(f).parameters]
+    assert len(functions) > 20 and hits == []
 
 
 def _held(x):

@@ -418,6 +418,22 @@ def test_glue_element_with_a_partial_part_and_a_path_of_them():
     check_ok(ck, ctx, f"<j> {g}", f"Path ({GLUE_NN}) ({g}) ({g})")
 
 
+def test_glue_elements_equal_only_in_the_base_are_not_equal():
+    # \(x : N) -> 0 sends every number to 0, so glue [ (i=0) -> 1 ] 0 and
+    # glue [ (i=0) -> 2 ] 0 agree in the base and differ where i=0.  pf, the
+    # hypothesis that the function is an equivalence, types both.
+    ck, ctx = make_ctx(
+        "i : I",
+        "pf : (a : N) -> (c : (t : N) * Path N a 0)"
+        " * ((c' : (t : N) * Path N a 0) -> Path ((t : N) * Path N a 0) c c')",
+    )
+    glue_ty = r"Glue [ (i=0) -> N, (\(x : N) -> 0, pf) ] N"
+    one, two = "glue [ (i=0) -> 1 ] 0", "glue [ (i=0) -> 2 ] 0"
+    check_ok(ck, ctx, f"<j> {one}", f"Path ({glue_ty}) ({one}) ({one})")
+    check_fails(ck, ctx, f"<j> {one}", f"Path ({glue_ty}) ({one}) ({two})",
+                "boundary-violation")
+
+
 def test_unglue_of_a_glue_transport_where_the_face_holds():
     # at i=0 the transport is one in the partial type N, whose image under
     # e.1 is the left endpoint
