@@ -10,12 +10,13 @@ directory; within one invocation each module file is checked once, and the
 result is reused wherever that file is imported or named again.
 One call of `main` is one session: nothing it builds, the fixed-point types
 it registers included, outlives the call, so repeated calls in one process
-keep memory flat.
+keep memory flat; only the argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -214,6 +215,7 @@ def _fuel(text: str) -> int:
     return fuel
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gctt",

@@ -111,10 +111,14 @@ class TermClosure(Closure):
 
 
 def capture(env: dict, names: tuple, body: Term) -> TermClosure:
-    """A term closure over just the free names of the body."""
-    fvs, fis = S.free_names(body)
-    need = (fvs | fis).difference(names)
-    return TermClosure({k: env[k] for k in need if k in env}, names, body)
+    """A term closure over the free names of the body but `names`, a list
+    memoized on the body node for the last `names` it was captured under."""
+    memo = body.__dict__.get("_captured")
+    if memo is None or memo[0] != names:
+        fvs, fis = S.free_names(body)
+        memo = (names, tuple((fvs | fis).difference(names)))
+        object.__setattr__(body, "_captured", memo)
+    return TermClosure({k: env[k] for k in memo[1] if k in env}, names, body)
 
 
 @node
@@ -321,7 +325,7 @@ class VNeutral(Value):
 # name of the function that builds or re-runs the node from its fields (a
 # smart constructor or an eliminator; None: the class itself), whose
 # parameters are the node's fields, in the former's order.  `eval_term`
-# applies the function to a former's evaluated fields (`_EVALUATED`), the
+# applies the function to a former's evaluated fields (`_EVAL`), the
 # interval action to a node's acted fields, readback applies the former to
 # the read-back fields, and conversion compares field by field; both write
 # path and glue types out, to compare endpoints and equivalences at a type.
@@ -345,12 +349,8 @@ FORMERS = {
     NUnglue: (S.Unglue, "unglue_v"),
     NComp: (None, "comp_v"),
 }
-# each entry's function by global name, and each former's with its fields
+# each entry's function by global name
 _BUILDERS = {cls: build or cls.__name__ for cls, (_, build) in FORMERS.items()}
-_EVALUATED = {
-    former: (_BUILDERS[cls], tuple((n, k) for n, k, _, _ in S._SCHEME[former]))
-    for cls, (former, _) in FORMERS.items() if former is not None
-}
 
 
 def neutral_var(name: str, ty: Optional[Value] = None) -> VNeutral:
@@ -694,17 +694,20 @@ def dfix_v(clock: IExpr, closure: Closure, ty: Optional[Value] = None) -> Value:
 
 
 def eval_term(env: dict, t: Term) -> Value:
-    cls = type(t)
-    if cls is S.Var:
-        v = env.get(t.name)
-        if not isinstance(v, Value):
-            raise RuntimeError(f"ill-scoped variable {t.name!r} (checker bug)")
-        return v
-    entry = _EVALUATED.get(cls)
-    if entry is not None:
-        build, parts = entry
+    """The value of `t` in `env`, by the evaluator of its former (`_EVAL`)."""
+    try:
+        ev = _EVAL[type(t)]
+    except KeyError:
+        raise TypeError(f"cannot evaluate {t!r}") from None
+    return ev(env, t)
+
+
+def _evaluator(build: str, parts: tuple):
+    """The evaluator of a `FORMERS` former: each field evaluated by its kind
+    (`parts`), then the builder named `build` applied to them."""
+    def ev(env, t):
         args = []
-        for name, kind in parts:  # each field evaluated by its kind
+        for name, kind in parts:
             p = getattr(t, name)
             if kind is S.TERM:
                 args.append(None if p is None else eval_term(env, p))
@@ -713,43 +716,62 @@ def eval_term(env: dict, t: Term) -> Value:
             else:
                 args.append(env_face(env, p))
         return globals()[build](*args)
-    match t:
-        case S.Lam(binder=x, body=b):
-            return VLam(capture(env, (x,), b))
-        case S.Pi(binder=x, domain=d, codomain=c):
-            return VPi(eval_term(env, d), capture(env, (x,), c))
-        case S.Sigma(binder=x, first=d, second=c):
-            return VSigma(eval_term(env, d), capture(env, (x,), c))
-        case S.PLam(binder=x, body=b):
-            return VPLam(capture(env, (x,), b))
-        case S.SystemTerm(branches=bs):
-            return make_system(
-                [(env_face(env, phi), eval_term(env, u)) for phi, u in bs]
-            )
-        case S.Comp(binder=x, line=a, tube=u, base=b):
-            k = fresh_iname()
-            env_k = dict(env)
-            env_k[x] = IVar(k)
-            return comp_pieces(
-                k, eval_term(env_k, a),
-                [(env_face(env, phi), eval_term(env_k, v))
-                 for phi, v in u.branches],
-                eval_term(env, b))
-        case S.LaterT(subst=ds, body=b):
-            entries = [(x, eval_term(env, u)) for x, u in ds]
-            return make_later(entries, capture(env, tuple(x for x, _ in ds), b))
-        case S.Next(subst=ds, body=b):
-            entries = [(x, eval_term(env, u)) for x, u in ds]
-            return make_next(entries, capture(env, tuple(x for x, _ in ds), b))
-        case S.DFix(clock=r, binder=x, body=b):
-            return dfix_v(env_iexpr(env, r), capture(env, (x,), b),
-                          registered_dfix_type(env, t))
-        case S.Fix(clock=r, binder=x, body=b):
-            env_x = dict(env)
-            env_x[x] = dfix_v(env_iexpr(env, r), capture(env, (x,), b),
-                              registered_dfix_type(env, t))
-            return eval_term(env_x, b)
-    raise TypeError(f"cannot evaluate {t!r}")
+    return ev
+
+
+def _eval_var(env: dict, t: S.Var) -> Value:
+    v = env.get(t.name)
+    if not isinstance(v, Value):
+        raise RuntimeError(f"ill-scoped variable {t.name!r} (checker bug)")
+    return v
+
+
+def _eval_comp(env: dict, t: S.Comp) -> Value:
+    k = fresh_iname()
+    env_k = {**env, t.binder: IVar(k)}
+    return comp_pieces(
+        k, eval_term(env_k, t.line),
+        [(env_face(env, phi), eval_term(env_k, v))
+         for phi, v in t.tube.branches],
+        eval_term(env, t.base))
+
+
+def _eval_ds(env: dict, t) -> tuple:
+    """A later type's or next's evaluated bindings and body closure."""
+    return ([(x, eval_term(env, u)) for x, u in t.subst],
+            capture(env, tuple(x for x, _ in t.subst), t.body))
+
+
+def _eval_dfix(env: dict, t) -> Value:
+    """The delayed fixed point of a `dfix`, or the one a `fix` binds."""
+    return dfix_v(env_iexpr(env, t.clock), capture(env, (t.binder,), t.body),
+                  registered_dfix_type(env, t))
+
+
+# The evaluator of each term former: a `FORMERS` former's made from its
+# scheme, the others written out.  Each calls `eval_term` and its builder
+# through the module globals, whatever they are bound to when it runs.
+_EVAL = {
+    former: _evaluator(_BUILDERS[cls],
+                       tuple((n, k) for n, k, _, _ in S._SCHEME[former]))
+    for cls, (former, _) in FORMERS.items() if former is not None
+} | {
+    S.Var: _eval_var,
+    S.Lam: lambda env, t: VLam(capture(env, (t.binder,), t.body)),
+    S.PLam: lambda env, t: VPLam(capture(env, (t.binder,), t.body)),
+    S.Pi: lambda env, t: VPi(eval_term(env, t.domain),
+                             capture(env, (t.binder,), t.codomain)),
+    S.Sigma: lambda env, t: VSigma(eval_term(env, t.first),
+                                   capture(env, (t.binder,), t.second)),
+    S.SystemTerm: lambda env, t: make_system(
+        [(env_face(env, phi), eval_term(env, u)) for phi, u in t.branches]),
+    S.Comp: _eval_comp,
+    S.LaterT: lambda env, t: make_later(*_eval_ds(env, t)),
+    S.Next: lambda env, t: make_next(*_eval_ds(env, t)),
+    S.DFix: _eval_dfix,
+    S.Fix: lambda env, t: eval_term({**env, t.binder: _eval_dfix(env, t)},
+                                    t.body),
+}
 
 
 def surface(source: str, *params: str) -> Callable[..., Value]:

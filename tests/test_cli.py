@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gctt
-from gctt.cli import main
+from gctt.cli import build_arg_parser, main
 from gctt.parser import parse_module
 from gctt.syntax import term_str, unfold_fix
 
@@ -153,6 +153,21 @@ def test_normalize_expr_with_at(capsys, corpus_dir):
     assert code0 == code1 == 0
     assert out0.strip() == r"\A -> \f -> f (dfix 0 x. f x)"
     assert out1.strip() == r"\A -> \f -> f (next (f (dfix 0 x. f x)))"
+
+
+def test_consecutive_calls_share_no_options(capsys, corpus_dir, tmp_path):
+    """The argument parser is built once per process; what one call passes
+    is not seen by the next."""
+    assert build_arg_parser() is build_arg_parser()
+    code, out, _ = run(capsys, "normalize", "--expr", "<i> 0", "--at", "i=0")
+    assert code == 0 and out.strip() == "<i> 0"
+    code, _, err = run(capsys, "normalize", str(corpus_dir / "funext.gctt"),
+                       "funext")
+    assert code == 0 and err == ""
+    parse = build_arg_parser().parse_args
+    assert parse(["check", "--search-path", str(tmp_path), "f.gctt"]
+                 ).search_path == [str(tmp_path)]
+    assert parse(["check", "f.gctt"]).search_path == []
 
 
 def test_normalize_at_needs_an_interval_name(capsys):

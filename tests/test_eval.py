@@ -6,6 +6,8 @@ import inspect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gctt.eval as E
 import gctt.syntax as S
@@ -50,6 +52,7 @@ from gctt.interval import (
 )
 from gctt.parser import parse_term
 from gctt.syntax import term_str
+from test_syntax import iname_st, name_st, term_st
 
 
 def ev(src, env=None):
@@ -227,6 +230,47 @@ def test_a_constant_closure_leaves_its_parameter_unbound():
     assert isinstance(v, VNeutral) and v.type is None
     with pytest.raises(RuntimeError, match="ill-scoped variable 'x'"):
         closure.apply(None).type.body.apply()
+
+
+def test_every_term_former_has_one_evaluator():
+    assert set(E._EVAL) == set(S._SCHEME) and len(E._EVAL) == 25
+
+
+@pytest.mark.parametrize("thing", [5, VZero(), None])
+def test_what_is_not_a_term_cannot_be_evaluated(thing):
+    with pytest.raises(TypeError, match="cannot evaluate"):
+        eval_term({}, thing)
+
+
+def test_a_body_captured_under_other_names_captures_its_own_free_names():
+    body = parse_term("f x y")
+    env = {name: neutral_var(name) for name in ("f", "x", "y", "z")}
+    for names, kept in [(("x",), {"f", "y"}), (("y",), {"f", "x"}),
+                        (("x",), {"f", "y"}), (("x", "y"), {"f"})]:
+        closure = E.capture(env, names, body)
+        assert set(closure.env) == kept and closure.names == names
+
+
+def test_a_term_binder_named_like_a_free_interval_name_is_not_captured():
+    body = parse_term("p @ i")
+    env = {"p": neutral_var("p"), "i": IVar("j")}
+    assert set(E.capture(env, ("i",), body).env) == {"p"}
+    assert E.capture(env, ("x",), body).env == env
+
+
+@given(term_st(), st.lists(st.lists(name_st, max_size=2).map(tuple),
+                           min_size=1, max_size=3),
+       st.sets(name_st | iname_st))
+@settings(max_examples=200)
+def test_a_closure_captures_the_free_names_of_its_body_in_scope(
+        body, binders, scope):
+    """Whatever names the same body was captured under before."""
+    env = {name: neutral_var(name) for name in scope}
+    fvs, fis = S.free_names(body)
+    for names in binders:
+        closure = E.capture(env, names, body)
+        assert set(closure.env) == (fvs | fis).difference(names) & env.keys()
+        assert all(closure.env[k] is env[k] for k in closure.env)
 
 
 def test_comp_path_endpoints():

@@ -80,22 +80,34 @@ def test_conversion_and_the_matcher_take_no_name_set():
     assert len(functions) > 20 and hits == []
 
 
-def _held(x):
-    """What a dict (keys and values), tuple or list holds, recursively."""
+def _held(x, seen=None):
+    """What a dict (keys and values), tuple or list holds, and what the
+    closure cells of a function it holds hold, recursively."""
+    seen = set() if seen is None else seen
+    if id(x) in seen:
+        return
+    seen.add(id(x))
     if isinstance(x, dict):
         for k, v in x.items():
-            yield from _held(k)
-            yield from _held(v)
+            yield from _held(k, seen)
+            yield from _held(v, seen)
     elif isinstance(x, (tuple, list)):
         for v in x:
-            yield from _held(v)
+            yield from _held(v, seen)
     else:
         yield x
+        for cell in getattr(x, "__closure__", None) or ():
+            try:
+                contents = cell.cell_contents
+            except ValueError:  # an empty cell
+                continue
+            yield from _held(contents, seen)
 
 
 def test_no_module_level_table_holds_a_function_the_tracer_wraps():
     """The tracer rebinds the module globals that name the functions it
-    counts; a function held in a module-level table would escape it."""
+    counts; a function held in a module-level table, or in a closure cell
+    of a function held there, would escape it."""
     spec = importlib.util.spec_from_file_location("_gctt_tracer", TRACER)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
