@@ -12,7 +12,6 @@ an endpoint, a stuck composition whose face becomes total).
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Optional
@@ -623,56 +622,45 @@ def make_later(entries, body: Closure) -> Value:
     return VLaterT(entries, body)
 
 
-# Types established by the checker for delayed fixed points (for a `fix`,
-# the type of the `dfix` its binder stands for), keyed by the identity of
-# the (shared, immutable) term node; the term is kept alive so ids stay
-# stable.  An entry is `[node, term, pending]`: the type is read back from
-# `pending` (the readback's arguments) only when the node is first looked
-# up, which is when it is evaluated.  A `dfix_session` owns its entries.
+# Unused: the benchmark's traced run still reads its length.
 DFIX_TYPES: dict = {}
 
 
-@contextmanager
-def dfix_session():
-    """A fresh registry for the body; what it registers dies on exit, when
-    the enclosing registry is restored."""
-    global DFIX_TYPES
-    saved, DFIX_TYPES = DFIX_TYPES, {}
-    try:
-        yield
-    finally:
-        DFIX_TYPES = saved
-
-
 def register_dfix_type(node, used: frozenset, later: Value):
-    """Record the later type `later` of a fixed-point node, to be read back
-    over `used` under the delayed-substitution expansions in force now."""
-    DFIX_TYPES[id(node)] = [node, None, (used, later, dict(_ds_expansion))]
+    """Record on a fixed-point node the later type `later` the checker
+    established for it (for a `fix`, the type of the `dfix` its binder
+    stands for), to be read back over `used` under the delayed-substitution
+    expansions in force now.  The entry `[term, pending]` lives as long as
+    the node: the type is read back from `pending` (the readback's
+    arguments) only when the node is first looked up, which is when it is
+    evaluated."""
+    object.__setattr__(node, "_dfix_type",
+                       [None, (used, later, dict(_ds_expansion))])
 
 
 def _dfix_type_term(entry) -> Optional[Term]:
-    """The read-back type of a registry entry, read back on first use.
+    """The read-back type of a node's entry, read back on first use.
     While it is being read back the entry has no term yet, so a lookup of
     it from inside that readback misses."""
-    pending = entry[2]
+    pending = entry[1]
     if pending is not None:
         global _ds_expansion
         used, later, expansion = pending
-        saved, _ds_expansion, entry[2] = _ds_expansion, expansion, None
+        saved, _ds_expansion, entry[1] = _ds_expansion, expansion, None
         try:
-            entry[1] = readback(used, later)
+            entry[0] = readback(used, later)
         finally:
             _ds_expansion = saved
-            if entry[1] is None:  # the readback failed: retry on next use
-                entry[2] = pending
-    return entry[1]
+            if entry[0] is None:  # the readback failed: retry on next use
+                entry[1] = pending
+    return entry[0]
 
 
 def registered_dfix_type(env: dict, node) -> Optional[Value]:
     """The later type registered for this fixed-point node, evaluated in
     `env`, when its free names are all in scope there."""
-    hit = DFIX_TYPES.get(id(node))
-    term = None if hit is None else _dfix_type_term(hit)
+    entry = node.__dict__.get("_dfix_type")
+    term = None if entry is None else _dfix_type_term(entry)
     if term is None:
         return None
     fvs, fis = S.free_names(term)

@@ -15,6 +15,7 @@ import gctt
 from gctt.cli import build_arg_parser, main
 from gctt.parser import parse_module
 from gctt.syntax import term_str, unfold_fix
+from gctt.typechecker import Checker
 
 
 def run(capsys, *argv):
@@ -180,6 +181,17 @@ def test_normalize_at_needs_an_interval_name(capsys):
     assert code == 0 and out.strip() == r"\p -> 0"
 
 
+def test_normalize_at_names_each_interval_once(capsys):
+    expr = "comp k N [ (i=1) -> 0 ] 0"
+    code, out, _ = run(capsys, "normalize", "--expr", expr, "--at", "i=0")
+    assert code == 0 and out.strip() == "0"
+    for second in ("i=1", "i=0"):
+        code, out, err = run(capsys, "normalize", "--expr", expr,
+                             "--at", "i=0", "--at", second)
+        assert (code, out) == (2, ""), second
+        assert "--at: i is given twice" in err, second
+
+
 def test_normalize_at_needs_an_expr(capsys, corpus_dir):
     # a declaration's value is closed: no interval substitution can act on it
     code, out, err = run(capsys, "normalize", str(corpus_dir / "streams.gctt"),
@@ -192,6 +204,12 @@ def test_normalize_ill_typed_expr(capsys, corpus_dir):
     code, _, err = run(capsys, "normalize", str(corpus_dir / "funext.gctt"),
                        "--expr", "funext 0")
     assert code == 1
+
+
+def test_a_delayed_fixed_point_is_not_inferred_alone(capsys):
+    code, out, err = run(capsys, "normalize", "--expr", "dfix 0 x. x")
+    assert (code, out) == (1, "")
+    assert "cannot infer the type of a delayed fixed point" in err
 
 
 def test_normalize_expr_respects_fuel(capsys):
@@ -309,17 +327,32 @@ def test_zipwith_checks_within_a_fuel_bound(capsys, corpus_dir):
     assert (code, err) == (0, "") and "ok" in out
 
 
-def test_in_process_checks_keep_the_heap_flat(capsys, corpus_dir):
-    """One `main` call is one session: what it builds dies when it returns,
-    so repeated checks in one process do not grow the heap (0.33 MB a pass
-    while the fixed-point type registry outlived each call)."""
-    files = [str(corpus_dir / f"{name}.gctt")
+def check_by_main(capsys, path):
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+
+
+def check_by_library(capsys, path):
+    """Parse and check `path` with a fresh checker, its imports first."""
+    module = parse_module(path.read_text())
+    imports = [check_by_library(capsys, path.parent / f"{name}.gctt")
+               for name in module.imports]
+    return Checker().check_module(module, imports)
+
+
+@pytest.mark.parametrize("check", [check_by_main, check_by_library],
+                         ids=["main", "library"])
+def test_in_process_checks_keep_the_heap_flat(capsys, corpus_dir, check):
+    """What a check builds dies with its syntax tree, the fixed-point types
+    registered on its nodes included, so repeated checks in one process do
+    not grow the heap, through `main` or not (0.33 MB a pass while a
+    module-level registry outlived each check)."""
+    files = [corpus_dir / f"{name}.gctt"
              for name in ("zipwith", "unique_fix", "y_combinator")]
 
     def one_pass():
         for path in files:
-            code, out, err = run(capsys, "check", path)
-            assert (code, err) == (0, "")
+            check(capsys, path)
 
     one_pass()  # warm-up
     passes = 5

@@ -606,3 +606,23 @@ def test_conv_system_operation():
     assert conv((), lhs, rhs, VNat())
     other = ev("[ (i=0) -> 1, (i=1) -> suc u ]", env2)
     assert not conv((), lhs, other, VNat())
+
+
+def test_glue_intros_are_compared_on_their_base_and_every_face():
+    env = dict(std_env(), i=IVar("i"), g=neutral_var("g", None))
+    g, one = env["g"], ev("glue [ (i=0) -> 1 ] 0", env)
+    assert conv((), one, ev("glue [ (i=0) -> 1 ] 0", env))
+    assert not conv((), one, ev("glue [ (i=0) -> 2 ] 0", env))
+    assert not conv((), one, ev("glue [ (i=0) -> 1 ] 1", env))
+    # eta: a neutral is the glue of its partial element and its unglue
+    for partial, same in (("g", True), ("1", False)):
+        intro = ev(f"glue [ (i=0) -> {partial} ] (unglue g)", env)
+        assert conv((), intro, g) is same and conv((), g, intro) is same
+
+
+def test_stuck_compositions_are_compared_on_their_tubes():
+    env = dict(std_env(), i=IVar("i"))
+    env.update(a=neutral_var("a", env["A"]), b=neutral_var("b", env["A"]))
+    lhs = ev("comp j A [ (i=0) -> a ] a", env)
+    assert conv((), lhs, ev("comp j A [ (i=0) -> a ] a", env))
+    assert not conv((), lhs, ev("comp j A [ (i=0) -> b ] a", env))

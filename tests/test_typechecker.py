@@ -545,8 +545,8 @@ def test_checking_never_reads_back_the_type_of_an_unevaluated_fix(
     calls = count_calls("readback", "readback_value", "readback_neutral")
     ck.check_module(module, [streams])
     assert sum(calls.values()) <= 400
-    node, term, pending = E.DFIX_TYPES[id(fix)]
-    assert node is fix and term is None and pending is not None
+    term, pending = fix._dfix_type
+    assert term is None and pending is not None
 
 
 def test_a_constant_codomain_is_instantiated_without_its_argument():
@@ -600,7 +600,7 @@ def test_deferred_fixed_point_types_read_back_as_eager_ones(
     def register_recording(node, used, later):
         eager = readback(used, later)
         register(node, used, later)
-        recorded.append((E.DFIX_TYPES[id(node)], eager))
+        recorded.append((node, node._dfix_type, eager))
 
     for mod in (E, T):
         monkeypatch.setattr(mod, "register_dfix_type", register_recording)
@@ -616,9 +616,9 @@ def test_deferred_fixed_point_types_read_back_as_eager_ones(
             ty, val = checked.table[name]
             readback(used, val, ty)
     differ = []
-    for entry, eager in recorded:
+    for node, entry, eager in recorded:
         term = E._dfix_type_term(entry)
         if term != eager or term_str(term) != term_str(eager):
-            differ.append((term_str(entry[0]), term_str(term),
+            differ.append((term_str(node), term_str(term),
                            term_str(eager)))
     assert len(recorded) > 50 and differ == []
