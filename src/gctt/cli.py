@@ -26,7 +26,7 @@ from typing import Optional
 from .eval import act, eval_term, readback
 from .interval import IVar
 from .parser import ParseError, parse_interval, parse_module, parse_term
-from .syntax import ModuleFile, module_str, term_str
+from .syntax import ModuleFile, module_str, rename_apart, term_str
 from .typechecker import Checker, CheckedModule, Ctx, GcttTypeError
 
 EXIT_OK = 0
@@ -138,12 +138,7 @@ def cmd_normalize(args) -> int:
         raise CliError("--at applies to --expr only", EXIT_PARSE_ERROR)
     loader = Loader(_search_path(args), fuel=args.fuel)
     path = Path(args.path) if args.path else None
-    ctx = Ctx()
-    checked = None
-    if path is not None:
-        checked = loader.load(path)
-        for name, (ty, val) in checked.table.items():
-            ctx = ctx.define(name, ty, val)
+    table = loader.load(path).table if path is not None else {}
     subs = {}
     for at in args.at or []:
         if "=" not in at:
@@ -161,21 +156,22 @@ def cmd_normalize(args) -> int:
             raise CliError(f"--at: {var.name} is given twice",
                            EXIT_PARSE_ERROR)
         subs[var.name] = expr
+    ctx = Ctx()
+    for name, (ty, val) in table.items():
+        if name not in subs:  # an --at name hides a declaration
+            ctx = ctx.define(name, ty, val)
+    for name in subs:
+        ctx = ctx.bind_interval(name)
 
     if args.expr is not None:
         try:
             term = parse_term(args.expr)
         except ParseError as exc:
             raise CliError(f"--expr: {exc}", EXIT_PARSE_ERROR)
-        check_ctx = ctx
-        renamed = {}
-        for name in subs:
-            check_ctx, bound = check_ctx.bind_interval(name)
-            renamed[bound] = subs[name]
-        subs = renamed
+        term = rename_apart(term, ctx.env)
         where, span = "<expr>", term.span
     elif args.name is not None:
-        if checked is None or args.name not in checked.table:
+        if args.name not in table:
             raise CliError(f"unknown declaration {args.name}",
                            EXIT_TYPE_ERROR)
         where, span = str(path), None
@@ -186,14 +182,14 @@ def cmd_normalize(args) -> int:
     try:
         with loader.checker.fuelled(span):
             if args.expr is not None:
-                ty = loader.checker.infer(check_ctx, term)
-                value = eval_term(check_ctx.env, term)
+                ty = loader.checker.infer(ctx, term)
+                value = eval_term(ctx.env, term)
             else:
-                ty, value = checked.table[args.name]
+                ty, value = table[args.name]
             if subs:
                 value = act(value, subs)
                 ty = act(ty, subs)
-            normal = readback(ctx.used, value, ty)
+            normal = readback(table.keys(), value, ty)
     except GcttTypeError as exc:
         raise CliError(exc.render(where), EXIT_TYPE_ERROR)
     print(term_str(normal))

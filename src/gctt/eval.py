@@ -1151,8 +1151,9 @@ def _readback_former(used: frozenset, x) -> Term:
 
 def _first_use(t: Term, name: str) -> int:
     """Pre-order index of the first occurrence of a variable; used to order
-    bindings with identical contents deterministically.  Binder names here
-    are readback-fresh, so shadowing cannot occur."""
+    bindings with identical contents deterministically.  A read-back term is
+    renamed apart, as the checker's terms are: no binder in it shadows
+    `name`."""
     stack, index = [t], 0
     while stack:
         u = stack.pop()

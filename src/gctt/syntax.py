@@ -2,9 +2,9 @@
 
 Terms are immutable trees with named binders.  Each term former declares,
 field by field, what it binds (`_part`); free names, capture-avoiding
-substitution of terms and interval expressions, alpha-canonical renaming
-and the subterm walk are all read off that one description.  Spans are
-carried for diagnostics but ignored by structural equality.
+substitution of terms and interval expressions, alpha-canonical renaming,
+renaming apart and the subterm walk are all read off that one description.
+Spans are carried for diagnostics but ignored by structural equality.
 """
 
 from __future__ import annotations
@@ -344,7 +344,7 @@ def substitute(t: Term, terms: dict, intervals: dict) -> Term:
     for r in intervals.values():
         avoid |= inames(r)
 
-    def rename(x, kind, node, chosen):
+    def rename(x, kind, node, chosen, bound):
         if x not in avoid:
             return x
         used = avoid | chosen | _binders(node)
@@ -354,7 +354,7 @@ def substitute(t: Term, terms: dict, intervals: dict) -> Term:
         avoid.add(x2)
         return x2
 
-    return _rebuild(t, terms, intervals, rename, True)
+    return _rebuild(t, terms, intervals, None, rename, True)
 
 
 def subst_term(t: Term, x: str, u: Term) -> Term:
@@ -388,13 +388,26 @@ def alpha_canonical(t: Term) -> Term:
     counters = {BINDER: ("x", fvs, itertools.count()),
                 IBINDER: ("i", fis, itertools.count())}
 
-    def rename(x, kind, node, chosen):
+    def rename(x, kind, node, chosen, bound):
         prefix, free, counter = counters[kind]
         while (name := f"{prefix}{next(counter)}") in free:
             pass
         return name
 
-    return _rebuild(t, {}, {}, rename, False)
+    return _rebuild(t, {}, {}, None, rename, False)
+
+
+def rename_apart(t: Term, avoid) -> Term:
+    """t with each binder that shadows a name in scope (in `avoid` or bound
+    around it, in either name space) renamed by `fresh_name` to a name
+    neither in scope nor free in its node.  A subterm in which nothing is
+    renamed is returned as it is."""
+    def rename(x, kind, node, chosen, bound):
+        if x not in avoid and x not in bound:
+            return x
+        return fresh_name(x, bound.union(avoid, *free_names(node)))
+
+    return _rebuild(t, {}, {}, frozenset(), rename, True)
 
 
 def _binders(t: Term) -> set:
@@ -407,20 +420,22 @@ def _binders(t: Term) -> set:
     return names
 
 
-def _rebuild(t: Term, terms: dict, intervals: dict, rename,
+def _rebuild(t: Term, terms: dict, intervals: dict, bound, rename,
              keep_spans: bool) -> Term:
     """t with `terms` and `intervals` substituted for its free names and
     each binder x renamed to `rename(x, kind, node, names already chosen
-    for the node's binders)`.  A substitution keeps the spans and returns a
-    subterm in which no substituted name is free as it is; alpha-canonical
-    renaming drops the spans and rebuilds every node."""
+    for the node's binders, names bound around it)`; `bound`, the names
+    bound around t, is None for a policy that does not ask for them.
+    Keeping the spans, a node whose parts come back unchanged is returned
+    as it is, and a substitution skips a subterm in which no substituted
+    name is free; alpha-canonical renaming drops the spans."""
     cls = type(t)
     if cls is Var:
         u = terms.get(t.name)
         if u is not None:
             return u
         return t if keep_spans else Var(None, t.name)
-    if keep_spans:
+    if keep_spans and bound is None:
         fvs, fis = free_names(t)
         if fvs.isdisjoint(terms) and fis.isdisjoint(intervals):
             return t
@@ -430,17 +445,18 @@ def _rebuild(t: Term, terms: dict, intervals: dict, rename,
         return _rebuild(u, *scope, rename, keep_spans)
 
     def bind(x, kind, scope):
-        x2 = rename(x, kind, t, chosen)
+        ts, js, bs = scope
+        x2 = rename(x, kind, t, chosen, bs)
         chosen.add(x2)
-        ts, js = scope
         sub = dict(ts if kind is BINDER else js)
         if x2 == x:
             sub.pop(x, None)
         else:
             sub[x] = Var(None, x2) if kind is BINDER else IVar(x2)
-        return x2, ((sub, js) if kind is BINDER else (ts, sub))
+        bs = None if bs is None else bs | {x2}
+        return x2, ((sub, js, bs) if kind is BINDER else (ts, sub, bs))
 
-    outer = (terms, intervals)
+    outer = (terms, intervals, bound)
     for name, kind, under, under_kind in _SCHEME[cls]:
         value = getattr(t, name)
         if kind is TERM:
@@ -463,6 +479,9 @@ def _rebuild(t: Term, terms: dict, intervals: dict, rename,
                 x2, scope = bind(x, BINDER, scope)
                 entries.append((x2, u2))
             out[name], scopes[name] = tuple(entries), scope
+    # an unchanged subterm is the same object, which `==` sees at once
+    if keep_spans and all(v == getattr(t, n) for n, v in out.items()):
+        return t
     return cls(t.span if keep_spans else None, **out)
 
 

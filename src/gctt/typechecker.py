@@ -31,8 +31,6 @@ from .eval import (
     apply_v,
     canon_later_value,
     capture,
-    env_face,
-    env_iexpr,
     equiv_type_value,
     eval_term,
     fresh_iname,
@@ -62,7 +60,7 @@ from .interval import (
     face_str,
     inames,
 )
-from .syntax import Span, Term, fresh_name, term_str
+from .syntax import Span, Term, term_str
 
 
 class GcttTypeError(Exception):
@@ -82,43 +80,36 @@ class GcttTypeError(Exception):
 
 @dataclass(frozen=True)
 class Ctx:
+    """Term and interval variables in scope, each bound once under its own
+    name (the checked term is renamed apart, `syntax.rename_apart`), which
+    is also the name readback prints for it."""
+
     env: dict = field(default_factory=dict)
     types: dict = field(default_factory=dict)
-    # every bound term and interval variable, shadowed ones included, under
-    # the name readback prints for it
-    scope: dict = field(default_factory=dict)
     face: Face = FACE_TOP
-    used: frozenset = frozenset()
+
+    @property
+    def used(self):
+        """The names in scope, which a read-back binder avoids."""
+        return self.env.keys()
 
     def bind_term(self, x: str, ty: Value):
-        name = fresh_name(x, self.used)
-        var = neutral_var(name, ty)
-        env = dict(self.env)
-        env[x] = var
-        types = dict(self.types)
-        types[x] = ty
-        ctx = replace(self, env=env, types=types,
-                      scope={**self.scope, name: var},
-                      used=self.used | {name, x})
-        return ctx, var
+        var = neutral_var(x, ty)
+        return self.define(x, ty, var), var
 
-    def bind_interval(self, i: str):
-        name = fresh_name(i, self.used)
-        env = dict(self.env)
-        env[i] = IVar(name)
-        ctx = replace(self, env=env, scope={**self.scope, name: env[i]},
-                      used=self.used | {name, i})
-        return ctx, name
+    def bind_interval(self, i: str) -> "Ctx":
+        if i in self.env:
+            raise RuntimeError(f"{i!r} is bound twice (checker bug)")
+        return replace(self, env={**self.env, i: IVar(i)})
 
     def restrict(self, phi: Face) -> "Ctx":
         return replace(self, face=face_meet(self.face, phi))
 
     def define(self, x: str, ty: Value, value: Value) -> "Ctx":
-        env = dict(self.env)
-        env[x] = value
-        types = dict(self.types)
-        types[x] = ty
-        return replace(self, env=env, types=types, used=self.used | {x})
+        if x in self.env:
+            raise RuntimeError(f"{x!r} is bound twice (checker bug)")
+        return replace(self, env={**self.env, x: value},
+                       types={**self.types, x: ty})
 
 
 @dataclass
@@ -159,15 +150,14 @@ class Checker:
             )
 
     def check_interval(self, ctx: Ctx, r, span):
-        self._check_interval_names(ctx, inames(env_iexpr(ctx.env, r)), span)
+        self._check_interval_names(ctx, inames(r), span)
 
     def check_face(self, ctx: Ctx, phi: Face, span):
-        self._check_interval_names(ctx, face_names(env_face(ctx.env, phi)),
-                                   span)
+        self._check_interval_names(ctx, face_names(phi), span)
 
     def _check_interval_names(self, ctx: Ctx, names, span):
         for n in names:
-            if not isinstance(ctx.scope.get(n), IVar):
+            if not isinstance(ctx.env.get(n), IVar):
                 raise GcttTypeError(span, "unbound",
                                     f"interval name {n} not in scope")
 
@@ -176,10 +166,10 @@ class Checker:
         return eval_term(ctx.env, t)
 
     def abstract(self, ctx: Ctx, names: tuple, value: Value):
-        """Turn a value over the variables readback prints as `names` into
-        a closure with one parameter per name: read the value back and
-        evaluate it over the context's scope."""
-        return capture(ctx.scope, names, readback(ctx.used, value))
+        """Turn a value over the variables `names` of the context into a
+        closure with one parameter per name: read the value back and
+        evaluate it over the context, whose names are the printed ones."""
+        return capture(ctx.env, names, readback(ctx.used, value))
 
     # -- inference -----------------------------------------------------------
 
@@ -227,10 +217,8 @@ class Checker:
                         "cannot infer an unannotated lambda",
                     )
                 dom = self.check_type(ctx, ann)
-                ctx2, var = ctx.bind_term(x, dom)
-                body_ty = self.infer(ctx2, b)
-                return VPi(dom, self.abstract(ctx2, (var.neutral.name,),
-                                              body_ty))
+                ctx2, _ = ctx.bind_term(x, dom)
+                return VPi(dom, self.abstract(ctx2, (x,), self.infer(ctx2, b)))
             case S.Zero():
                 return VNat()
             case S.Suc(pred=p):
@@ -259,9 +247,9 @@ class Checker:
                 self.check(ctx, r, space)
                 return VUniv()
             case S.PLam(binder=i, body=b):
-                ctx2, iname = ctx.bind_interval(i)
+                ctx2 = ctx.bind_interval(i)
                 body_ty = self.infer(ctx2, b)
-                space = act(body_ty, {iname: IVar(fresh_iname())})
+                space = act(body_ty, {i: IVar(fresh_iname())})
                 if not conv_under(ctx2.face, body_ty, space):
                     raise GcttTypeError(
                         t.span, "mismatch",
@@ -269,17 +257,17 @@ class Checker:
                     )
                 body_v = eval_term(ctx2.env, b)
                 return VPathT(
-                    act(body_ty, {iname: ZERO}),
-                    act(body_v, {iname: ZERO}),
-                    act(body_v, {iname: ONE}),
+                    act(body_ty, {i: ZERO}),
+                    act(body_v, {i: ZERO}),
+                    act(body_v, {i: ONE}),
                 )
             case S.LaterT(subst=ds, body=b):
                 return self.check_later_type(ctx, ds, b, t.span)
             case S.Next(subst=ds, body=b):
-                ctx2, entries, binders = self.check_ds(ctx, ds, t.span)
-                body_ty = self.infer(ctx2, b)
-                names = tuple(name for name, _ in binders)
-                return make_later(entries, self.abstract(ctx2, names, body_ty))
+                ctx2, entries, _ = self.check_ds(ctx, ds, t.span)
+                names = tuple(x for x, _ in ds)
+                return make_later(entries, self.abstract(ctx2, names,
+                                                         self.infer(ctx2, b)))
             case S.GlueT(face=phi, partial=p, equiv=e, base=b):
                 return self.check_glue_type(ctx, phi, p, e, b, t.span)
             case S.Unglue(arg=a):
@@ -319,7 +307,8 @@ class Checker:
                 )
             case S.Fix(clock=r):
                 self.check_interval(ctx, r, t.span)
-                return self.infer(ctx, S.unfold_fix(t))
+                return self.infer(ctx, S.rename_apart(S.unfold_fix(t),
+                                                      ctx.env))
             case S.Pair() | S.GlueIntro():
                 raise GcttTypeError(
                     t.span, "mismatch",
@@ -352,12 +341,12 @@ class Checker:
                            ty.second.apply_lazy(lambda: eval_term(ctx.env, a)))
                 return
             case S.PLam(binder=i, body=b) if isinstance(ty, VPathT):
-                ctx2, iname = ctx.bind_interval(i)
+                ctx2 = ctx.bind_interval(i)
                 self.check(ctx2, b, ty.space)
                 body_v = eval_term(ctx2.env, b)
                 for r, endpoint, side in ((ZERO, ty.lhs, "left"),
                                           (ONE, ty.rhs, "right")):
-                    got = act(body_v, {iname: r})
+                    got = act(body_v, {i: r})
                     if not conv_under(ctx.face, got, endpoint, ty.space):
                         raise GcttTypeError(
                             t.span, "boundary-violation",
@@ -368,8 +357,7 @@ class Checker:
                 return
             case S.Next(subst=ds, body=b) if isinstance(ty, VLaterT):
                 ctx2, entries, binders = self.check_ds(ctx, ds, t.span)
-                matched = match_later(ty, entries, [v for _, v in binders],
-                                      ctx.face)
+                matched = match_later(ty, entries, binders, ctx.face)
                 if matched is not None:
                     self.check(ctx2, b, matched[0])
                     return
@@ -412,11 +400,10 @@ class Checker:
                 return
             case S.GlueIntro(face=phi, partial=p, base=a) \
                     if isinstance(ty, VGlueT):
-                phi_v = env_face(ctx.env, phi)
-                if not face_equal(phi_v, ty.face):
+                if not face_equal(phi, ty.face):
                     raise GcttTypeError(
                         t.span, "mismatch",
-                        f"glue face {face_str(phi_v)} differs from the"
+                        f"glue face {face_str(phi)} differs from the"
                         f" type's face {face_str(ty.face)}",
                     )
                 self.check(ctx, a, ty.base)
@@ -456,9 +443,8 @@ class Checker:
         attached term must be an equivalence onto the base there."""
         self.check_face(ctx, phi, span)
         self.check(ctx, base, VUniv())
-        phi_v = env_face(ctx.env, phi)
         if partial is not None:
-            ctx_p = ctx.restrict(phi_v)
+            ctx_p = ctx.restrict(phi)
             self.check(ctx_p, partial, VUniv())
             part_v = eval_term(ctx.env, partial)
             base_v = eval_term(ctx.env, base)
@@ -469,10 +455,10 @@ class Checker:
 
     def check_ds(self, ctx: Ctx, ds, span):
         """Check a delayed substitution by inference; returns the extended
-        context, the entry values, and (name readback prints, value) pairs.
-        A binder is a fresh variable, unless next-substitution inlines its
-        binding (`match_next`): then it is defined as the `next` body at the
-        matched variables, and named `_DEFINED`."""
+        context, the entry values, and the binders' values.  A binder is a
+        variable, unless next-substitution inlines its binding
+        (`match_next`): then it is defined as the `next` body at the
+        matched variables, and no read-back term mentions it."""
         entries, binders, kept = [], [], []
         ctx2 = ctx
         for x, u in ds:
@@ -483,8 +469,7 @@ class Checker:
                     f"binding for {x} has type {self._show(ctx, uty)},"
                     " which is not a later type",
                 )
-            matched = match_later(uty, entries, [v for _, v in binders],
-                                  ctx.face)
+            matched = match_later(uty, entries, binders, ctx.face)
             if matched is None:
                 raise GcttTypeError(
                     span, "ds-ill-formed",
@@ -496,11 +481,10 @@ class Checker:
             if pos is None:
                 kept.append(len(entries))
                 ctx2, var = ctx2.bind_term(x, matched[0])
-                binders.append((var.neutral.name, var))
             else:
-                var = value.body.apply(*[binders[kept[p]][1] for p in pos])
+                var = value.body.apply(*[binders[kept[p]] for p in pos])
                 ctx2 = ctx2.define(x, matched[0], var)
-                binders.append((_DEFINED, var))
+            binders.append(var)
             entries.append((x, value))
         return ctx2, entries, binders
 
@@ -514,12 +498,11 @@ class Checker:
         total = FACE_BOT
         for phi, _ in branches:
             self.check_face(ctx, phi, span)
-            total = face_join(total, env_face(ctx.env, phi))
+            total = face_join(total, phi)
         vals = []
         for phi, u in branches:
-            phi_v = env_face(ctx.env, phi)
-            self.check(ctx.restrict(phi_v), u, ty)
-            vals.append((phi_v, eval_term(ctx.env, u)))
+            self.check(ctx.restrict(phi), u, ty)
+            vals.append((phi, eval_term(ctx.env, u)))
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
                 overlap = face_meet(vals[i][0], vals[j][0])
@@ -538,21 +521,21 @@ class Checker:
 
     def check_comp(self, ctx: Ctx, t: S.Comp) -> Value:
         # the faces of the tube are checked outside the binder, which they
-        # may not name even where it shadows an interval name
+        # may not name
         for psi, _ in t.tube.branches:
             if t.binder in face_names(psi):
-                raise GcttTypeError(t.span, "unbound",
-                                    f"interval name {t.binder} not in scope")
+                raise GcttTypeError(t.span, "unbound", "a tube face names"
+                                    " the composition's own binder")
             self.check_face(ctx, psi, t.span)
-        ctx_i, iname = ctx.bind_interval(t.binder)
+        ctx_i = ctx.bind_interval(t.binder)
         line = self.check_type(ctx_i, t.line)
-        line0 = act(line, {iname: ZERO})
-        line1 = act(line, {iname: ONE})
+        line0 = act(line, {t.binder: ZERO})
+        line1 = act(line, {t.binder: ONE})
         phi, tube_v = self.check_system(ctx_i, t.tube.branches, line, t.span)
         self.check(ctx, t.base, line0)
         if not face_is_false(phi):
             base_v = eval_term(ctx.env, t.base)
-            tube0 = act(tube_v, {iname: ZERO})
+            tube0 = act(tube_v, {t.binder: ZERO})
             if not conv_under(face_meet(ctx.face, phi), base_v, tube0,
                               line0):
                 raise GcttTypeError(
@@ -591,9 +574,14 @@ class Checker:
                                         f"duplicate declaration {decl.name}")
                 start = time.monotonic()
                 with _fuel_error_at(decl.span):
-                    ty = self.check_type(ctx, decl.type)
-                    self.check(ctx, decl.body, ty)
-                    value = eval_term(ctx.env, decl.body)
+                    ty = self.check_type(ctx, S.rename_apart(decl.type,
+                                                             ctx.env))
+                    body = S.rename_apart(decl.body, ctx.env)
+                    self.check(ctx, body, ty)
+                    value = eval_term(ctx.env, body)
+                if decl.name in ctx.env:  # the declaration hides an import
+                    ctx = replace(ctx, env={k: v for k, v in ctx.env.items()
+                                            if k != decl.name})
                 ctx = ctx.define(decl.name, ty, value)
                 table[decl.name] = (ty, value)
                 order[decl.name] = None
@@ -611,11 +599,6 @@ def _fuel_error_at(span: Optional[Span]):
     except FuelExhausted:
         raise GcttTypeError(span, "mismatch",
                             "conversion fuel exhausted (see --fuel)") from None
-
-
-# A defined binder's parameter in `Checker.abstract`: no variable in scope
-# has this name, so no read-back term mentions it.
-_DEFINED = "?"
 
 
 _NATREC_MOTIVE = surface("(x : N) -> U")()

@@ -205,8 +205,7 @@ def test_criterion_8_boundary_law_200():
 
     ck = Checker()
     ctx = Ctx()
-    ctx, _ = ctx.bind_interval("i")
-    ctx, _ = ctx.bind_interval("l")
+    ctx = ctx.bind_interval("i").bind_interval("l")
     pty = ck.check_type(ctx, parse_term("Path N 0 0"))
     ctx, _ = ctx.bind_term("p", pty)
     count = 0

@@ -192,6 +192,35 @@ def test_normalize_at_names_each_interval_once(capsys):
         assert "--at: i is given twice" in err, second
 
 
+def test_an_at_name_hides_a_declaration_of_that_name(capsys, tmp_path):
+    """An `--at` name is an interval bound around the term, which hides a
+    declaration named like it; the normal form's binders still avoid the
+    declaration's name."""
+    path = write_module(tmp_path, "ati",
+                        "i : N = 2\n\nf : N -> N = \\x -> suc x")
+    for expr, want in ((r"\(q : Path N 0 0) -> <k> q @ i", r"\q -> <k> 0"),
+                       (r"\(p : Path N 0 0) -> <i> p @ i",
+                        r"\p -> <i1> p @ i1")):
+        code, out, err = run(capsys, "normalize", path, "--expr", expr,
+                             "--at", "i=0")
+        assert (code, err, out.strip()) == (0, "", want), expr
+    code, out, _ = run(capsys, "normalize", path, "--expr", "f i")
+    assert (code, out.strip()) == (0, "3")
+    code, out, err = run(capsys, "normalize", path, "--expr", "f i",
+                         "--at", "i=0")
+    assert (code, out) == (1, "")
+    assert err == "<expr>:1:3: [unbound] unbound variable i\n"
+
+
+def test_a_tube_face_may_not_name_its_compositions_binder(capsys):
+    # the binder shadows the outer j, and the message names neither
+    code, out, err = run(capsys, "normalize", "--expr",
+                         "<j> comp j N [ (j=0) -> 0 ] 0")
+    assert (code, out) == (1, "")
+    assert err == ("<expr>:1:5: [unbound] a tube face names the"
+                   " composition's own binder\n")
+
+
 def test_normalize_at_needs_an_expr(capsys, corpus_dir):
     # a declaration's value is closed: no interval substitution can act on it
     code, out, err = run(capsys, "normalize", str(corpus_dir / "streams.gctt"),

@@ -15,7 +15,7 @@ import pytest
 import gctt.eval as E
 from gctt.cli import Loader
 from gctt.parser import parse_term
-from gctt.syntax import term_str
+from gctt.syntax import rename_apart, term_str
 from gctt.typechecker import Ctx
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -57,11 +57,11 @@ def kan(tmp_path_factory):
 
 def _calls(kan, calls: dict, source: str, expected: str) -> dict:
     """The calls counted in `calls` while `source` is normalized as
-    `normalize --expr` does: its type inferred, and it evaluated and read
-    back at that type."""
+    `normalize --expr` does: renamed apart from the context, its type
+    inferred, and it evaluated and read back at that type."""
     checker, ctx = kan
     before = dict(calls)
-    term = parse_term(source)
+    term = rename_apart(parse_term(source), ctx.env)
     ty = checker.infer(ctx, term)
     normal = E.readback(frozenset(ctx.used), E.eval_term(ctx.env, term), ty)
     assert term_str(normal) == expected

@@ -315,12 +315,12 @@ def test_comp_glue_commutes_with_restriction_where_the_face_holds():
     from gctt.typechecker import Checker, Ctx
 
     ck, ctx = Checker(), Ctx()
-    ctx, i = ctx.bind_interval("i")
+    ctx = ctx.bind_interval("i")
     ctx, _ = ctx.bind_term("e", ck.check_type(ctx, parse_term(EQ_NN)))
     t = parse_term("transp k (Glue [ (i=0) -> N, e ] N)"
                    " (glue [ (i=0) -> 0 ] (e.1 0))")
     ck.infer(ctx, t)
-    restricted = act(eval_term(ctx.env, t), {i: ZERO})
+    restricted = act(eval_term(ctx.env, t), {"i": ZERO})
     at_zero = eval_term({**ctx.env, "i": ZERO}, t)
     assert norm_v(restricted, ctx.used) == norm_v(at_zero, ctx.used) == "0"
 
@@ -530,8 +530,7 @@ def test_boundary_law_sampled():
 
     ck = Checker()
     ctx = Ctx()
-    ctx, _ = ctx.bind_interval("i")
-    ctx, _ = ctx.bind_interval("l")
+    ctx = ctx.bind_interval("i").bind_interval("l")
     p_ty = ck.check_type(ctx, parse_term("Path N 0 0"))
     ctx, _ = ctx.bind_term("p", p_ty)
     for src in boundary_instances(40):

@@ -21,9 +21,12 @@ from gctt.interval import (
     inames,
 )
 from gctt.syntax import (
+    _SCHEME,
     BINDER,
     DS,
     IBINDER,
+    SYSTEM,
+    TERM,
     App,
     Comp,
     DFix,
@@ -52,6 +55,7 @@ from gctt.syntax import (
     Zero,
     alpha_canonical,
     free_names,
+    rename_apart,
     subst_interval,
     subst_term,
     term_str,
@@ -325,6 +329,69 @@ def test_interval_substitution_respects_alpha_equivalence(t, r):
     got = subst_interval(t, "j", r)
     want = subst_interval(alpha_canonical(t), "j", r)
     assert alpha_canonical(got) == alpha_canonical(want)
+
+
+# ---------------------------------------------------------------------------
+# rename_apart
+
+
+def shadows(t, scope: frozenset) -> bool:
+    """Whether a binder of t, of either name space, shadows a name in
+    `scope` or one bound around it."""
+    inner = {}
+    for name, kind, under, _ in _SCHEME.get(type(t), ()):
+        value = getattr(t, name)
+        if kind is BINDER or kind is IBINDER:
+            if value in scope:
+                return True
+            inner[name] = scope | {value}
+        elif kind is DS:
+            bound = scope
+            for x, u in value:
+                if shadows(u, scope) or x in bound:
+                    return True
+                bound |= {x}
+            inner[name] = bound
+        elif kind is TERM and value is not None:
+            if shadows(value, inner[under] if under else scope):
+                return True
+        elif kind is SYSTEM and any(shadows(u, scope) for _, u in value):
+            return True
+    return False
+
+
+def test_shadows_sees_each_name_space_and_ds_binders():
+    ident = Lam(None, "x", None, v("x"))
+    assert shadows(Lam(None, "i", None, v("i")), frozenset({"i"}))
+    assert shadows(PLam(None, "x", ident), frozenset())
+    assert shadows(Next(None, (("x", v("a")), ("x", v("b"))), v("x")),
+                   frozenset())
+    # an entry lies outside the binders, and siblings do not shadow
+    assert not shadows(Next(None, (("x", ident),), v("x")), frozenset())
+    assert not shadows(App(None, ident, ident), frozenset())
+
+
+avoid_st = st.frozensets(st.sampled_from(["x", "y", "z", "i", "j", "y1",
+                                          "i1", "i2"]), max_size=4)
+
+
+@given(term_st(), avoid_st)
+@settings(max_examples=300)
+def test_rename_apart(t, avoid):
+    got = rename_apart(t, avoid)
+    assert alpha_canonical(got) == alpha_canonical(t)
+    assert free_names(got) == free_names(t)
+    assert not shadows(got, avoid)
+    if not shadows(t, avoid):
+        assert got is t
+
+
+def test_rename_apart_keeps_what_it_does_not_rename():
+    inner = Lam(None, "y", None, v("y"))
+    t = App(None, Lam(None, "x", None, App(None, v("x"), inner)), inner)
+    got = rename_apart(t, {"x"})
+    assert got.fn.binder != "x" and got.fn.body.arg is inner
+    assert got.arg is inner
 
 
 # ---------------------------------------------------------------------------
