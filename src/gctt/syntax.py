@@ -441,9 +441,6 @@ def _rebuild(t: Term, terms: dict, intervals: dict, bound, rename,
             return t
     out, scopes, chosen = {}, {}, set()
 
-    def go(u, scope):
-        return _rebuild(u, *scope, rename, keep_spans)
-
     def bind(x, kind, scope):
         ts, js, bs = scope
         x2 = rename(x, kind, t, chosen, bs)
@@ -463,24 +460,26 @@ def _rebuild(t: Term, terms: dict, intervals: dict, bound, rename,
             if under is not None and under not in scopes:
                 out[under], scopes[under] = bind(getattr(t, under),
                                                  under_kind, outer)
-            out[name] = None if value is None else go(value,
-                                                      scopes.get(under, outer))
+            out[name] = value if value is None else _rebuild(
+                value, *scopes.get(under, outer), rename, keep_spans)
         elif kind is IEXPR:
             out[name] = dm_subst_all(value, intervals)
         elif kind is FACE:
             out[name] = face_subst_all(value, intervals)
         elif kind is SYSTEM:
-            out[name] = tuple((face_subst_all(phi, intervals), go(u, outer))
+            out[name] = tuple((face_subst_all(phi, intervals),
+                               _rebuild(u, *outer, rename, keep_spans))
                               for phi, u in value)
         elif kind is DS:
             entries, scope = [], outer
             for x, u in value:
-                u2 = go(u, outer)
+                u2 = _rebuild(u, *outer, rename, keep_spans)
                 x2, scope = bind(x, BINDER, scope)
                 entries.append((x2, u2))
             out[name], scopes[name] = tuple(entries), scope
-    # an unchanged subterm is the same object, which `==` sees at once
-    if keep_spans and all(v == getattr(t, n) for n, v in out.items()):
+    # every part unchanged; an unchanged subterm is the same object, which
+    # the comparison sees before comparing structure
+    if keep_spans and out.items() <= t.__dict__.items():
         return t
     return cls(t.span if keep_spans else None, **out)
 
