@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .eval import act, eval_term, readback
-from .interval import IVar
+from .interval import IVar, ONE, ZERO
 from .parser import ParseError, parse_interval, parse_module, parse_term
 from .syntax import ModuleFile, module_str, rename_apart, term_str
 from .typechecker import Checker, CheckedModule, Ctx, GcttTypeError
@@ -152,6 +152,9 @@ def cmd_normalize(args) -> int:
         if not isinstance(var, IVar):
             raise CliError(f"bad --at argument {at!r}: {name!r} is not an"
                            " interval name", EXIT_PARSE_ERROR)
+        if expr not in (ZERO, ONE):
+            raise CliError(f"bad --at argument {at!r}, expected name=0 or"
+                           " name=1", EXIT_PARSE_ERROR)
         if var.name in subs:
             raise CliError(f"--at: {var.name} is given twice",
                            EXIT_PARSE_ERROR)

@@ -28,6 +28,7 @@ from .interval import (
     face_equal,
 )
 from .eval import (
+    FUEL,
     FnClosure,
     InlinedDsClosure,
     NApp,
@@ -62,27 +63,6 @@ from .eval import (
     snd_v,
     unglue_v,
 )
-
-
-class FuelExhausted(Exception):
-    """Raised when conversion exceeds its step bound."""
-
-
-class _Fuel:
-    def __init__(self):
-        self.remaining: Optional[int] = None
-
-    def set(self, limit: Optional[int]):
-        self.remaining = limit
-
-    def tick(self):
-        if self.remaining is not None:
-            self.remaining -= 1
-            if self.remaining < 0:
-                raise FuelExhausted("conversion step bound exceeded")
-
-
-FUEL = _Fuel()
 
 
 # ---------------------------------------------------------------------------

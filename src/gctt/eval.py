@@ -469,10 +469,42 @@ def _by_branch(elim, args: tuple, at: int = 0) -> Value:
     ))
 
 
+class FuelExhausted(Exception):
+    """Raised when conversion exceeds its step bound."""
+
+
+class _Fuel:
+    """The conversion steps a check has left, and its β-reduction memo
+    (`apply_v`), None outside a check. Owned by the check, not the closure
+    (which would close a cycle through it), it is freed by refcounting."""
+
+    def __init__(self):
+        self.remaining: Optional[int] = None
+        self.memo: Optional[dict] = None
+
+    def set(self, limit: Optional[int]):
+        self.remaining = limit
+
+    def tick(self):
+        if self.remaining is not None:
+            self.remaining -= 1
+            if self.remaining < 0:
+                raise FuelExhausted("conversion step bound exceeded")
+
+
+FUEL = _Fuel()
+
+
 def apply_v(fn: Value, arg: Value) -> Value:
     match fn:
         case VLam(closure=c):
-            return c.apply(arg)
+            memo = FUEL.memo
+            if memo is None:
+                return c.apply(arg)
+            res = memo.get((fn, arg))
+            if res is None:
+                res = memo[fn, arg] = c.apply(arg)
+            return res
         case VSystem():
             return _by_branch(apply_v, (fn, arg))
         case VNeutral(neutral=_, type=ty):
@@ -641,16 +673,18 @@ def register_dfix_type(node, used: frozenset, later: Value):
 def _dfix_type_term(entry) -> Optional[Term]:
     """The read-back type of a node's entry, read back on first use.
     While it is being read back the entry has no term yet, so a lookup of
-    it from inside that readback misses."""
+    it from inside that readback misses; the β-reduction memo is suspended
+    meanwhile, so that no value evaluated without the type is served later."""
     pending = entry[1]
     if pending is not None:
         global _ds_expansion
         used, later, expansion = pending
         saved, _ds_expansion, entry[1] = _ds_expansion, expansion, None
+        memo, FUEL.memo = FUEL.memo, None
         try:
             entry[0] = readback(used, later)
         finally:
-            _ds_expansion = saved
+            _ds_expansion, FUEL.memo = saved, memo
             if entry[0] is None:  # the readback failed: retry on next use
                 entry[1] = pending
     return entry[0]

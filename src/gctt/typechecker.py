@@ -14,8 +14,10 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import syntax as S
-from .conversion import FUEL, FuelExhausted, conv_under
+from .conversion import conv_under
 from .eval import (
+    FUEL,
+    FuelExhausted,
     ValueClosure,
     VGlueT,
     VLam,
@@ -549,13 +551,16 @@ class Checker:
     @contextmanager
     def fuelled(self, span: Optional[Span] = None):
         """Bound the conversion steps of what runs inside by one budget of
-        fuel, and report running out of it as a type error at `span`."""
+        fuel, and report running out of it as a type error at `span`.
+        What runs inside shares one β-reduction memo, dropped at the end."""
         FUEL.set(self.fuel)
+        FUEL.memo = {}
         try:
             with _fuel_error_at(span):
                 yield
         finally:
             FUEL.set(None)
+            FUEL.memo = None
 
     def check_module(self, module: S.ModuleFile, imports=()) -> CheckedModule:
         with self.fuelled():
@@ -573,6 +578,7 @@ class Checker:
                     raise GcttTypeError(decl.span, "mismatch",
                                         f"duplicate declaration {decl.name}")
                 start = time.monotonic()
+                FUEL.memo = {}  # each declaration is one memo scope
                 with _fuel_error_at(decl.span):
                     ty = self.check_type(ctx, S.rename_apart(decl.type,
                                                              ctx.env))

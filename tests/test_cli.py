@@ -173,7 +173,7 @@ def test_consecutive_calls_share_no_options(capsys, corpus_dir, tmp_path):
 
 def test_normalize_at_needs_an_interval_name(capsys):
     expr = r"\(p : Path N 0 0) -> p @ x"
-    for bad in ("=1", "1=0"):
+    for bad in ("=1", "1=0", "x=j", r"x=0/\1"):
         code, out, err = run(capsys, "normalize", "--expr", expr, "--at", bad)
         assert (code, out) == (2, ""), bad
         assert "--at" in err, bad
@@ -350,7 +350,8 @@ def test_zero_fuel_allows_no_conversion_step(capsys):
 
 def test_zipwith_checks_within_a_fuel_bound(capsys, corpus_dir):
     # a deterministic work bound: comparing closures built alike without
-    # applying them takes zipwith from 2087 conversion steps to 865
+    # applying them takes zipwith from 2087 conversion steps to 865, and
+    # evaluating each application once per declaration to 557
     code, out, err = run(capsys, "check", "--fuel", "1200",
                          str(corpus_dir / "zipwith.gctt"))
     assert (code, err) == (0, "") and "ok" in out

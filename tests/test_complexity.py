@@ -4,7 +4,8 @@ Call counts do not depend on the machine's speed. Each family of terms
 below is linear in its size n; it is normalized at n and 2n, and the ratio
 of the calls each counted function gets at 2n to those at n is bounded.
 The glue, path and Pi families are the `kan_normalize` benchmark's
-builders; an application chain nests `(\\(x : N) -> x) (...)`.
+builders; an application chain nests `(\\(x : N) -> x) (...)`. One
+check of a corpus module has a bound on its evaluations too.
 """
 
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import gctt.eval as E
-from gctt.cli import Loader
+from gctt.cli import Loader, main
 from gctt.parser import parse_term
 from gctt.syntax import rename_apart, term_str
 from gctt.typechecker import Ctx
@@ -75,3 +76,13 @@ def test_normalization_work_grows_linearly(kan, count_calls, family):
     for name in COUNTED:
         assert large[name] <= MAX_GROWTH * max(small[name], 1), (
             f"{family}: {name} {small[name]} -> {large[name]} calls")
+
+
+def test_a_check_evaluates_each_application_once(count_calls, corpus_dir,
+                                                 capsys):
+    """A declaration's β-reductions are shared (`eval.FUEL.memo`): checking
+    zipwith evaluates 4956 terms, where applying each closure anew at every
+    use took 7718."""
+    calls = count_calls("eval_term")
+    assert main(["check", str(corpus_dir / "zipwith.gctt")]) == 0
+    assert calls["eval_term"] <= 6000
