@@ -166,6 +166,9 @@ def cmd_normalize(args) -> int:
     for name in subs:
         ctx = ctx.bind_interval(name)
 
+    if (args.name is None) == (args.expr is None):
+        raise CliError("normalize needs exactly one of a declaration name"
+                       " and --expr", EXIT_PARSE_ERROR)
     if args.expr is not None:
         try:
             term = parse_term(args.expr)
@@ -173,14 +176,10 @@ def cmd_normalize(args) -> int:
             raise CliError(f"--expr: {exc}", EXIT_PARSE_ERROR)
         term = rename_apart(term, ctx.env)
         where, span = "<expr>", term.span
-    elif args.name is not None:
-        if args.name not in table:
-            raise CliError(f"unknown declaration {args.name}",
-                           EXIT_TYPE_ERROR)
-        where, span = str(path), None
+    elif args.name not in table:
+        raise CliError(f"unknown declaration {args.name}", EXIT_TYPE_ERROR)
     else:
-        raise CliError("normalize needs a declaration name or --expr",
-                       EXIT_PARSE_ERROR)
+        where, span = str(path), None
     # inference, evaluation and readback share one conversion budget
     try:
         with loader.checker.fuelled(span):

@@ -46,11 +46,8 @@ from .interval import (
 from .parser import parse_term
 from .syntax import Term, fresh_name
 
-_internal_names = itertools.count()
-
-
 def fresh_iname() -> str:
-    return f"?i{next(_internal_names)}"
+    return f"?i{next(FUEL.names)}"
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +327,7 @@ class VNeutral(Value):
 # path and glue types out, to compare endpoints and equivalences at a type.
 # A stuck composition has no former: it keeps the face `S.Comp` leaves to
 # its tube.  A function is looked up by name when it runs, so it is
-# whatever the module global is bound to then.
+# whatever this module binds the name to then.
 FORMERS = {
     VNat: (S.Nat, None),
     VUniv: (S.Univ, None),
@@ -348,7 +345,7 @@ FORMERS = {
     NUnglue: (S.Unglue, "unglue_v"),
     NComp: (None, "comp_v"),
 }
-# each entry's function by global name
+# each entry's function by its name in this module
 _BUILDERS = {cls: build or cls.__name__ for cls, (_, build) in FORMERS.items()}
 
 
@@ -356,13 +353,10 @@ def neutral_var(name: str, ty: Optional[Value] = None) -> VNeutral:
     return VNeutral(NVar(name), ty)
 
 
-_probe_counter = itertools.count()
-
-
 def probe_var(ty: Optional[Value] = None) -> VNeutral:
     """A fresh variable for conversion probes; the name space is disjoint
     from anything the parser can produce."""
-    return VNeutral(NVar(f"?v{next(_probe_counter)}"), ty)
+    return VNeutral(NVar(f"?v{next(FUEL.names)}"), ty)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +470,14 @@ class FuelExhausted(Exception):
 class _Fuel:
     """The conversion steps a check has left, and its β-reduction memo
     (`apply_v`), None outside a check. Owned by the check, not the closure
-    (which would close a cycle through it), it is freed by refcounting."""
+    (which would close a cycle through it), it is freed by refcounting.
+    `names` numbers the internal names (`fresh_iname`, `probe_var`); it is
+    never reset, since an imported module's values outlive its check."""
 
     def __init__(self):
         self.remaining: Optional[int] = None
         self.memo: Optional[dict] = None
+        self.names = itertools.count()
 
     def set(self, limit: Optional[int]):
         self.remaining = limit
@@ -658,16 +655,16 @@ def make_later(entries, body: Closure) -> Value:
 DFIX_TYPES: dict = {}
 
 
-def register_dfix_type(node, used: frozenset, later: Value):
+def register_dfix_type(node, used: frozenset, later: Value,
+                       expansion: Optional[dict] = None):
     """Record on a fixed-point node the later type `later` the checker
     established for it (for a `fix`, the type of the `dfix` its binder
     stands for), to be read back over `used` under the delayed-substitution
-    expansions in force now.  The entry `[term, pending]` lives as long as
-    the node: the type is read back from `pending` (the readback's
-    arguments) only when the node is first looked up, which is when it is
-    evaluated."""
-    object.__setattr__(node, "_dfix_type",
-                       [None, (used, later, dict(_ds_expansion))])
+    `expansion` of the enclosing binders (`_readback_ds`).  The entry
+    `[term, pending]` lives as long as the node: the type is read back from
+    `pending` (the readback's arguments) only when the node is first looked
+    up, which is when it is evaluated."""
+    object.__setattr__(node, "_dfix_type", [None, (used, later, expansion)])
 
 
 def _dfix_type_term(entry) -> Optional[Term]:
@@ -677,14 +674,13 @@ def _dfix_type_term(entry) -> Optional[Term]:
     meanwhile, so that no value evaluated without the type is served later."""
     pending = entry[1]
     if pending is not None:
-        global _ds_expansion
         used, later, expansion = pending
-        saved, _ds_expansion, entry[1] = _ds_expansion, expansion, None
+        entry[1] = None
         memo, FUEL.memo = FUEL.memo, None
         try:
-            entry[0] = readback(used, later)
+            entry[0] = readback(used, later, None, expansion)
         finally:
-            _ds_expansion, FUEL.memo = saved, memo
+            FUEL.memo = memo
             if entry[0] is None:  # the readback failed: retry on next use
                 entry[1] = pending
     return entry[0]
@@ -1092,21 +1088,25 @@ def comp_glue(k, line, psi, tube, base):
 # Readback
 
 
-def readback(used: frozenset, v: Value, ty: Optional[Value] = None) -> Term:
+def readback(used: frozenset, v: Value, ty: Optional[Value] = None,
+             expansion: Optional[dict] = None) -> Term:
+    """`v` read back over `used`, eta-long at `ty`; `expansion` maps the
+    enclosing delayed-substitution binders to their expanded contents."""
     match ty:
         case VPi(domain=d, codomain=c):
             x = fresh_name(_preferred_name(v, _closure_name(c, "x")), used)
             var = neutral_var(x, d)
-            return S.Lam(None, x, None,
-                         readback(used | {x}, apply_v(v, var), c.apply(var)))
+            return S.Lam(None, x, None, readback(
+                used | {x}, apply_v(v, var), c.apply(var), expansion))
         case VSigma(first=d, second=c):
             a = fst_v(v)
-            return S.Pair(None, readback(used, a, d),
-                          readback(used, snd_v(v), c.apply(a)))
+            return S.Pair(None, readback(used, a, d, expansion),
+                          readback(used, snd_v(v), c.apply(a), expansion))
         case VPathT(space=sp):
             i = fresh_name(_preferred_iname(v), used)
-            return S.PLam(None, i, readback(used | {i}, papp_v(v, IVar(i)), sp))
-    return readback_value(used, v)
+            return S.PLam(None, i, readback(
+                used | {i}, papp_v(v, IVar(i)), sp, expansion))
+    return readback_value(used, v, expansion)
 
 
 def _closure_name(c: Closure, default: str) -> str:
@@ -1127,30 +1127,35 @@ def _preferred_iname(v: Value) -> str:
     return "i"
 
 
-def readback_value(used: frozenset, v: Value) -> Term:
+def readback_value(used: frozenset, v: Value,
+                   expansion: Optional[dict] = None) -> Term:
     match v:
         case VPi(domain=d, codomain=c):
             x = fresh_name(_closure_name(c, "x"), used)
             var = neutral_var(x, d)
-            return S.Pi(None, x, readback(used, d),
-                        readback(used | {x}, c.apply(var)))
+            return S.Pi(None, x, readback(used, d, None, expansion),
+                        readback(used | {x}, c.apply(var), None, expansion))
         case VSigma(first=d, second=c):
             x = fresh_name(_closure_name(c, "x"), used)
             var = neutral_var(x, d)
-            return S.Sigma(None, x, readback(used, d),
-                           readback(used | {x}, c.apply(var)))
+            return S.Sigma(None, x, readback(used, d, None, expansion),
+                           readback(used | {x}, c.apply(var), None,
+                                    expansion))
         case VPathT(space=sp, lhs=l, rhs=r):
-            return S.PathT(None, readback(used, sp),
-                           readback(used, l, sp), readback(used, r, sp))
+            return S.PathT(None, readback(used, sp, None, expansion),
+                           readback(used, l, sp, expansion),
+                           readback(used, r, sp, expansion))
         case VLam(closure=c):
             x = fresh_name(_closure_name(c, "x"), used)
             var = neutral_var(x)
-            return S.Lam(None, x, None, readback(used | {x}, c.apply(var)))
+            return S.Lam(None, x, None, readback(used | {x}, c.apply(var),
+                                                 None, expansion))
         case VPLam(closure=c):
             i = fresh_name(_preferred_iname(v), used)
-            return S.PLam(None, i, readback(used | {i}, c.apply(IVar(i))))
+            return S.PLam(None, i, readback(used | {i}, c.apply(IVar(i)),
+                                            None, expansion))
         case VLaterT() | VNext():
-            entries, body = _readback_ds(used, v)
+            entries, body = _readback_ds(used, v, expansion)
             if isinstance(v, VNext):
                 if entries and body == S.Var(name=entries[-1][0]):
                     return entries[-1][1]
@@ -1158,20 +1163,23 @@ def readback_value(used: frozenset, v: Value) -> Term:
             return S.LaterT(None, tuple(entries), body)
         case VGlueT(face=phi, partial=p, equiv=e, base=b):
             if p is None:
-                return S.GlueT(None, FACE_BOT, None, None, readback(used, b))
-            return S.GlueT(None, phi, readback(used, p),
-                           readback(used, e, equiv_type_value(p, b)),
-                           readback(used, b))
+                return S.GlueT(None, FACE_BOT, None, None,
+                               readback(used, b, None, expansion))
+            return S.GlueT(None, phi, readback(used, p, None, expansion),
+                           readback(used, e, equiv_type_value(p, b),
+                                    expansion),
+                           readback(used, b, None, expansion))
         case VSystem(branches=bs):
             return S.SystemTerm(None, tuple(
-                (clause_face(cl), readback(used, val)) for cl, val in bs
+                (clause_face(cl), readback(used, val, None, expansion))
+                for cl, val in bs
             ))
         case VNeutral(neutral=ne, type=ty):
-            return readback_neutral(used, ne, ty)
-    return _readback_former(used, v)
+            return readback_neutral(used, ne, ty, expansion)
+    return _readback_former(used, v, expansion)
 
 
-def _readback_former(used: frozenset, x) -> Term:
+def _readback_former(used: frozenset, x, expansion: Optional[dict]) -> Term:
     """The term former of a constructor value or stuck eliminator
     (`FORMERS`) applied to its fields, each value read back without a type;
     an interval expression, a face, a binder name or an absent field is
@@ -1179,8 +1187,9 @@ def _readback_former(used: frozenset, x) -> Term:
     entry = FORMERS.get(type(x))
     if entry is None:
         raise TypeError(f"cannot read back {x!r}")
-    return entry[0](None, *[readback_value(used, p) if isinstance(p, Value)
-                            else p for p in x.field_values])
+    return entry[0](None, *[
+        readback_value(used, p, expansion) if isinstance(p, Value) else p
+        for p in x.field_values])
 
 
 def _first_use(t: Term, name: str) -> int:
@@ -1198,22 +1207,14 @@ def _first_use(t: Term, name: str) -> int:
     return 1 << 30
 
 
-# Enclosing delayed-substitution binders mapped to their fully expanded
-# contents; binding-sort keys must not depend on positional binder names.
-_ds_expansion: dict = {}
-
-
-def _expand_key(term: Term) -> str:
-    expanded = S.subst_terms(term, _ds_expansion) if _ds_expansion else term
-    return S.term_str(S.alpha_canonical(expanded))
-
-
-def _readback_ds(used: frozenset, v: Value):
+def _readback_ds(used: frozenset, v: Value, expansion: Optional[dict]):
     """Read back a later type or a next's delayed substitution with its
     body: inline next-bindings (`canon_later_value`), drop bindings not
     needed by the body or by another binding's type, and order the rest
     canonically respecting those type dependencies.  Binder names are
-    chosen over all the original bindings."""
+    chosen over all the original bindings.  `inner` extends `expansion`
+    with each kept binding's expanded contents, whose printed alpha-canonical
+    form is its sort key: no key depends on positional binder names."""
     es = v.entries
     names, used2 = [], used
     for x, _ in es:
@@ -1223,45 +1224,37 @@ def _readback_ds(used: frozenset, v: Value):
     canon = canon_later_value(v)
     kept = range(len(es)) if canon is v else canon.body.kept
     body_v = canon.body.apply(*[vars_[i] for i in kept])
-    entry_terms = {i: readback(used, es[i][1]) for i in kept}
-    global _ds_expansion
-    saved = _ds_expansion
-    _ds_expansion = dict(saved)
-    try:
-        for i, term in entry_terms.items():
-            _ds_expansion[names[i]] = (
-                S.subst_terms(term, saved) if saved else term
-            )
-        body = readback(used2, body_v)
-        fv = S.free_names(body)[0]
-        # generalized weakening: keep what the body uses, plus the type
-        # dependencies of anything kept
-        needed = {i for i in entry_terms if names[i] in fv}
-        queue = list(needed)
-        while queue:
-            for j in deps[queue.pop()]:
-                if j in entry_terms and j not in needed:
-                    needed.add(j)
-                    queue.append(j)
-        # canonical order: repeatedly emit the dependency-free entry with the
-        # smallest content key
-        remaining = sorted(needed)
-        placed: set = set()
-        entries = []
-        keys = {
-            i: (_expand_key(entry_terms[i]), _first_use(body, names[i]))
-            for i in remaining
-        }
-        while remaining:
-            ready = [i for i in remaining
-                     if all(j in placed or j not in needed for j in deps[i])]
-            ready.sort(key=lambda i: keys[i])
-            pick = ready[0]
-            placed.add(pick)
-            remaining.remove(pick)
-            entries.append((names[pick], entry_terms[pick]))
-    finally:
-        _ds_expansion = saved
+    entry_terms = {i: readback(used, es[i][1], None, expansion)
+                   for i in kept}
+    inner = dict(expansion or {})
+    for i, term in entry_terms.items():
+        inner[names[i]] = S.subst_terms(term, expansion) if expansion else term
+    body = readback(used2, body_v, None, inner)
+    fv = S.free_names(body)[0]
+    # generalized weakening: keep what the body uses, plus the type
+    # dependencies of anything kept
+    needed = {i for i in entry_terms if names[i] in fv}
+    queue = list(needed)
+    while queue:
+        for j in deps[queue.pop()]:
+            if j in entry_terms and j not in needed:
+                needed.add(j)
+                queue.append(j)
+    # canonical order: repeatedly emit the dependency-free entry with the
+    # smallest content key
+    remaining = sorted(needed)
+    placed: set = set()
+    entries = []
+    keys = {i: (S.term_str(S.alpha_canonical(inner[names[i]])),
+                _first_use(body, names[i])) for i in remaining}
+    while remaining:
+        ready = [i for i in remaining
+                 if all(j in placed or j not in needed for j in deps[i])]
+        ready.sort(key=lambda i: keys[i])
+        pick = ready[0]
+        placed.add(pick)
+        remaining.remove(pick)
+        entries.append((names[pick], entry_terms[pick]))
     return entries, body
 
 
@@ -1350,25 +1343,27 @@ def ds_binders(entries: tuple, make_var, pairings: tuple = ()):
 
 
 def readback_neutral(used: frozenset, ne: Neutral,
-                     ty: Optional[Value] = None) -> Term:
+                     ty: Optional[Value] = None,
+                     expansion: Optional[dict] = None) -> Term:
     match ne:
         case NVar(name=x):
             return S.Var(None, x)
         case NComp(binder=k, line=line, face=phi, tube=tube, base=b):
             i = fresh_name("i", used)
             sub = {k: IVar(i)}
-            line_t = readback(used | {i}, act(line, sub))
-            tube_t = readback(used | {i}, act(tube, sub))
+            line_t = readback(used | {i}, act(line, sub), None, expansion)
+            tube_t = readback(used | {i}, act(tube, sub), None, expansion)
             if not isinstance(tube_t, S.SystemTerm):
                 tube_t = S.SystemTerm(None, ((phi, tube_t),))
-            return S.Comp(None, i, line_t, tube_t, readback(used, b))
+            return S.Comp(None, i, line_t, tube_t,
+                          readback(used, b, None, expansion))
         case NDFix(clock=r, closure=c):
             x = fresh_name(_closure_name(c, "x"), used)
-            node = S.DFix(None, r, x,
-                          readback(used | {x}, c.apply(neutral_var(x))))
+            node = S.DFix(None, r, x, readback(
+                used | {x}, c.apply(neutral_var(x)), None, expansion))
             # keep the checked type attached to the printed fixed point, so
             # normal forms stay inferable when rechecked
             if isinstance(ty, VLaterT) and not ty.entries:
-                register_dfix_type(node, used, ty)
+                register_dfix_type(node, used, ty, expansion)
             return node
-    return _readback_former(used, ne)
+    return _readback_former(used, ne, expansion)

@@ -460,20 +460,22 @@ def _rebuild(t: Term, terms: dict, intervals: dict, bound, rename,
             if under is not None and under not in scopes:
                 out[under], scopes[under] = bind(getattr(t, under),
                                                  under_kind, outer)
+            ts, js, bs = scopes.get(under, outer)
             out[name] = value if value is None else _rebuild(
-                value, *scopes.get(under, outer), rename, keep_spans)
+                value, ts, js, bs, rename, keep_spans)
         elif kind is IEXPR:
             out[name] = dm_subst_all(value, intervals)
         elif kind is FACE:
             out[name] = face_subst_all(value, intervals)
         elif kind is SYSTEM:
-            out[name] = tuple((face_subst_all(phi, intervals),
-                               _rebuild(u, *outer, rename, keep_spans))
-                              for phi, u in value)
+            out[name] = tuple([(face_subst_all(phi, intervals),
+                                _rebuild(u, terms, intervals, bound, rename,
+                                         keep_spans))
+                               for phi, u in value])
         elif kind is DS:
             entries, scope = [], outer
             for x, u in value:
-                u2 = _rebuild(u, *outer, rename, keep_spans)
+                u2 = _rebuild(u, terms, intervals, bound, rename, keep_spans)
                 x2, scope = bind(x, BINDER, scope)
                 entries.append((x2, u2))
             out[name], scopes[name] = tuple(entries), scope

@@ -13,7 +13,7 @@ import pytest
 
 import gctt
 from gctt.cli import build_arg_parser, main
-from gctt.parser import parse_module
+from gctt.parser import MAX_NUMERAL, parse_module
 from gctt.syntax import term_str, unfold_fix
 from gctt.typechecker import Checker
 
@@ -229,6 +229,16 @@ def test_normalize_at_needs_an_expr(capsys, corpus_dir):
     assert "--at" in err
 
 
+def test_normalize_takes_a_name_or_an_expr_not_both(capsys, corpus_dir):
+    # the name would be ignored, even an unknown one
+    for name in ("headOfCons", "nosuch"):
+        code, out, err = run(capsys, "normalize",
+                             str(corpus_dir / "streams.gctt"), name,
+                             "--expr", "suc 0")
+        assert (code, out) == (2, "")
+        assert "--expr" in err
+
+
 def test_normalize_ill_typed_expr(capsys, corpus_dir):
     code, _, err = run(capsys, "normalize", str(corpus_dir / "funext.gctt"),
                        "--expr", "funext 0")
@@ -326,6 +336,25 @@ def test_a_closed_pipe_leaves_no_traceback_at_exit(corpus_dir):
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_deeply_nested_terms_check_without_a_crash(tmp_path):
+    """The largest numeral and a 30000-deep chain of applications check in a
+    fresh process. Each nesting level of a substitution or renaming must be
+    one Python call that uses no C stack: the recursion limit `main` sets
+    lets the C stack overflow first, which kills the process (SIGSEGV)."""
+    chain = "f (" * 30000 + "0" + ")" * 30000
+    (tmp_path / "numeral.gctt").write_text(
+        f"module numeral where\nx : N = {MAX_NUMERAL}\n")
+    (tmp_path / "chain.gctt").write_text(
+        "module chain where\n"
+        f"y : N = (\\(f : N -> N) -> {chain}) (\\(x : N) -> suc x)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gctt.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gctt.cli", "check",
+         str(tmp_path / "numeral.gctt"), str(tmp_path / "chain.gctt")],
+        capture_output=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("command", ["check", "normalize"])

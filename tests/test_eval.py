@@ -404,21 +404,38 @@ def test_a_fixed_point_type_is_read_back_once_when_first_looked_up():
     assert len(runs) == 2 and seen == [None]
 
 
-def test_a_fixed_point_type_is_read_back_under_its_registration_expansions(
-        monkeypatch):
+def test_a_fixed_point_type_is_read_back_under_its_registration_expansions():
     """Delayed-substitution bindings are ordered by their contents under the
-    expansions of the enclosing binders in force at registration."""
+    expansions of the enclosing binders recorded with the registration."""
     later_n = ev("|> N")
     env = {"u": neutral_var("u", later_n), "w": neutral_var("w", later_n)}
     inner = ev("|> [a <- u, b <- w] Path N a b", env)
     ty = VLaterT((), ValueClosure(inner))
     node = parse_term("dfix 0 x. x")
-    monkeypatch.setattr(E, "_ds_expansion",
-                        {"u": S.Var(None, "z"), "w": S.Var(None, "a")})
-    E.register_dfix_type(node, frozenset(env), ty)
-    monkeypatch.setattr(E, "_ds_expansion", {})
+    E.register_dfix_type(node, frozenset(env), ty,
+                         {"u": S.Var(None, "z"), "w": S.Var(None, "a")})
     assert norm_v(ty, env) == "|> (|> [a <- u, b <- w] (Path N a b))"
     assert term_str(E._dfix_type_term(node._dfix_type)) == (
+        "|> (|> [b <- w, a <- u] (Path N a b))")
+
+
+def test_a_printed_fixed_point_is_registered_under_the_enclosing_expansions():
+    """Readback registers the type of a `dfix` it prints under a `next`
+    with the expansions of the next's binders: its type's bindings are
+    ordered by what `u` and `w` stand for (`z` and `c`), not by their
+    names."""
+    later2_n = ev("|> |> N")
+    env = {"z": neutral_var("z", later2_n), "c": neutral_var("c", later2_n)}
+
+    def body(u, w):
+        inner = ev("|> [a <- u, b <- w] Path N a b", {"u": u, "w": w})
+        return VNeutral(E.NDFix(ZERO, FnClosure(lambda x: x)),
+                        VLaterT((), ValueClosure(inner)))
+
+    v = VNext((("u", env["z"]), ("w", env["c"])), FnClosure(body))
+    printed = readback(frozenset(env), v)
+    assert term_str(printed) == "next (dfix 0 x. x)"
+    assert term_str(E._dfix_type_term(printed.body._dfix_type)) == (
         "|> (|> [b <- w, a <- u] (Path N a b))")
 
 

@@ -3,11 +3,14 @@ handler, no module asks for an object's identity, no table holds the delayed
 fixed points' types, every field of a host closure is
 acted on by interval substitutions, conversion keeps no module-level table
 and takes no name set, no module-level table hides a function from the
-benchmark's tracer, and none grows across invocations."""
+benchmark's tracer, none grows across invocations, no function rebinds a
+module global and no module numbers names from a counter of its own."""
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -46,6 +49,21 @@ def test_the_dfix_registry_name_is_only_bound():
             for line in path.read_text().splitlines()
             if "DFIX_TYPES" in line]
     assert hits == ["eval.py:DFIX_TYPES: dict = {}"]
+
+
+def test_no_global_statement_and_no_module_level_counter():
+    """Readback passes its expansions down the call, and internal names are
+    drawn from the one supply on `eval.FUEL`."""
+    rebinds = [f"{path.name}:{node.lineno}"
+               for path in sorted(SOURCE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Global)]
+    counters = [f"{modname}.{name}"
+                for modname, mod in sorted(sys.modules.items())
+                if modname == "gctt" or modname.startswith("gctt.")
+                for name, value in vars(mod).items()
+                if isinstance(value, itertools.count)]
+    assert rebinds == [] and counters == []
 
 
 def test_no_weak_reference_tables():

@@ -685,9 +685,9 @@ def test_deferred_fixed_point_types_read_back_as_eager_ones(
     register = E.register_dfix_type
     recorded = []
 
-    def register_recording(node, used, later):
-        eager = readback(used, later)
-        register(node, used, later)
+    def register_recording(node, used, later, expansion=None):
+        eager = readback(used, later, None, expansion)
+        register(node, used, later, expansion)
         recorded.append((node, node._dfix_type, eager))
 
     for mod in (E, T):
