@@ -8,6 +8,12 @@ Keywords are identifiers reserved in `KEYWORDS`; the symbols are
 Blanks are space, tab and carriage return; a column counts characters, so
 a tab is one column.
 
+`tokenize` makes one match of `_TOKEN` per token, which takes the blanks,
+newlines and comments before the token with it; `Token` and `Span` are
+named tuples.  The parser's cursor holds the current token (`Parser.tok`).
+A symbol or keyword is told by its lexeme alone: no identifier, numeral
+or `eof` has the lexeme of one.
+
 One module per file: `module name where` followed by declarations
 `name : Type = term`.  There is no layout rule; an application chain stops
 when the next identifier is followed by `:`, which begins a new declaration.
@@ -26,8 +32,7 @@ join of its faces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .interval import (
     FACE_BOT,
@@ -76,27 +81,33 @@ from .syntax import (
 ATOM_KEYWORDS = frozenset(KEYWORD_FORMERS) | {"comp", "transp", "Glue", "glue"}
 KEYWORDS = (ATOM_KEYWORDS - {"|>"}) | {"module", "where", "import", "data",
                                        "let", "dfix", "fix"}
+_ATOM_START = ATOM_KEYWORDS | {"(", "["}  # what starts an atom
 # the largest numeral; `Parser.numeral` builds one node per unit
 MAX_NUMERAL = 100_000
 
-# One alternative per token kind, tried in order; symbols longest first.
+# One match per token: the blanks, newlines and comments before it, then
+# the token as one group of numeral, identifier, symbol (longest first) or
+# an illegal character; none of these at the end of the source is `eof`.
 # An identifier group may start with a numeric character that is not a
 # letter (`½`); `tokenize` rejects it.
 _TOKEN = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<skip>[ \t\r]+|--[^\n]*)
-  | (?P<int>\d+)
-  | (?P<ident>[^\W\d][\w']*)
-  | (?P<symbol>->|<-|\|>|/\\|\\/|[\\<>@.,:=()\[\]*-])
-  | (?P<illegal>.)
+    ((?:[ \t\r]*+(?:--[^\n]*+)?\n)*+[ \t\r]*+(?:--[^\n]*+)?)
+    (?:(\d+)
+     | ([^\W\d][\w']*)
+     | (->|<-|\|>|/\\|\\/|[\\<>@.,:=()\[\]*-])
+     | \Z
+     | (.))
 """, re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | keyword | symbol | int | eof
     lexeme: str
     span: Span
+
+
+# `_new(cls, fields)` builds a named tuple without its Python-level `__new__`
+_new = tuple.__new__
 
 
 class ParseError(Exception):
@@ -111,125 +122,125 @@ class ParseError(Exception):
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(source):
-        kind, lexeme, start = m.lastgroup, m.group(), m.start()
-        col = start - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "illegal" or kind == "ident" and not (
-                lexeme[0].isalpha() or lexeme[0] == "_"):
-            raise ParseError(Span(line, col, start, start), ["a token"],
-                             repr(lexeme[0]))
-        elif kind != "skip":
-            if kind == "ident" and lexeme in KEYWORDS:
+    append = tokens.append
+    line, line_start, pos = 1, 0, 0
+    for skip, num, name, sym, bad in _TOKEN.findall(source):
+        if skip:
+            if "\n" in skip:
+                line += skip.count("\n")
+                line_start = pos + skip.rindex("\n") + 1
+            pos += len(skip)
+        if sym:
+            kind, lexeme = "symbol", sym
+        elif name:
+            kind, lexeme = "ident", name
+            if name in KEYWORDS:
                 kind = "keyword"
-            tokens.append(Token(kind, lexeme, Span(line, col, start, m.end())))
-    end = len(source)
-    tokens.append(Token("eof", "", Span(line, end - line_start + 1, end, end)))
+            elif name >= "\x80" and not name[0].isalpha():
+                bad = name[0]
+        elif num:
+            kind, lexeme = "int", num
+        elif not bad:
+            kind, lexeme = "eof", ""
+        if bad:
+            span = Span(line, pos - line_start + 1, pos, pos)
+            raise ParseError(span, ["a token"], repr(bad))
+        end = pos + len(lexeme)
+        append(_new(Token, (kind, lexeme, _new(Span, (
+            line, pos - line_start + 1, pos, end)))))
+        if not lexeme:
+            break  # `eof`; `findall` may match the empty end once more
+        pos = end
     return tokens
 
 
 class Parser:
+    """A cursor over the tokens: `tok` is the token at `pos`.  A lookahead
+    indexes `tokens` past a token that is not `eof`, the last one, so it
+    needs no bound."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.tok = tokens[0]
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
     def next(self) -> Token:
-        tok = self.peek()
+        """The current token, moving past it; never called at `eof`."""
+        tok = self.tok
         self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
-    def at_symbol(self, *syms: str) -> bool:
-        t = self.peek()
-        return t.kind == "symbol" and t.lexeme in syms
-
-    def at_keyword(self, *kws: str) -> bool:
-        t = self.peek()
-        return t.kind == "keyword" and t.lexeme in kws
-
-    def expect(self, kind: str, lexeme: Optional[str] = None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (lexeme is not None and t.lexeme != lexeme):
-            raise ParseError(t.span, [lexeme or kind], t.lexeme or t.kind)
-        return self.next()
+    def expect(self, lexeme: str) -> None:
+        """Move past the symbol or keyword `lexeme`."""
+        if self.tok.lexeme != lexeme:
+            raise self.fail([lexeme])
+        self.next()
 
     def fail(self, expected) -> ParseError:
-        t = self.peek()
+        t = self.tok
         return ParseError(t.span, expected, t.lexeme or t.kind)
 
     def ident(self) -> str:
-        return self.expect("ident").lexeme
+        if self.tok.kind != "ident":
+            raise self.fail(["ident"])
+        return self.next().lexeme
 
     # -- modules -----------------------------------------------------------
 
     def module(self) -> ModuleFile:
-        self.expect("keyword", "module")
+        self.expect("module")
         name = self.ident()
-        self.expect("keyword", "where")
+        self.expect("where")
         imports = []
-        while self.at_keyword("import"):
+        while self.tok.lexeme == "import":
             self.next()
             imports.append(self.ident())
         decls = []
-        while self.peek().kind != "eof":
+        while self.tok.kind != "eof":
             decls.append(self.declaration())
         return ModuleFile(name, tuple(imports), tuple(decls))
 
     def declaration(self) -> Declaration:
-        start = self.peek().span
+        start = self.tok.span
         name = self.ident()
-        self.expect("symbol", ":")
+        self.expect(":")
         ty = self.term()
-        self.expect("symbol", "=")
+        self.expect("=")
         body = self.term()
         return Declaration(name, ty, body, span=start)
 
     # -- terms -------------------------------------------------------------
 
     def term(self) -> Term:
-        span = self.peek().span
-        if self.at_symbol("\\"):
+        _, lexeme, span = self.tok
+        if lexeme == "\\":
             return self.lam(span)
-        if self.at_symbol("<"):
+        if lexeme == "<":
             return self.path_lam(span)
-        if self.at_keyword("dfix", "fix"):
+        if lexeme == "dfix" or lexeme == "fix":
             return self.fixpoint(span)
         return self.arrow()
 
     def lam(self, span: Span) -> Term:
         self.next()
-        binders = self.binder_group()
-        self.expect("symbol", "->")
+        binders = self.binders(bare=True)
+        if not binders:
+            raise self.fail(["a binder"])
+        self.expect("->")
         body = self.term()
         for x, ann in reversed(binders):
             body = Lam(span, x, ann, body)
         return body
 
-    def binder_group(self) -> list[tuple[str, Optional[Term]]]:
-        binders: list[tuple[str, Optional[Term]]] = []
-        while True:
-            if self.peek().kind == "ident":
-                binders.append((self.ident(), None))
-            elif self._binder_groups_ahead():
-                binders.extend(self.binder_groups())
-            else:
-                break
-        if not binders:
-            raise self.fail(["a binder"])
-        return binders
-
     def path_lam(self, span: Span) -> Term:
         self.next()
         names = [self.ident()]
-        while self.peek().kind == "ident":
-            names.append(self.ident())
-        self.expect("symbol", ">")
+        while self.tok.kind == "ident":
+            names.append(self.next().lexeme)
+        self.expect(">")
         body = self.term()
         for x in reversed(names):
             body = PLam(span, x, body)
@@ -239,114 +250,106 @@ class Parser:
         kw = self.next().lexeme
         clock = self.interval_atom()
         x = self.ident()
-        self.expect("symbol", ".")
+        self.expect(".")
         body = self.term()
         return (Fix if kw == "fix" else DFix)(span, clock, x, body)
 
     def _binder_groups_ahead(self) -> bool:
-        """Is the upcoming '(' the start of a (x y : A) binder group?"""
-        if not self.at_symbol("("):
+        """Is the current '(' the start of a (x y : A) binder group?"""
+        if self.tok.lexeme != "(":
             return False
-        k = 1
-        while self.peek(k).kind == "ident":
+        tokens, k = self.tokens, self.pos + 1
+        while tokens[k].kind == "ident":
             k += 1
-        return k > 1 and self.peek(k).kind == "symbol" and self.peek(k).lexeme == ":"
+        return k > self.pos + 1 and tokens[k].lexeme == ":"
 
-    def binder_groups(self) -> list[tuple[str, Term]]:
-        """The (x y : A) binder groups ahead, one (name, type) per name."""
-        groups: list[tuple[str, Term]] = []
-        while self._binder_groups_ahead():
-            self.next()
-            names = []
-            while self.peek().kind == "ident":
-                names.append(self.ident())
-            self.expect("symbol", ":")
-            ty = self.term()
-            self.expect("symbol", ")")
-            groups.extend((x, ty) for x in names)
-        return groups
+    def binders(self, bare: bool) -> list[tuple[str, Optional[Term]]]:
+        """The (x y : A) binder groups ahead, one (name, type) per name, and
+        where `bare`, the names ahead with no type, each as (name, None)."""
+        binders: list[tuple[str, Optional[Term]]] = []
+        while True:
+            if bare and self.tok.kind == "ident":
+                binders.append((self.next().lexeme, None))
+            elif self._binder_groups_ahead():
+                self.next()
+                names = []
+                while self.tok.kind == "ident":
+                    names.append(self.next().lexeme)
+                self.expect(":")
+                ty = self.term()
+                self.expect(")")
+                binders.extend((x, ty) for x in names)
+            else:
+                return binders
 
     def arrow(self) -> Term:
-        span = self.peek().span
-        groups = self.binder_groups()
-        if groups:
-            if self.at_symbol("*"):
+        """Binder groups before `*` or `->`, or `A * B * ... -> C` with each
+        of A, B, ... a path application: `*` and `->` group to the right."""
+        span = self.tok.span
+        if self._binder_groups_ahead():
+            groups = self.binders(bare=False)
+            if self.tok.lexeme == "*":
                 self.next()
-                body = self.arrow()
-                for x, ty in reversed(groups):
-                    body = Sigma(span, x, ty, body)
-                return body
-            self.expect("symbol", "->")
-            body = self.term()
+                body, former = self.arrow(), Sigma
+            else:
+                self.expect("->")
+                body, former = self.term(), Pi
             for x, ty in reversed(groups):
-                body = Pi(span, x, ty, body)
+                body = former(span, x, ty, body)
             return body
-        lhs = self.sigma()
-        if self.at_symbol("->"):
+        factors = [(span, self.path_app())]
+        while self.tok.lexeme == "*":
+            self.next()
+            factors.append((self.tok.span, self.path_app()))
+        lhs = factors.pop()[1]
+        for s, factor in reversed(factors):
+            lhs = Sigma(s, "_", factor, lhs)
+        if self.tok.lexeme == "->":
             self.next()
             return Pi(span, "_", lhs, self.term())
         return lhs
 
-    def sigma(self) -> Term:
-        span = self.peek().span
-        lhs = self.path_app()
-        if self.at_symbol("*"):
-            self.next()
-            return Sigma(span, "_", lhs, self.sigma())
-        return lhs
-
     def path_app(self) -> Term:
-        t = self.app()
-        while self.at_symbol("@"):
-            span = self.next().span
-            t = PApp(span, t, self.interval())
-        return t
-
-    def _stops_chain(self) -> bool:
-        # an identifier followed by ':' starts the next declaration
-        t = self.peek()
-        if t.kind == "ident":
-            nxt = self.peek(1)
-            return nxt.kind == "symbol" and nxt.lexeme == ":"
-        return False
-
-    def _at_atom(self) -> bool:
-        t = self.peek()
-        if t.kind in ("ident", "int"):
-            return not self._stops_chain()
-        return t.lexeme in ATOM_KEYWORDS or self.at_symbol("(", "[")
-
-    def app(self) -> Term:
-        span = self.peek().span
+        """An application chain, then any `@ r`."""
+        span = self.tok.span
         t = self.atom()
-        while self._at_atom():
+        while True:
+            kind, lexeme, _ = self.tok
+            if kind == "ident":
+                # an identifier followed by ':' starts the next declaration
+                if self.tokens[self.pos + 1].lexeme == ":":
+                    break
+            elif kind != "int" and lexeme not in _ATOM_START:
+                break
             t = App(span, t, self.atom())
+        while self.tok.lexeme == "@":
+            t = PApp(self.next().span, t, self.interval())
         return t
 
     def atom(self) -> Term:
         """An atom, then any `.1` and `.2` projections of it."""
-        t = self.peek()
-        span = t.span
-        if t.kind == "ident":
+        kind, lexeme, span = self.tok
+        if kind == "ident":
             self.next()
-            term = Var(span, t.lexeme)
-        elif t.kind == "int":
+            term = Var(span, lexeme)
+        elif kind == "int":
             term = self.numeral()
-        elif t.lexeme in ATOM_KEYWORDS:
+        elif lexeme in ATOM_KEYWORDS:
             term = self.keyword_atom()
-        elif self.at_symbol("("):
+        elif lexeme == "(":
             self.next()
             term = self.term()
-            if self.at_symbol(","):
+            if self.tok.lexeme == ",":
                 self.next()
                 term = Pair(span, term, self.term())
-            self.expect("symbol", ")")
+            self.expect(")")
             term = term.with_span(span)
-        elif self.at_symbol("["):
+        elif lexeme == "[":
             term = self.system(span)
         else:
             raise self.fail(["a term"])
-        while self.at_symbol(".") and self.peek(1).kind == "int":
+        tokens = self.tokens
+        while self.tok.lexeme == "." and tokens[self.pos + 1].kind == "int":
             span = self.next().span
             idx = self.next().lexeme
             if idx not in ("1", "2"):
@@ -371,8 +374,7 @@ class Parser:
         return term
 
     def keyword_atom(self) -> Term:
-        kw = self.peek().lexeme
-        span = self.next().span
+        _, kw, span = self.next()
         former = KEYWORD_FORMERS.get(kw)
         if former is not None:
             return former(span, *[
@@ -381,7 +383,7 @@ class Parser:
         if kw == "comp":
             binder = self.ident()
             line = self.atom()
-            tube = self.system(self.peek().span)
+            tube = self.system(self.tok.span)
             return Comp(span, binder, line, tube, self.atom())
         if kw == "transp":
             binder = self.ident()
@@ -396,32 +398,29 @@ class Parser:
     def glue_head(self, equiv: bool) -> tuple:
         """The `[]` or `[ phi -> t ]` of `glue`, `[ phi -> t, e ]` of `Glue`,
         as (face, t, e); an empty head is on the false face."""
-        self.expect("symbol", "[")
-        if self.at_symbol("]"):
+        self.expect("[")
+        if self.tok.lexeme == "]":
             self.next()
             return FACE_BOT, None, None
         face, part = self.branch()
         e = None
         if equiv:
-            self.expect("symbol", ",")
+            self.expect(",")
             e = self.term()
-        self.expect("symbol", "]")
+        self.expect("]")
         return face, part, e
 
-    def _at_delayed_subst(self) -> bool:
-        return (
-            self.at_symbol("[")
-            and self.peek(1).kind == "ident"
-            and self.peek(2).kind == "symbol"
-            and self.peek(2).lexeme == "<-"
-        )
-
     def delayed_subst(self) -> tuple:
-        return self.bracketed(self.ds_entry) if self._at_delayed_subst() else ()
+        """`[x <- t, ...]`, or no entries where none is ahead."""
+        tokens, k = self.tokens, self.pos
+        if (self.tok.lexeme == "[" and tokens[k + 1].kind == "ident"
+                and tokens[k + 2].lexeme == "<-"):
+            return self.bracketed(self.ds_entry)
+        return ()
 
     def ds_entry(self) -> tuple:
         x = self.ident()
-        self.expect("symbol", "<-")
+        self.expect("<-")
         return (x, self.term())
 
     def system(self, span: Span) -> Term:
@@ -429,19 +428,19 @@ class Parser:
 
     def branch(self) -> tuple:
         face = self.face()
-        self.expect("symbol", "->")
+        self.expect("->")
         return (face, self.term())
 
     def bracketed(self, item) -> tuple:
         """`[ item, ..., item ]`, or `[]` for none."""
-        self.expect("symbol", "[")
+        self.expect("[")
         items = []
-        if not self.at_symbol("]"):
+        if self.tok.lexeme != "]":
             items.append(item())
-            while self.at_symbol(","):
+            while self.tok.lexeme == ",":
                 self.next()
                 items.append(item())
-        self.expect("symbol", "]")
+        self.expect("]")
         return tuple(items)
 
     # -- faces and intervals ------------------------------------------------
@@ -449,7 +448,7 @@ class Parser:
     def _chain(self, operand, symbol: str, combine):
         """`operand symbol operand ...`, combined from the left."""
         x = operand()
-        while self.at_symbol(symbol):
+        while self.tok.lexeme == symbol:
             self.next()
             x = combine(x, operand())
         return x
@@ -460,18 +459,19 @@ class Parser:
             "\\/", face_join)
 
     def face_atom(self) -> Face:
-        self.expect("symbol", "(")
-        if self.at_symbol("("):
+        self.expect("(")
+        if self.tok.lexeme == "(":
             inner = self.face()
-            self.expect("symbol", ")")
+            self.expect(")")
             return inner
         r = self.interval()
-        self.expect("symbol", "=")
-        pol = self.expect("int")
-        if pol.lexeme not in ("0", "1"):
-            raise ParseError(pol.span, ["0", "1"], pol.lexeme)
-        self.expect("symbol", ")")
-        return face_of_eq(r, int(pol.lexeme))
+        self.expect("=")
+        pol = self.tok.lexeme
+        if pol not in ("0", "1"):
+            raise self.fail(["0", "1"] if self.tok.kind == "int" else ["int"])
+        self.next()
+        self.expect(")")
+        return face_of_eq(r, int(pol))
 
     def interval(self) -> IExpr:
         return self._chain(
@@ -479,40 +479,40 @@ class Parser:
             "\\/", IJoin)
 
     def interval_atom(self) -> IExpr:
-        t = self.peek()
-        if self.at_symbol("-"):
+        kind, lexeme, _ = self.tok
+        if lexeme == "-":
             self.next()
             return INeg(self.interval_atom())
-        if t.kind == "int" and t.lexeme in ("0", "1"):
+        if kind == "int" and lexeme in ("0", "1"):
             self.next()
-            return ZERO if t.lexeme == "0" else ONE
-        if t.kind == "ident":
+            return ZERO if lexeme == "0" else ONE
+        if kind == "ident":
             self.next()
-            return IVar(t.lexeme)
-        if self.at_symbol("("):
+            return IVar(lexeme)
+        if lexeme == "(":
             self.next()
             r = self.interval()
-            self.expect("symbol", ")")
+            self.expect(")")
             return r
         raise self.fail(["an interval expression"])
 
 
-def parse_module(source: str) -> ModuleFile:
+def _parse(source: str, rule):
+    """The source as `rule` of the grammar, and nothing after it."""
     p = Parser(tokenize(source))
-    m = p.module()
-    p.expect("eof")
-    return m
+    result = rule(p)
+    if p.tok.kind != "eof":
+        raise p.fail(["eof"])
+    return result
+
+
+def parse_module(source: str) -> ModuleFile:
+    return _parse(source, Parser.module)
 
 
 def parse_term(source: str) -> Term:
-    p = Parser(tokenize(source))
-    t = p.term()
-    p.expect("eof")
-    return t
+    return _parse(source, Parser.term)
 
 
 def parse_interval(source: str) -> IExpr:
-    p = Parser(tokenize(source))
-    r = p.interval()
-    p.expect("eof")
-    return r
+    return _parse(source, Parser.interval)

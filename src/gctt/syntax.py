@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .interval import (
     Face,
@@ -26,8 +26,7 @@ from .interval import (
 )
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int
     col: int
     start: int
@@ -479,11 +478,23 @@ def _rebuild(t: Term, terms: dict, intervals: dict, bound, rename,
                 x2, scope = bind(x, BINDER, scope)
                 entries.append((x2, u2))
             out[name], scopes[name] = tuple(entries), scope
-    # every part unchanged; an unchanged subterm is the same object, which
-    # the comparison sees before comparing structure
-    if keep_spans and out.items() <= t.__dict__.items():
+    if keep_spans and all(_same(kind, out[name], getattr(t, name))
+                          for name, kind, _, _ in _SCHEME[cls]):
         return t
     return cls(t.span if keep_spans else None, **out)
+
+
+def _same(kind, new, old) -> bool:
+    """Is the rebuilt part `new` of this kind the part `old`?  An unchanged
+    subterm comes back as the same object, so a subterm is compared by
+    identity, which stops where a structural `==` would walk down to the
+    change; a system or delayed substitution is compared entry by entry,
+    and a name, face or interval expression by `==`."""
+    if kind is TERM:
+        return new is old
+    if kind is SYSTEM or kind is DS:
+        return all(a == b and u is v for (a, u), (b, v) in zip(new, old))
+    return new == old
 
 
 # ---------------------------------------------------------------------------

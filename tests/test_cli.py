@@ -62,6 +62,23 @@ def test_a_file_that_is_not_utf8_reports_io(capsys, tmp_path, command):
     assert err == f"io error: {p}: not UTF-8 (invalid start byte at byte 0)\n"
 
 
+def test_a_byte_order_mark_is_left_out(capsys, tmp_path):
+    """A module file an editor began with a UTF-8 byte-order mark checks;
+    a column on its first line is counted after the mark, and a byte offset
+    from the start of the file."""
+    bom = "\ufeff".encode("utf-8")
+    p = tmp_path / "m.gctt"
+    p.write_bytes(bom + b"module m where\nx : N = 0\n")
+    assert run(capsys, "check", str(p)) == (0, f"{p}: ok (1 declarations)\n",
+                                           "")
+    p.write_bytes(bom + b"module m where 1\n")
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, err) == (2, f"{p}:1:16: expected ident, found 1\n")
+    p.write_bytes(bom + b"module m\xff")
+    code, out, err = run(capsys, "parse", str(p))
+    assert err == f"io error: {p}: not UTF-8 (invalid start byte at byte 11)\n"
+
+
 def test_an_import_that_is_not_utf8_reports_io(capsys, tmp_path):
     (tmp_path / "lib.gctt").write_bytes(b"module lib where\n\xe9\n")
     p = tmp_path / "m.gctt"

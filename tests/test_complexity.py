@@ -1,11 +1,14 @@
-"""Growth of the work normalization does with the size of its input.
+"""Growth of the work normalization, renaming and parsing do with the size
+of their input.
 
 Call counts do not depend on the machine's speed. Each family of terms
 below is linear in its size n; it is normalized at n and 2n, and the ratio
 of the calls each counted function gets at 2n to those at n is bounded.
 The glue, path and Pi families are the `kan_normalize` benchmark's
 builders; an application chain nests `(\\(x : N) -> x) (...)`. One
-check of a corpus module has a bound on its evaluations too.
+check of a corpus module has a bound on its evaluations too. Renaming a
+term apart and parsing a module are bounded the same way, by the Python
+calls they make, counted with `sys.setprofile`.
 """
 
 import sys
@@ -14,8 +17,9 @@ from pathlib import Path
 import pytest
 
 import gctt.eval as E
+import gctt.parser
 from gctt.cli import Loader, main
-from gctt.parser import parse_term
+from gctt.parser import parse_module, parse_term
 from gctt.syntax import rename_apart, term_str
 from gctt.typechecker import Ctx
 
@@ -86,3 +90,51 @@ def test_a_check_evaluates_each_application_once(count_calls, corpus_dir,
     calls = count_calls("eval_term")
     assert main(["check", str(corpus_dir / "zipwith.gctt")]) == 0
     assert calls["eval_term"] <= 6000
+
+
+def _python_calls(fn, *args, where=None) -> int:
+    """The Python-level calls `fn(*args)` makes, those into the source file
+    `where` only if given."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and (where is None
+                                or frame.f_code.co_filename == where):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _shadowed(n):
+    """`\\(x : N) -> \\(x : N) -> suc (... x)`, n `suc`s deep: renaming it
+    apart renames the inner `x` and every node down to its occurrence."""
+    return parse_term("\\(x : N) -> \\(x : N) -> " + "suc (" * n + "x"
+                      + ")" * n)
+
+
+def test_renaming_apart_grows_linearly():
+    """A rebuilt node is compared with the original part by part, each
+    subterm by identity: comparing them structurally walked down to the
+    renamed occurrence at every level, quadratic in the depth."""
+    small, large = (_python_calls(rename_apart, _shadowed(n), frozenset())
+                    for n in (200, 400))
+    assert large <= MAX_GROWTH * small, f"{small} -> {large} calls"
+
+
+def _chain_module(n):
+    """`d0 : N = 0` and then `d_k : N = suc d_(k-1)`, n declarations."""
+    decls = ["d0 : N = 0"] + [f"d{k} : N = suc d{k - 1}" for k in range(1, n)]
+    return "module m where\n" + "\n".join(decls)
+
+
+def test_parsing_work_grows_linearly():
+    small, large = (_python_calls(parse_module, _chain_module(n),
+                                  where=gctt.parser.__file__)
+                    for n in (100, 200))
+    assert large <= MAX_GROWTH * small, f"{small} -> {large} calls"

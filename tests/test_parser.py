@@ -1,7 +1,11 @@
 """Lexer and parser tests, including the print/parse round trip."""
 
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gctt.interval import IVar, ONE, ZERO, face_join, face_lit, face_meet
 from gctt.parser import ParseError, Parser, parse_module, parse_term, tokenize
@@ -31,10 +35,14 @@ from gctt.syntax import (
     Zero,
     alpha_canonical,
     module_str,
+    subterms,
     term_str,
     unfold_fix,
 )
 from test_syntax import term_st
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def toks(src):
@@ -127,6 +135,75 @@ def test_lexer_table(source, expected):
     e = exc.value
     assert (e.span.line, e.span.col, e.span.start, e.span.end, e.expected,
             e.found) == expected
+
+
+def _oracle_span(source, start, end):
+    """(line, col, start, end) of `source[start:end]`, counted naively."""
+    line = source.count("\n", 0, start) + 1
+    col = start - (source.rfind("\n", 0, start) + 1) + 1
+    return (line, col, start, end)
+
+
+SYMBOLS = ["->", "<-", "|>", "/\\", "\\/", "\\", "<", ">", "@", ".", ",",
+           ":", "=", "(", ")", "[", "]", "*", "-"]
+# the pieces of a legal source: identifiers (Unicode letters and `'`),
+# numerals (decimal digits of any script), symbols, blanks and comments
+_piece = st.one_of(
+    st.builds(str.__add__, st.sampled_from("xé_λЖ"),
+              st.text(st.sampled_from("ab_'é1١"), max_size=3)),
+    st.text(st.sampled_from("0129١٢"), min_size=1, max_size=3),
+    st.sampled_from(SYMBOLS + ["next", "module", "fix"]),
+    st.sampled_from([" ", "\t", "\r\n", "\n", "  "]),
+    # the blank keeps a `<` before it from taking the comment's first `-`
+    st.builds(" --{}".format, st.text(st.sampled_from(" a-½#>"), max_size=4)),
+)
+_source = st.lists(_piece, max_size=12).map("".join)
+
+
+@given(_source)
+@settings(max_examples=300)
+def test_token_positions_agree_with_a_naive_count(source):
+    tokens = tokenize(source)
+    assert [t.kind for t in tokens].count("eof") == 1
+    assert tokens[-1].kind == "eof"
+    for t in tokens:
+        s = t.span
+        assert tuple(s) == _oracle_span(source, s.start, s.end)
+        assert source[s.start:s.end] == t.lexeme
+
+
+@given(_source, st.sampled_from("½#"), _source)
+@settings(max_examples=150)
+def test_an_illegal_character_is_reported_where_it_stands(before, bad, after):
+    # the newline ends a comment, and parts an identifier from `½`
+    source = before + "\n" + bad + after
+    start = len(before) + 1
+    with pytest.raises(ParseError) as exc:
+        tokenize(source)
+    assert tuple(exc.value.span) == _oracle_span(source, start, start)
+    assert exc.value.found == repr(bad)
+
+
+def _modules(tmp_path):
+    """Every corpus module and every generated `guarded` module."""
+    workloads.generate("guarded", 1, tmp_path / "guarded")
+    root = Path(__file__).resolve().parent.parent / "corpus"
+    return sorted(root.glob("**/*.gctt")) + sorted(
+        (tmp_path / "guarded").glob("**/*.gctt"))
+
+
+def test_every_node_starts_at_a_token_and_reparses(tmp_path):
+    for path in _modules(tmp_path):
+        source = path.read_text(encoding="utf-8")
+        starts = {t.span.start for t in tokenize(source)}
+        stack = [t for d in parse_module(source).declarations
+                 for t in (d.type, d.body)]
+        while stack:
+            t = stack.pop()
+            assert t.span.start in starts, (path.name, t)
+            again = parse_term(term_str(t))
+            assert alpha_canonical(again) == alpha_canonical(t), path.name
+            stack.extend(subterms(t))
 
 
 # ---------------------------------------------------------------------------
