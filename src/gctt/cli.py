@@ -47,14 +47,12 @@ def _read_module(path: Path) -> ModuleFile:
     """Read and parse a module file; failing to do either is a CliError.
     A byte-order mark at the start, as some editors write, is left out."""
     try:
-        source = path.read_text(encoding="utf-8-sig")
+        source = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise CliError(f"io error: {exc}", EXIT_PARSE_ERROR)
     except UnicodeDecodeError as exc:
-        # the decoder counts the bytes after a byte-order mark
-        at = exc.start + len(path.read_bytes()) - len(exc.object)
         raise CliError(f"io error: {path}: not UTF-8 ({exc.reason} at byte"
-                       f" {at})", EXIT_PARSE_ERROR)
+                       f" {exc.start})", EXIT_PARSE_ERROR)
     try:
         return parse_module(source)
     except ParseError as exc:

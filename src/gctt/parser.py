@@ -85,13 +85,13 @@ _ATOM_START = ATOM_KEYWORDS | {"(", "["}  # what starts an atom
 # the largest numeral; `Parser.numeral` builds one node per unit
 MAX_NUMERAL = 100_000
 
-# One match per token: the blanks, newlines and comments before it, then
+# One match per token: the blanks, newlines and comments before it (blanks,
+# then each comment with the blanks after it, so nothing backtracks), then
 # the token as one group of numeral, identifier, symbol (longest first) or
 # an illegal character; none of these at the end of the source is `eof`.
-# An identifier group may start with a numeric character that is not a
-# letter (`½`); `tokenize` rejects it.
+# An identifier may start with a numeric non-letter (`½`) `tokenize` rejects.
 _TOKEN = re.compile(r"""
-    ((?:[ \t\r]*+(?:--[^\n]*+)?\n)*+[ \t\r]*+(?:--[^\n]*+)?)
+    ([ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*)
     (?:(\d+)
      | ([^\W\d][\w']*)
      | (->|<-|\|>|/\\|\\/|[\\<>@.,:=()\[\]*-])
