@@ -61,6 +61,7 @@ from .eval import (
     papp_v,
     probe_var,
     snd_v,
+    tube_face,
     unglue_v,
 )
 
@@ -320,9 +321,10 @@ def _conv_neutral(pairings: tuple, a, b) -> bool:
         case (NApp(fn=f1, arg=a1), NApp(fn=f2, arg=a2)):
             arg_ty = f1.type.domain if isinstance(f1.type, VPi) else None
             return conv(pairings, f1, f2) and conv(pairings, a1, a2, arg_ty)
-        case (NComp(binder=k1, line=l1, face=f1, tube=t1, base=b1),
-              NComp(binder=k2, line=l2, face=f2, tube=t2, base=b2)):
-            if not face_equal(f1, f2):
+        case (NComp(binder=k1, line=l1, tube=t1, base=b1),
+              NComp(binder=k2, line=l2, tube=t2, base=b2)):
+            f1 = tube_face(t1)
+            if not face_equal(f1, tube_face(t2)):
                 return False
             k = IVar(fresh_iname())
             if not conv(pairings, act(l1, {k1: k}), act(l2, {k2: k})):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from functools import reduce
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -300,8 +301,7 @@ class NUnglue(Neutral):
 class NComp(Neutral):
     binder: str  # internal fresh interval name bound in line and tube
     line: Value
-    face: Face
-    tube: Value
+    tube: VSystem
     base: Value
 
 
@@ -325,9 +325,9 @@ class VNeutral(Value):
 # interval action to a node's acted fields, readback applies the former to
 # the read-back fields, and conversion compares field by field; both write
 # path and glue types out, to compare endpoints and equivalences at a type.
-# A stuck composition has no former: it keeps the face `S.Comp` leaves to
-# its tube.  A function is looked up by name when it runs, so it is
-# whatever this module binds the name to then.
+# A stuck composition has no former; as `S.Comp` does, it reads its face
+# off its tube (`tube_face`).  A function is looked up by name when it runs,
+# so it is whatever this module binds the name to then.
 FORMERS = {
     VNat: (S.Nat, None),
     VUniv: (S.Univ, None),
@@ -575,11 +575,8 @@ def unglue_v(arg: Value) -> Value:
         case VSystem():
             return _by_branch(unglue_v, (arg,))
         case VNeutral(neutral=_, type=ty):
-            if isinstance(ty, VGlueT):
-                if face_is_true(ty.face):
-                    return apply_v(fst_v(ty.equiv), arg)
-                return VNeutral(NUnglue(arg), ty.base)
-            return VNeutral(NUnglue(arg), None)
+            return VNeutral(NUnglue(arg),
+                            ty.base if isinstance(ty, VGlueT) else None)
     raise TypeError(f"cannot unglue {arg!r}")
 
 
@@ -810,13 +807,21 @@ def line_at(line: Value, k: str, r: IExpr) -> Value:
     return act(line, {k: r})
 
 
-def comp_v(binder: str, line: Value, face: Face, tube: Value,
-           base: Value) -> Value:
-    """comp^binder line [face -> tube] base; line and tube may mention the
-    binder."""
-    if face_is_true(face):
+def tube_face(tube: Value) -> Face:
+    """A composition's face, read off its tube: the join of a system's
+    clauses, and total for any other tube (`make_system` collapses there)."""
+    if not isinstance(tube, VSystem):
+        return FACE_TOP
+    return reduce(face_join, [clause_face(cl) for cl, _ in tube.branches],
+                  FACE_BOT)
+
+
+def comp_v(binder: str, line: Value, tube: Value, base: Value) -> Value:
+    """comp^binder line [tube_face(tube) -> tube] base; line and tube may
+    mention the binder."""
+    if not isinstance(tube, VSystem):
         return line_at(tube, binder, ONE)
-    args = (binder, line, face, tube, base)
+    args = (binder, line, tube, base)
     match line:
         case VPi():
             return comp_pi(*args)
@@ -825,9 +830,9 @@ def comp_v(binder: str, line: Value, face: Face, tube: Value,
         case VPathT():
             return comp_path(*args)
         case VNat():
-            return comp_nat(binder, face, tube, base)
+            return comp_nat(binder, tube, base)
         case VUniv():
-            return comp_univ(binder, face, tube, base)
+            return comp_univ(binder, tube, base)
         case VGlueT():
             return comp_glue(*args)
         case VSystem(branches=bs):
@@ -839,21 +844,18 @@ def comp_v(binder: str, line: Value, face: Face, tube: Value,
     raise TypeError(f"cannot compose at {line!r}")
 
 
-def _stuck_comp(k, line, phi, tube, base):
-    return VNeutral(NComp(k, line, phi, tube, base), line_at(line, k, ONE))
+def _stuck_comp(k, line, tube, base):
+    return VNeutral(NComp(k, line, tube, base), line_at(line, k, ONE))
 
 
 def comp_pieces(k: str, line: Value, pieces: list, base: Value) -> Value:
     """comp^k line [phi1 -> u1, ...] base from its tube's (face, value)
-    pieces: the tube is their system, defined on the join of their faces.
-    A piece on the bottom face drops out."""
-    face = FACE_BOT
-    for phi, _ in pieces:
-        face = face_join(face, phi)
-    return comp_v(k, line, face, make_system(pieces), base)
+    pieces: the tube is their system (`make_system`).  A piece on the
+    bottom face drops out."""
+    return comp_v(k, line, make_system(pieces), base)
 
 
-def fill_at(k: str, line: Value, phi: Face, tube: Value, base: Value,
+def fill_at(k: str, line: Value, tube: Value, base: Value,
             r: IExpr) -> Value:
     """The connection-based filler of the composition, at interval element r."""
     r = dm_canonical(r)
@@ -861,17 +863,16 @@ def fill_at(k: str, line: Value, phi: Face, tube: Value, base: Value,
         return base
     k2 = fresh_iname()
     conn = {k: IMeet(r, IVar(k2))}
-    return comp_pieces(k2, act(line, conn),
-                       [(phi, act(tube, conn)), (face_of_eq(r, 0), base)],
-                       base)
+    pieces = [(tube_face(tube), act(tube, conn)), (face_of_eq(r, 0), base)]
+    return comp_pieces(k2, act(line, conn), pieces, base)
 
 
 def transp_at(k: str, line: Value, base: Value, r: IExpr) -> Value:
-    return fill_at(k, line, FACE_BOT, make_system([]), base, r)
+    return fill_at(k, line, make_system([]), base, r)
 
 
-def comp_pi(k, line, phi, tube, base):
-    def fn(k, line, phi, tube, base, a1):
+def comp_pi(k, line, tube, base):
+    def fn(k, line, tube, base, a1):
         def arg_at(r):
             # transport a1 backwards along the domain line
             k2 = fresh_iname()
@@ -880,41 +881,41 @@ def comp_pi(k, line, phi, tube, base):
 
         a_k = arg_at(IVar(k))
         cod_line = line.codomain.apply(a_k)
-        return comp_v(k, cod_line, phi,
-                      apply_v(tube, a_k), apply_v(base, arg_at(ZERO)))
+        return comp_v(k, cod_line, apply_v(tube, a_k),
+                      apply_v(base, arg_at(ZERO)))
 
-    return VLam(FnClosure(fn, captured=(k, line, phi, tube, base)))
+    return VLam(FnClosure(fn, captured=(k, line, tube, base)))
 
 
-def comp_sigma(k, line, phi, tube, base):
+def comp_sigma(k, line, tube, base):
     fst_tube, fst_base = fst_v(tube), fst_v(base)
-    first = comp_v(k, line.first, phi, fst_tube, fst_base)
+    first = comp_v(k, line.first, fst_tube, fst_base)
     second_line = line.second.apply_lazy(
-        lambda: fill_at(k, line.first, phi, fst_tube, fst_base, IVar(k)))
-    second = comp_v(k, second_line, phi, snd_v(tube), snd_v(base))
+        lambda: fill_at(k, line.first, fst_tube, fst_base, IVar(k)))
+    second = comp_v(k, second_line, snd_v(tube), snd_v(base))
     return VPair(first, second)
 
 
-def comp_path(k, line, phi, tube, base):
-    def fn(k, line, phi, tube, base, j):
-        pieces = [(phi, papp_v(tube, j)), (face_of_eq(j, 0), line.lhs),
-                  (face_of_eq(j, 1), line.rhs)]
+def comp_path(k, line, tube, base):
+    def fn(k, line, tube, base, j):
+        pieces = [(tube_face(tube), papp_v(tube, j)),
+                  (face_of_eq(j, 0), line.lhs), (face_of_eq(j, 1), line.rhs)]
         return comp_pieces(k, line.space, pieces, papp_v(base, j))
 
-    return VPLam(FnClosure(fn, captured=(k, line, phi, tube, base)))
+    return VPLam(FnClosure(fn, captured=(k, line, tube, base)))
 
 
-def comp_nat(k, phi, tube, base):
+def comp_nat(k, tube, base):
     match base:
         case VZero():
             return VZero()
         case VSuc(pred=p):
             pred_tube = _nat_pred(tube)
             if pred_tube is None:
-                return _stuck_comp(k, VNat(), phi, tube, base)
-            return VSuc(comp_nat(k, phi, pred_tube, p))
+                return _stuck_comp(k, VNat(), tube, base)
+            return VSuc(comp_nat(k, pred_tube, p))
         case _:
-            return _stuck_comp(k, VNat(), phi, tube, base)
+            return _stuck_comp(k, VNat(), tube, base)
 
 
 def _nat_pred(v: Value):
@@ -961,7 +962,8 @@ def transport_equiv(k: str, tube: Value) -> Value:
     return comp_pieces(k2, equiv_line, [], IDENTITY_EQUIV)
 
 
-def comp_univ(k, phi, tube, base):
+def comp_univ(k, tube, base):
+    phi = tube_face(tube)
     if face_is_false(phi):
         return VGlueT(FACE_BOT, None, None, base)
     parts_t, parts_e = [], []
@@ -998,7 +1000,7 @@ def extend_fiber(equiv: Value, domain: Value, space: Value, a: Value,
 _refl_path = surface("<i> a", "a")  # the constant path at a
 
 
-def _pres(k, equiv, base_line, psi, tube, base, part_fill):
+def _pres(k, equiv, base_line, tube, base, part_fill):
     """Path (in a fresh direction j) from the composition in the base line to
     the image of the composed partial-type element, where the glue face holds
     along the whole line.  `equiv` is the line of equivalences from the
@@ -1006,14 +1008,14 @@ def _pres(k, equiv, base_line, psi, tube, base, part_fill):
     `part_fill` are partial-type elements."""
     base_img = apply_v(fst_v(act(equiv, {k: ZERO})), base)
 
-    def fn(k, equiv, base_line, psi, tube, part_fill, base_img, j):
+    def fn(k, equiv, base_line, tube, part_fill, base_img, j):
         w = fst_v(equiv)
-        pieces = [(psi, apply_v(w, tube)),
+        pieces = [(tube_face(tube), apply_v(w, tube)),
                   (face_of_eq(j, 1), apply_v(w, part_fill))]
         return comp_pieces(k, base_line, pieces, base_img)
 
     return VPLam(FnClosure(
-        fn, captured=(k, equiv, base_line, psi, tube, part_fill, base_img)))
+        fn, captured=(k, equiv, base_line, tube, part_fill, base_img)))
 
 
 def _unglue_on(line: Value, asg: dict, v: Value) -> Value:
@@ -1025,11 +1027,12 @@ def _unglue_on(line: Value, asg: dict, v: Value) -> Value:
     return unglue_v(act(v, asg))
 
 
-def comp_glue(k, line, psi, tube, base):
+def comp_glue(k, line, tube, base):
     """Composition in a line of glue types (face, parts may vary with k).
     On each clause of delta, the part of the glue face that holds along the
     whole line, the line's parts are restricted one by one, since the
     restricted glue type itself collapses to its partial type there."""
+    psi = tube_face(tube)
     a0 = _unglue_on(line, {k: ZERO}, base)
     a_pieces = [
         (clause_face(cl), _unglue_on(line, clause_assignment(cl), tube))
@@ -1045,12 +1048,11 @@ def comp_glue(k, line, psi, tube, base):
     for cl in face_clauses(delta):
         asg = clause_assignment(cl)
         partial_c = act(line.partial, asg)
-        psi_c = face_subst_all(psi, asg)
         tube_c, base_c = act(tube, asg), act(base, asg)
-        t1p = comp_v(k, partial_c, psi_c, tube_c, base_c)
-        fill_c = fill_at(k, partial_c, psi_c, tube_c, base_c, IVar(k))
-        omega = _pres(k, act(line.equiv, asg), act(line.base, asg), psi_c,
-                      tube_c, base_c, fill_c)
+        t1p = comp_v(k, partial_c, tube_c, base_c)
+        fill_c = fill_at(k, partial_c, tube_c, base_c, IVar(k))
+        omega = _pres(k, act(line.equiv, asg), act(line.base, asg), tube_c,
+                      base_c, fill_c)
         fiber_pieces.append((clause_face(cl), VPair(t1p, omega)))
     for cl in face_clauses(psi):
         asg = clause_assignment(cl)
@@ -1348,13 +1350,11 @@ def readback_neutral(used: frozenset, ne: Neutral,
     match ne:
         case NVar(name=x):
             return S.Var(None, x)
-        case NComp(binder=k, line=line, face=phi, tube=tube, base=b):
+        case NComp(binder=k, line=line, tube=tube, base=b):
             i = fresh_name("i", used)
             sub = {k: IVar(i)}
             line_t = readback(used | {i}, act(line, sub), None, expansion)
             tube_t = readback(used | {i}, act(tube, sub), None, expansion)
-            if not isinstance(tube_t, S.SystemTerm):
-                tube_t = S.SystemTerm(None, ((phi, tube_t),))
             return S.Comp(None, i, line_t, tube_t,
                           readback(used, b, None, expansion))
         case NDFix(clock=r, closure=c):

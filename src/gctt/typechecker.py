@@ -8,6 +8,7 @@ Checked modules elaborate to a table of type and body values.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -264,7 +265,11 @@ class Checker:
                     act(body_v, {i: ONE}),
                 )
             case S.LaterT(subst=ds, body=b):
-                return self.check_later_type(ctx, ds, b, t.span)
+                # later formation; this also covers the code rule, since
+                # types are universe elements here
+                ctx2, _, _ = self.check_ds(ctx, ds, t.span)
+                self.check(ctx2, b, VUniv())
+                return VUniv()
             case S.Next(subst=ds, body=b):
                 ctx2, entries, _ = self.check_ds(ctx, ds, t.span)
                 names = tuple(x for x, _ in ds)
@@ -311,12 +316,8 @@ class Checker:
                 self.check_interval(ctx, r, t.span)
                 return self.infer(ctx, S.rename_apart(S.unfold_fix(t),
                                                       ctx.env))
-            case S.Pair() | S.GlueIntro():
-                raise GcttTypeError(
-                    t.span, "mismatch",
-                    f"cannot infer the type of {term_str(t)}",
-                )
-        raise GcttTypeError(t.span, "mismatch", f"cannot infer {term_str(t)}")
+        raise GcttTypeError(t.span, "mismatch",
+                            f"cannot infer the type of {term_str(t)}")
 
     # -- checking ------------------------------------------------------------
 
@@ -348,14 +349,9 @@ class Checker:
                 body_v = eval_term(ctx2.env, b)
                 for r, endpoint, side in ((ZERO, ty.lhs, "left"),
                                           (ONE, ty.rhs, "right")):
-                    got = act(body_v, {i: r})
-                    if not conv_under(ctx.face, got, endpoint, ty.space):
-                        raise GcttTypeError(
-                            t.span, "boundary-violation",
-                            f"{side} endpoint: expected"
-                            f" {self._show(ctx, endpoint)}"
-                            f" found {self._show(ctx, got)}",
-                        )
+                    self.ensure_conv(ctx, act(body_v, {i: r}), endpoint,
+                                     t.span, f"{side} endpoint", ty.space,
+                                     "boundary-violation")
                 return
             case S.Next(subst=ds, body=b) if isinstance(ty, VLaterT):
                 ctx2, entries, binders = self.check_ds(ctx, ds, t.span)
@@ -392,7 +388,7 @@ class Checker:
                 register_dfix_type(t, ctx.used, later)
                 return
             case S.SystemTerm(branches=bs):
-                face, _ = self.check_system(ctx, bs, ty, t.span)
+                face = self.check_system(ctx, bs, ty, t.span)
                 if not face_equal(face_meet(ctx.face, face), ctx.face):
                     raise GcttTypeError(
                         t.span, "face-not-covering",
@@ -430,14 +426,6 @@ class Checker:
         self.ensure_conv(ctx, got, ty, t.span, "type")
 
     # -- type formation ------------------------------------------------------
-
-    def check_later_type(self, ctx: Ctx, ds, body, span) -> Value:
-        """Later formation: the delayed substitution must be well-formed and
-        the body a type (or code) under its binders.  Also covers the code
-        rule, since types are universe elements here."""
-        ctx2, _entries, _binders = self.check_ds(ctx, ds, span)
-        self.check(ctx2, body, VUniv())
-        return VUniv()
 
     def check_glue_type(self, ctx: Ctx, phi, partial, equiv, base,
                         span) -> Value:
@@ -492,32 +480,32 @@ class Checker:
 
     # -- systems ---------------------------------------------------------
 
-    def check_system(self, ctx: Ctx, branches, ty: Value, span):
+    def check_system(self, ctx: Ctx, branches, ty: Value, span) -> Face:
         """Check each branch at `ty` on its face, and that the branches agree
-        where their faces overlap.  Returns the face the system is defined
-        on, the join of its branch faces, and its value.  Whether that face
-        covers the context is for the caller to decide."""
+        where their faces overlap in the context.  Returns the face the
+        system is defined on, the join of its branch faces; whether it
+        covers the context is for the caller to decide.  A branch is
+        evaluated only for such a comparison, and at most once."""
         total = FACE_BOT
         for phi, _ in branches:
             self.check_face(ctx, phi, span)
             total = face_join(total, phi)
-        vals = []
         for phi, u in branches:
             self.check(ctx.restrict(phi), u, ty)
-            vals.append((phi, eval_term(ctx.env, u)))
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                overlap = face_meet(vals[i][0], vals[j][0])
+        value = functools.cache(lambda k: eval_term(ctx.env, branches[k][1]))
+        for i in range(len(branches)):
+            for j in range(i + 1, len(branches)):
+                overlap = face_meet(branches[i][0], branches[j][0])
                 ctx_o = ctx.restrict(overlap)
                 if face_is_false(ctx_o.face):
                     continue
-                if not conv_under(ctx_o.face, vals[i][1], vals[j][1], ty):
+                if not conv_under(ctx_o.face, value(i), value(j), ty):
                     raise GcttTypeError(
                         span, "system-incompatible",
                         f"branches {i + 1} and {j + 1} disagree on"
                         f" {face_str(overlap)}",
                     )
-        return total, make_system(vals)
+        return total
 
     # -- compositions ------------------------------------------------------
 
@@ -533,10 +521,12 @@ class Checker:
         line = self.check_type(ctx_i, t.line)
         line0 = act(line, {t.binder: ZERO})
         line1 = act(line, {t.binder: ONE})
-        phi, tube_v = self.check_system(ctx_i, t.tube.branches, line, t.span)
+        phi = self.check_system(ctx_i, t.tube.branches, line, t.span)
         self.check(ctx, t.base, line0)
         if not face_is_false(phi):
             base_v = eval_term(ctx.env, t.base)
+            tube_v = make_system([(psi, eval_term(ctx_i.env, u))
+                                  for psi, u in t.tube.branches])
             tube0 = act(tube_v, {t.binder: ZERO})
             if not conv_under(face_meet(ctx.face, phi), base_v, tube0,
                               line0):

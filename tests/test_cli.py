@@ -162,6 +162,15 @@ def test_normalize_expr(capsys, corpus_dir):
     assert code == 0 and out.strip() == "2"
 
 
+def test_normalize_contracts_a_next_that_rebinds_its_only_binding(capsys):
+    """`next [x <- s] x` reads back as s. Evaluation cannot contract this
+    one, whose body term is not a variable; readback does, once the body
+    has reduced to x."""
+    code, out, _ = run(capsys, "normalize", "--expr",
+                       r"\(s : |> N) -> next [x <- s] ((\(y : N) -> y) x)")
+    assert code == 0 and out.strip() == r"\s -> s"
+
+
 def test_normalize_expr_with_at(capsys, corpus_dir):
     args = ["normalize", str(corpus_dir / "unfold_lemma.gctt"),
             "--expr",

@@ -6,7 +6,8 @@ below is linear in its size n; it is normalized at n and 2n, and the ratio
 of the calls each counted function gets at 2n to those at n is bounded.
 The glue, path and Pi families are the `kan_normalize` benchmark's
 builders; an application chain nests `(\\(x : N) -> x) (...)`. One
-check of a corpus module has a bound on its evaluations too. Renaming a
+check of a corpus module has a bound on its evaluations too, and checking
+nested systems a bound on their growth. Renaming a
 term apart and parsing a module are bounded the same way, by the Python
 calls they make, counted with `sys.setprofile`.
 """
@@ -90,6 +91,31 @@ def test_a_check_evaluates_each_application_once(count_calls, corpus_dir,
     calls = count_calls("eval_term")
     assert main(["check", str(corpus_dir / "zipwith.gctt")]) == 0
     assert calls["eval_term"] <= 6000
+
+
+def _nested_systems(k):
+    """`x : N = [ (1=1) -> [ (1=1) -> ... 0 ] ]`, k systems deep, in the
+    module `nested<k>`."""
+    return (f"module nested{k} where\nx : N = " + "[ (1=1) -> " * k + "0"
+            + " ]" * k)
+
+
+def test_checking_nested_systems_grows_linearly(count_calls, tmp_path,
+                                                capsys):
+    """A system's branch is evaluated only to compare it with a branch
+    whose face overlaps its own: evaluating every branch after checking it
+    evaluated the innermost one once per enclosing system, quadratic in the
+    depth."""
+    calls = count_calls("eval_term")
+    counts = []
+    for k in (100, 200):
+        path = tmp_path / f"nested{k}.gctt"
+        path.write_text(_nested_systems(k), encoding="utf-8")
+        before = calls["eval_term"]
+        assert main(["check", str(path)]) == 0
+        counts.append(calls["eval_term"] - before)
+    small, large = counts
+    assert large <= MAX_GROWTH * small, f"{small} -> {large} calls"
 
 
 def _python_calls(fn, *args, where=None) -> int:

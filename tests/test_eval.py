@@ -41,9 +41,11 @@ from gctt.eval import (
     neutral_var,
     papp_v,
     readback,
+    tube_face,
 )
 from gctt.interval import (
     FACE_BOT,
+    FACE_TOP,
     IVar,
     ONE,
     ZERO,
@@ -52,6 +54,7 @@ from gctt.interval import (
 )
 from gctt.parser import parse_term
 from gctt.syntax import term_str
+from test_interval import face_st
 from test_syntax import iname_st, name_st, term_st
 
 
@@ -99,6 +102,19 @@ def test_systems_collapse_when_a_face_is_total():
     assert isinstance(mid, VSystem)
 
 
+@given(st.lists(face_st(), max_size=4))
+@settings(max_examples=200)
+def test_a_tubes_face_is_the_join_of_its_pieces_faces(faces):
+    """Whether the pieces' system collapses (on a total face) or not."""
+    tube = make_system([(phi, neutral_var(f"u{n}"))
+                        for n, phi in enumerate(faces)])
+    join = FACE_BOT
+    for phi in faces:
+        join = face_join(join, phi)
+    assert tube_face(tube) == join
+    assert isinstance(tube, VSystem) is (join != FACE_TOP)
+
+
 # ---------------------------------------------------------------------------
 # path application endpoints
 
@@ -131,12 +147,10 @@ def parse_interval_meet():
 
 def test_comp_total_face_collapses_to_tube_end():
     # a constant tube wins regardless of the line
-    from gctt.interval import FACE_TOP
-
     A = neutral_var("A", None)
     a = neutral_var("a", None)
     k = fresh_iname()
-    got = comp_v(k, A, FACE_TOP, make_system([(FACE_TOP, a)]), a)
+    got = comp_v(k, A, make_system([(FACE_TOP, a)]), a)
     assert got is a
 
 
@@ -148,14 +162,14 @@ def test_comp_nat_numerals():
 def test_comp_nat_neutral_sticks():
     n = neutral_var("n", VNat())
     k = fresh_iname()
-    got = comp_v(k, VNat(), FACE_BOT, make_system([]), n)
+    got = comp_v(k, VNat(), make_system([]), n)
     assert isinstance(got, VNeutral) and isinstance(got.neutral, NComp)
 
 
 def test_comp_at_later_is_stuck():
     later = VLaterT((), ValueClosure(VNat()))
     k = fresh_iname()
-    got = comp_v(k, later, FACE_BOT, make_system([]), ev("next 0"))
+    got = comp_v(k, later, make_system([]), ev("next 0"))
     assert isinstance(got, VNeutral) and isinstance(got.neutral, NComp)
 
 
@@ -289,7 +303,7 @@ def test_comp_univ_empty_tube_is_glue_over_base():
 def test_comp_univ_neutral_tube_sticks():
     d = neutral_var("D", None)
     k = fresh_iname()
-    got = comp_v(k, VNeutral(d.neutral, None), FACE_BOT, make_system([]), d)
+    got = comp_v(k, VNeutral(d.neutral, None), make_system([]), d)
     assert isinstance(got, VNeutral)
 
 
@@ -332,23 +346,21 @@ def test_comp_glue_commutes_with_restriction_where_the_face_holds():
 def test_fill_at_zero_is_base():
     base = VSuc(VZero())
     k = fresh_iname()
-    assert fill_at(k, VNat(), FACE_BOT, make_system([]), base, ZERO) is base
+    assert fill_at(k, VNat(), make_system([]), base, ZERO) is base
 
 
 def test_fill_at_one_is_comp():
     base = VSuc(VZero())
     k = fresh_iname()
-    f1 = fill_at(k, VNat(), FACE_BOT, make_system([]), base, ONE)
-    c = comp_v(k, VNat(), FACE_BOT, make_system([]), base)
+    f1 = fill_at(k, VNat(), make_system([]), base, ONE)
+    c = comp_v(k, VNat(), make_system([]), base)
     assert conv((), f1, c)
 
 
 def test_fill_on_total_face_is_tube():
-    from gctt.interval import FACE_TOP
-
     a = neutral_var("a", VNat())
     k = fresh_iname()
-    got = fill_at(k, VNat(), FACE_TOP, a, a, IVar("j"))
+    got = fill_at(k, VNat(), a, a, IVar("j"))
     assert got is a
 
 
@@ -590,6 +602,7 @@ def _interval_cases():
     const = ValueClosure(n)
     i1, j0 = face_lit("i", 1), face_lit("j", 0)
     sys_j0 = VSystem(((frozenset({("j", 0)}), p_at_i),))
+    sys_i1 = VSystem(((frozenset({("i", 1)}), n),))
     return {
         E.VPi: {"domain": E.VPi(p_at_i, const), "codomain": E.VPi(n, clo)},
         E.VSigma: {"first": E.VSigma(p_at_i, const),
@@ -613,7 +626,7 @@ def _interval_cases():
         E.VPair: {"fst": VPair(p_at_i, n), "snd": VPair(n, p_at_i)},
         E.VSuc: {"pred": VSuc(p_at_i)},
         E.VSystem: {"branches": sys_j0,
-                    "clauses": VSystem(((frozenset({("i", 1)}), n),))},
+                    "clauses": sys_i1},
         E.VNeutral: {"neutral": p_at_i, "type": VNeutral(E.NVar("x"), p_at_i)},
         E.NVar: {},
         E.NApp: {"fn": VNeutral(E.NApp(p_at_i, n)),
@@ -628,10 +641,10 @@ def _interval_cases():
             "scrutinee": VNeutral(E.NNatRec(m, n, n, p_at_i)),
         },
         E.NUnglue: {"arg": VNeutral(E.NUnglue(p_at_i))},
-        E.NComp: {"line": VNeutral(NComp("k", p_at_i, FACE_BOT, n, n)),
-                  "face": VNeutral(NComp("k", m, i1, n, n)),
-                  "tube": VNeutral(NComp("k", m, j0, p_at_i, n)),
-                  "base": VNeutral(NComp("k", m, FACE_BOT, n, p_at_i))},
+        E.NComp: {"line": VNeutral(NComp("k", p_at_i, VSystem(()), n)),
+                  "tube": VNeutral(NComp("k", m, sys_j0, n)),
+                  "clauses": VNeutral(NComp("k", m, sys_i1, n)),
+                  "base": VNeutral(NComp("k", m, VSystem(()), p_at_i))},
         E.NDFix: {"clock": VNeutral(E.NDFix(IVar("i"), const)),
                   "closure": VNeutral(E.NDFix(ZERO, clo))},
         E.TermClosure: {

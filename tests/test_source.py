@@ -4,7 +4,8 @@ fixed points' types, every field of a host closure is
 acted on by interval substitutions, conversion keeps no module-level table
 and takes no name set, no module-level table hides a function from the
 benchmark's tracer, none grows across invocations, no function rebinds a
-module global and no module numbers names from a counter of its own."""
+module global and no module numbers names from a counter of its own, and
+the source keeps to the oldest Python the package declares."""
 
 import ast
 import dataclasses
@@ -20,7 +21,26 @@ import gctt.cli  # noqa: F401  (loads every gctt module)
 from gctt.cli import main
 
 SOURCE = Path(gctt.__file__).resolve().parent
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def test_the_source_keeps_to_the_declared_python_floor():
+    """Every module parses with the grammar of Python 3.10, the oldest that
+    pyproject.toml declares, and no string holds the regular-expression
+    syntax `re` accepts only from 3.11 on: a possessive quantifier (`*+`,
+    `++`, `?+`, `}+`) or an atomic group (`(?>`)."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', pyproject)
+    assert floor.groups() == ("3", "10")
+    hits = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), feature_version=(3, 10))
+        hits += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str)
+                 and re.search(r"[*+?}]\+|\(\?>", node.value)]
+    assert hits == []
 
 
 def test_no_catch_all_exception_handlers():

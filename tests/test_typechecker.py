@@ -301,6 +301,12 @@ def test_total_system_checks_like_its_body():
     ck.check_system(ctx, ((FACE_TOP, parse_term("0")),), VNat(), None)
 
 
+def test_a_covering_system_term_checks_as_a_declaration_body():
+    src = "module m where\nx : N = [ (1=1) -> 0 ]"
+    ty, val = Checker().check_module(parse_module(src)).table["x"]
+    assert term_str(readback(frozenset(), val, ty)) == "0"
+
+
 # ---------------------------------------------------------------------------
 # compositions
 
@@ -485,6 +491,20 @@ def test_a_declaration_hides_an_import_of_its_name():
     table = Checker().check_module(parse_module(src), [lib]).table
     assert [term_str(readback(frozenset(), table[x][1]))
             for x in ("two", "six")] == ["2", "6"]
+
+
+def test_a_next_with_its_bindings_exchanged_checks_by_inference():
+    """The type's delayed substitution is matched against the `next`'s
+    bindings in order, which fails here; its type is then inferred and
+    compared with the expected one up to exchange."""
+    src = ("module m where\n"
+           "F : N -> N -> U = \\x -> \\y -> N\n"
+           "g : (x : N) -> (y : N) -> F x y = \\x -> \\y -> x\n"
+           "swapNext : (s : |> N) -> (t : |> N)"
+           " -> |> [a <- s, b <- t] (F a b)"
+           " = \\s -> \\t -> next [b <- t, a <- s] (g a b)")
+    checked = Checker().check_module(parse_module(src))
+    assert checked.order == ("F", "g", "swapNext")
 
 
 def test_module_later_declarations_see_earlier():
