@@ -57,7 +57,6 @@ from .eval import (
     ds_binders,
     fresh_iname,
     fst_v,
-    node,
     papp_v,
     probe_var,
     snd_v,
@@ -263,7 +262,6 @@ class _Pairing:
         return True
 
 
-@node
 class _NFlex(NVar):
     """The probe of right binding `index` of a `_conv_later` call."""
     pairing: _Pairing

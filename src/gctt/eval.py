@@ -12,9 +12,7 @@ an endpoint, a stuck composition whose face becomes total).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
 from functools import reduce
-from operator import attrgetter
 from typing import Callable, Optional
 
 from . import syntax as S
@@ -45,6 +43,7 @@ from .interval import (
     inames,
 )
 from .parser import parse_term
+from .record import Record
 from .syntax import Term, fresh_name
 
 def fresh_iname() -> str:
@@ -55,22 +54,10 @@ def fresh_iname() -> str:
 # Closures
 
 
-class Nominal:
-    """A value, neutral or closure: an immutable record on whose fields
-    interval substitutions act (`support`, `act`)."""
-
-    _support = None  # memo of `support`, set on the node
-
-
-def node(cls):
-    """Make a value, neutral or closure class a frozen record compared by
-    identity, whose `field_values` are read by a getter built once here."""
-    cls = dataclass(frozen=True, eq=False)(cls)
-    names = tuple(f.name for f in fields(cls))
-    cls.field_values = property(
-        attrgetter(*names) if len(names) > 1
-        else lambda x: tuple(getattr(x, n) for n in names))
-    return cls
+class Nominal(metaclass=Record, memos=("_support",)):
+    """A value, neutral or closure: an immutable record compared by
+    identity, on whose fields interval substitutions act (`support`,
+    `act`); its `_support` slot memoizes `support`."""
 
 
 class Closure(Nominal):
@@ -90,7 +77,6 @@ class Closure(Nominal):
         return self.apply() if self.constant() else self.apply(arg())
 
 
-@node
 class TermClosure(Closure):
     env: dict
     names: tuple
@@ -110,15 +96,13 @@ class TermClosure(Closure):
 def capture(env: dict, names: tuple, body: Term) -> TermClosure:
     """A term closure over the free names of the body but `names`, a list
     memoized on the body node for the last `names` it was captured under."""
-    memo = body.__dict__.get("_captured")
+    memo = body._captured
     if memo is None or memo[0] != names:
         fvs, fis = S.free_names(body)
-        memo = (names, tuple((fvs | fis).difference(names)))
-        object.__setattr__(body, "_captured", memo)
+        body._captured = memo = (names, tuple((fvs | fis).difference(names)))
     return TermClosure({k: env[k] for k in memo[1] if k in env}, names, body)
 
 
-@node
 class FnClosure(Closure):
     """Host-level function, applied to the captured fields and then to the
     arguments."""
@@ -130,7 +114,6 @@ class FnClosure(Closure):
         return self.fn(*self.captured, *vals)
 
 
-@node
 class ValueClosure(Closure):
     value: "Value"
 
@@ -141,7 +124,6 @@ class ValueClosure(Closure):
         return True
 
 
-@node
 class InlinedDsClosure(Closure):
     """A delayed-substitution body closure with some bindings inlined:
     `kept` lists the surviving original positions, `recipe` rebuilds the
@@ -166,42 +148,46 @@ class Value(Nominal):
     pass
 
 
-@node
+def _shared(cls):
+    """A value class with no fields, built once: calling it returns that
+    instance, so that the β memo and conversion's `a is b` test hit for it."""
+    one = cls()
+    cls.__new__ = staticmethod(lambda _: one)
+    cls.__init__ = lambda self: None
+    return cls
+
+
 class VPi(Value):
     domain: Value
     codomain: Closure
 
 
-@node
 class VSigma(Value):
     first: Value
     second: Closure
 
 
-@node
 class VPathT(Value):
     space: Value
     lhs: Value
     rhs: Value
 
 
-@node
+@_shared
 class VNat(Value):
     pass
 
 
-@node
+@_shared
 class VUniv(Value):
     pass
 
 
-@node
 class VLaterT(Value):
     entries: tuple  # of (name, Value)
     body: Closure  # expects one value per entry
 
 
-@node
 class VGlueT(Value):
     face: Face
     partial: Optional[Value]  # type on the face; None iff face is bottom
@@ -209,46 +195,39 @@ class VGlueT(Value):
     base: Value
 
 
-@node
 class VLam(Value):
     closure: Closure
 
 
-@node
 class VPLam(Value):
     closure: Closure
 
 
-@node
 class VPair(Value):
     fst: Value
     snd: Value
 
 
-@node
+@_shared
 class VZero(Value):
     pass
 
 
-@node
 class VSuc(Value):
     pred: Value
 
 
-@node
 class VNext(Value):
     entries: tuple
     body: Closure
 
 
-@node
 class VGlueIntro(Value):
     face: Face
     partial: Optional[Value]
     base: Value
 
 
-@node
 class VSystem(Value):
     branches: tuple  # of (clause frozenset, Value valid under the clause)
 
@@ -257,34 +236,28 @@ class Neutral(Nominal):
     pass
 
 
-@node
 class NVar(Neutral):
     name: str
 
 
-@node
 class NApp(Neutral):
     fn: "VNeutral"
     arg: Value
 
 
-@node
 class NPApp(Neutral):
     fn: "VNeutral"
     arg: IExpr
 
 
-@node
 class NFst(Neutral):
     pair: "VNeutral"
 
 
-@node
 class NSnd(Neutral):
     pair: "VNeutral"
 
 
-@node
 class NNatRec(Neutral):
     motive: Value
     base: Value
@@ -292,12 +265,10 @@ class NNatRec(Neutral):
     scrutinee: "VNeutral"
 
 
-@node
 class NUnglue(Neutral):
     arg: "VNeutral"
 
 
-@node
 class NComp(Neutral):
     binder: str  # internal fresh interval name bound in line and tube
     line: Value
@@ -305,13 +276,11 @@ class NComp(Neutral):
     base: Value
 
 
-@node
 class NDFix(Neutral):
     clock: IExpr  # canonical, not 1
     closure: Closure
 
 
-@node
 class VNeutral(Value):
     neutral: Neutral
     type: Optional[Value] = None
@@ -379,16 +348,17 @@ def env_face(env: dict, phi: Face) -> Face:
 
 def support(x) -> frozenset:
     """The interval names occurring in x: a value, neutral or closure (the
-    union over its fields, memoized on the node), an interval expression, a
-    face, or a tuple or dict of these.  A name, a term, an integer or a host
-    function has none.  A system's clause names count too."""
+    union over its fields, memoized in its `_support` slot), an interval
+    expression, a face, or a tuple or dict of these.  A name, a term, an
+    integer or a host function has none.  A system's clause names count
+    too."""
     if isinstance(x, Nominal):
         s = x._support
         if s is None:
             s = frozenset().union(*map(support, x.field_values))
             if type(x) is VSystem:
                 s = s | {n for cl, _ in x.branches for n, _ in cl}
-            object.__setattr__(x, "_support", s)
+            x._support = s
         return s
     if isinstance(x, IExpr):
         return inames(x)
@@ -661,7 +631,7 @@ def register_dfix_type(node, used: frozenset, later: Value,
     `[term, pending]` lives as long as the node: the type is read back from
     `pending` (the readback's arguments) only when the node is first looked
     up, which is when it is evaluated."""
-    object.__setattr__(node, "_dfix_type", [None, (used, later, expansion)])
+    node._dfix_type = [None, (used, later, expansion)]
 
 
 def _dfix_type_term(entry) -> Optional[Term]:
@@ -686,7 +656,7 @@ def _dfix_type_term(entry) -> Optional[Term]:
 def registered_dfix_type(env: dict, node) -> Optional[Value]:
     """The later type registered for this fixed-point node, evaluated in
     `env`, when its free names are all in scope there."""
-    entry = node.__dict__.get("_dfix_type")
+    entry = node._dfix_type
     term = None if entry is None else _dfix_type_term(entry)
     if term is None:
         return None

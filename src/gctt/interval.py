@@ -9,8 +9,9 @@ antichain of clauses under inclusion.  All values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+
+from .record import Record
 
 Name = str
 
@@ -18,44 +19,32 @@ Name = str
 # Interval expressions
 
 
-class IExpr:
+class IExpr(metaclass=Record, eq=True):
     """Element of the interval algebra; endpoints, names, -, /\\, \\/."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
 class I0(IExpr):
-    __slots__ = ()
+    pass
 
 
-@dataclass(frozen=True)
 class I1(IExpr):
-    __slots__ = ()
+    pass
 
 
-@dataclass(frozen=True)
 class IVar(IExpr):
-    __slots__ = ("name",)
     name: Name
 
 
-@dataclass(frozen=True)
 class INeg(IExpr):
-    __slots__ = ("arg",)
     arg: IExpr
 
 
-@dataclass(frozen=True)
 class IMeet(IExpr):
-    __slots__ = ("lhs", "rhs")
     lhs: IExpr
     rhs: IExpr
 
 
-@dataclass(frozen=True)
 class IJoin(IExpr):
-    __slots__ = ("lhs", "rhs")
     lhs: IExpr
     rhs: IExpr
 
@@ -188,8 +177,7 @@ def dm_is_one(r: IExpr) -> bool:
 # Faces
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(metaclass=Record, eq=True):
     """Canonical DNF in the face lattice.
 
     Clauses are frozensets of (name, polarity) with polarity 0 or 1; a clause
@@ -197,7 +185,6 @@ class Face:
     the clause set is an antichain.
     """
 
-    __slots__ = ("clauses",)
     clauses: frozenset
 
 

@@ -10,7 +10,6 @@ Spans are carried for diagnostics but ignored by structural equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional
 
 from .interval import (
@@ -24,6 +23,7 @@ from .interval import (
     iexpr_str,
     inames,
 )
+from .record import Record, field, fields
 
 
 class Span(NamedTuple):
@@ -34,10 +34,6 @@ class Span(NamedTuple):
 
     def __str__(self):
         return f"{self.line}:{self.col}"
-
-
-def _span_field():
-    return field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -58,76 +54,66 @@ def _part(kind: str, default=None, under: Optional[str] = None):
     """A field of the given kind.  A subterm `under` a binder field (BINDER,
     IBINDER or DS) is in the scope of what that field binds; every other
     subterm, face and interval expression is in the scope of the node."""
-    return field(default=default, metadata={"kind": kind, "under": under})
+    return field(default, metadata={"kind": kind, "under": under})
 
 
-@dataclass(frozen=True)
-class Term:
-    span: Optional[Span] = _span_field()
+class Term(metaclass=Record, eq=True, memos=("_free_names", "_captured")):
+    span: Optional[Span] = field(None, compare=False)
 
     def with_span(self, span: Optional[Span]) -> "Term":
-        return replace(self, span=span) if span is not None else self
+        if span is None:
+            return self
+        return type(self)(span, *self.field_values[1:])
 
 
-@dataclass(frozen=True)
 class Var(Term):
     name: str = _part(NAME, "")
 
 
-@dataclass(frozen=True)
 class Lam(Term):
     binder: str = _part(BINDER, "")
     annotation: Optional[Term] = _part(TERM)
     body: Term = _part(TERM, under="binder")
 
 
-@dataclass(frozen=True)
 class App(Term):
     fn: Term = _part(TERM)
     arg: Term = _part(TERM)
 
 
-@dataclass(frozen=True)
 class Pi(Term):
     binder: str = _part(BINDER, "")
     domain: Term = _part(TERM)
     codomain: Term = _part(TERM, under="binder")
 
 
-@dataclass(frozen=True)
 class Sigma(Term):
     binder: str = _part(BINDER, "")
     first: Term = _part(TERM)
     second: Term = _part(TERM, under="binder")
 
 
-@dataclass(frozen=True)
 class Pair(Term):
     fst: Term = _part(TERM)
     snd: Term = _part(TERM)
 
 
-@dataclass(frozen=True)
 class Fst(Term):
     pair: Term = _part(TERM)
 
 
-@dataclass(frozen=True)
 class Snd(Term):
     pair: Term = _part(TERM)
 
 
-@dataclass(frozen=True)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
 class Suc(Term):
     pred: Term = _part(TERM)
 
 
-@dataclass(frozen=True)
 class NatRec(Term):
     motive: Term = _part(TERM)
     base: Term = _part(TERM)
@@ -135,41 +121,34 @@ class NatRec(Term):
     scrutinee: Term = _part(TERM)
 
 
-@dataclass(frozen=True)
 class Nat(Term):
     pass
 
 
-@dataclass(frozen=True)
 class Univ(Term):
     pass
 
 
-@dataclass(frozen=True)
 class PLam(Term):
     binder: str = _part(IBINDER, "")
     body: Term = _part(TERM, under="binder")
 
 
-@dataclass(frozen=True)
 class PApp(Term):
     fn: Term = _part(TERM)
     arg: IExpr = _part(IEXPR)
 
 
-@dataclass(frozen=True)
 class PathT(Term):
     space: Term = _part(TERM)
     lhs: Term = _part(TERM)
     rhs: Term = _part(TERM)
 
 
-@dataclass(frozen=True)
 class SystemTerm(Term):
     branches: tuple = _part(SYSTEM, ())
 
 
-@dataclass(frozen=True)
 class Comp(Term):
     binder: str = _part(IBINDER, "")
     line: Term = _part(TERM, under="binder")
@@ -178,7 +157,6 @@ class Comp(Term):
     base: Term = _part(TERM)
 
 
-@dataclass(frozen=True)
 class GlueT(Term):
     face: Face = _part(FACE)
     partial: Optional[Term] = _part(TERM)  # type on the face; None iff bottom
@@ -186,54 +164,46 @@ class GlueT(Term):
     base: Term = _part(TERM)
 
 
-@dataclass(frozen=True)
 class GlueIntro(Term):
     face: Face = _part(FACE)
     partial: Optional[Term] = _part(TERM)  # term on the face; None iff bottom
     base: Term = _part(TERM)
 
 
-@dataclass(frozen=True)
 class Unglue(Term):
     arg: Term = _part(TERM)
 
 
-@dataclass(frozen=True)
 class LaterT(Term):
     subst: tuple = _part(DS, ())
     body: Term = _part(TERM, under="subst")
 
 
-@dataclass(frozen=True)
 class Next(Term):
     subst: tuple = _part(DS, ())
     body: Term = _part(TERM, under="subst")
 
 
-@dataclass(frozen=True)
-class DFix(Term):
+class DFix(Term, memos=("_dfix_type",)):
     clock: IExpr = _part(IEXPR)  # interval element controlling the unfolding
     binder: str = _part(BINDER, "")
     body: Term = _part(TERM, under="binder")
 
 
-@dataclass(frozen=True)
-class Fix(Term):
+class Fix(Term, memos=("_dfix_type",)):
     clock: IExpr = _part(IEXPR)  # the clock of the delayed fixed point
     binder: str = _part(BINDER, "")
     body: Term = _part(TERM, under="binder")
 
 
-@dataclass(frozen=True)
-class Declaration:
+class Declaration(metaclass=Record, eq=True):
     name: str
     type: Term
     body: Term
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = field(None, compare=False)
 
 
-@dataclass(frozen=True)
-class ModuleFile:
+class ModuleFile(metaclass=Record, eq=True):
     name: str
     imports: tuple = ()
     declarations: tuple = ()
@@ -243,12 +213,12 @@ class ModuleFile:
 # the field is under, that binder field's kind).
 _SCHEME = {
     cls: tuple(
-        (f.name, f.metadata["kind"], f.metadata["under"],
-         cls.__dataclass_fields__[f.metadata["under"]].metadata["kind"]
-         if f.metadata["under"] else None)
-        for f in fields(cls) if f.metadata
+        (name, part["kind"], part["under"],
+         parts[part["under"]]["kind"] if part["under"] else None)
+        for name, part in parts.items()
     )
     for cls in Term.__subclasses__()
+    for parts in [{f.name: f.metadata for f in fields(cls) if f.metadata}]
 }
 
 
@@ -278,9 +248,9 @@ def _bound(value, kind) -> tuple[frozenset, frozenset]:
 
 
 def free_names(t: Term) -> tuple[frozenset, frozenset]:
-    """Free term variables and free interval names of a term, memoized on
-    the node (terms are immutable)."""
-    memo = t.__dict__.get("_free_names")
+    """Free term variables and free interval names of a term, memoized in
+    its `_free_names` slot (terms are immutable)."""
+    memo = t._free_names
     if memo is not None:
         return memo
     fvs, fis = set(), set()
@@ -307,8 +277,7 @@ def free_names(t: Term) -> tuple[frozenset, frozenset]:
                 vs, js = free_names(u)
                 fvs |= vs
                 fis |= js
-    memo = (frozenset(fvs), frozenset(fis))
-    object.__setattr__(t, "_free_names", memo)
+    t._free_names = memo = (frozenset(fvs), frozenset(fis))
     return memo
 
 

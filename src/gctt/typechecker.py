@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import syntax as S
@@ -103,16 +103,15 @@ class Ctx:
     def bind_interval(self, i: str) -> "Ctx":
         if i in self.env:
             raise RuntimeError(f"{i!r} is bound twice (checker bug)")
-        return replace(self, env={**self.env, i: IVar(i)})
+        return Ctx({**self.env, i: IVar(i)}, self.types, self.face)
 
     def restrict(self, phi: Face) -> "Ctx":
-        return replace(self, face=face_meet(self.face, phi))
+        return Ctx(self.env, self.types, face_meet(self.face, phi))
 
     def define(self, x: str, ty: Value, value: Value) -> "Ctx":
         if x in self.env:
             raise RuntimeError(f"{x!r} is bound twice (checker bug)")
-        return replace(self, env={**self.env, x: value},
-                       types={**self.types, x: ty})
+        return Ctx({**self.env, x: value}, {**self.types, x: ty}, self.face)
 
 
 @dataclass
@@ -576,8 +575,8 @@ class Checker:
                     self.check(ctx, body, ty)
                     value = eval_term(ctx.env, body)
                 if decl.name in ctx.env:  # the declaration hides an import
-                    ctx = replace(ctx, env={k: v for k, v in ctx.env.items()
-                                            if k != decl.name})
+                    ctx = Ctx({k: v for k, v in ctx.env.items()
+                               if k != decl.name}, ctx.types, ctx.face)
                 ctx = ctx.define(decl.name, ty, value)
                 table[decl.name] = (ty, value)
                 order[decl.name] = None

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -498,7 +497,9 @@ def _unfolded_body(path):
     """The body of the module's one declaration, a binder over a fixed
     point, with the fixed point unfolded."""
     (decl,) = parse_module(Path(path).read_text()).declarations
-    return term_str(replace(decl.body, body=unfold_fix(decl.body.body)))
+    binder = decl.body
+    return term_str(type(binder)(*binder.field_values[:-1],
+                                 unfold_fix(binder.body)))
 
 
 def test_fix_sugar_does_not_capture_its_clock(tmp_path):

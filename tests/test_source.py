@@ -4,11 +4,12 @@ fixed points' types, every field of a host closure is
 acted on by interval substitutions, conversion keeps no module-level table
 and takes no name set, no module-level table hides a function from the
 benchmark's tracer, none grows across invocations, no function rebinds a
-module global and no module numbers names from a counter of its own, and
-the source keeps to the oldest Python the package declares."""
+module global and no module numbers names from a counter of its own, the
+source keeps to the oldest Python the package declares, and every node is a
+slotted record that no code writes to after building it but through its
+memo slots."""
 
 import ast
-import dataclasses
 import importlib.util
 import inspect
 import itertools
@@ -19,6 +20,7 @@ from pathlib import Path
 import gctt
 import gctt.cli  # noqa: F401  (loads every gctt module)
 from gctt.cli import main
+from gctt.record import Record, fields
 
 SOURCE = Path(gctt.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,9 +96,9 @@ def test_no_weak_reference_tables():
 
 def test_host_closures_have_no_field_outside_the_interval_action():
     from gctt.eval import FnClosure
+    from gctt.record import fields
 
-    assert [f.name for f in dataclasses.fields(FnClosure)] == ["fn",
-                                                               "captured"]
+    assert [f.name for f in fields(FnClosure)] == ["fn", "captured"]
 
 
 def test_conversion_keeps_no_module_level_table():
@@ -195,3 +197,88 @@ def test_no_module_level_table_grows_across_invocations(
     capsys.readouterr()
     assert calls["register_dfix_type"] > 0
     assert _table_sizes() == sizes
+
+
+def _record_classes():
+    """Every record class gctt defines: its values, neutrals, closures,
+    terms, interval expressions and faces, and a module's declarations."""
+    return [cls for modname, mod in sorted(sys.modules.items())
+            if modname.startswith("gctt.")
+            for cls in vars(mod).values()
+            if isinstance(cls, Record) and cls.__module__ == modname]
+
+
+def test_no_node_is_written_through_object_setattr_or_read_through_dict():
+    hits = [f"{path.name}:{n}"
+            for path in sorted(SOURCE.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"object\.__setattr__|__dict__|\b(set|del)attr\(",
+                         line)]
+    assert hits == []
+
+
+def test_every_node_class_is_slotted():
+    """Each record class and each of its bases declares `__slots__`, so
+    that no instance has a `__dict__`."""
+    classes = _record_classes()
+    assert len(classes) > 60
+    for cls in classes:
+        assert all("__slots__" in vars(k) for k in cls.__mro__[:-1]), cls
+        node = cls(*[None] * len(fields(cls)))
+        assert not hasattr(node, "__dict__"), cls
+
+
+# the function that memoizes each memo slot, the only one that writes it
+MEMO_WRITERS = {"_support": "support", "_free_names": "free_names",
+                "_captured": "capture", "_dfix_type": "register_dfix_type"}
+
+
+def _attribute_writes(tree):
+    """(enclosing class, enclosing function, target, line) of each
+    assignment to or deletion of an attribute."""
+    out = []
+
+    def walk(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and isinstance(
+                    child.ctx, (ast.Store, ast.Del)):
+                out.append((cls, fn, child, child.lineno))
+            if isinstance(child, ast.ClassDef):
+                walk(child, child.name, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, cls, child.name)
+            else:
+                walk(child, cls, fn)
+
+    walk(tree, None, None)
+    return out
+
+
+def test_no_code_assigns_a_node_field():
+    """Records are immutable by this rule, not by a `__setattr__`: only the
+    generated `__init__`, which is not in the source, sets a field.  A
+    statement may assign an attribute named like a field or memo slot only
+    as `self.<name>` in a class that is not a record, or as the memo slot
+    in the one function that memoizes it."""
+    classes = _record_classes()
+    records = {cls.__name__ for cls in classes}
+    names = {f.name for cls in classes for f in fields(cls)}
+    memos = {m for cls in classes for m in cls.__record_memos__}
+    assert memos == set(MEMO_WRITERS)
+    hits, written = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for cls, fn, target, line in _attribute_writes(
+                ast.parse(path.read_text())):
+            attr = target.attr
+            written.add(attr)
+            if attr in memos:
+                ok = fn == MEMO_WRITERS[attr]
+            elif attr in names:
+                ok = (cls is not None and cls not in records
+                      and isinstance(target.value, ast.Name)
+                      and target.value.id == "self")
+            else:
+                ok = True
+            if not ok:
+                hits.append(f"{path.name}:{line}:{attr}")
+    assert hits == [] and memos <= written

@@ -1,7 +1,5 @@
 """Term syntax: substitution, free names, alpha-canonical forms."""
 
-from dataclasses import fields
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,6 +18,7 @@ from gctt.interval import (
     face_meet,
     inames,
 )
+from gctt.record import fields
 from gctt.syntax import (
     _SCHEME,
     BINDER,
