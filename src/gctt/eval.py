@@ -148,15 +148,6 @@ class Value(Nominal):
     pass
 
 
-def _shared(cls):
-    """A value class with no fields, built once: calling it returns that
-    instance, so that the β memo and conversion's `a is b` test hit for it."""
-    one = cls()
-    cls.__new__ = staticmethod(lambda _: one)
-    cls.__init__ = lambda self: None
-    return cls
-
-
 class VPi(Value):
     domain: Value
     codomain: Closure
@@ -173,12 +164,10 @@ class VPathT(Value):
     rhs: Value
 
 
-@_shared
 class VNat(Value):
     pass
 
 
-@_shared
 class VUniv(Value):
     pass
 
@@ -208,7 +197,6 @@ class VPair(Value):
     snd: Value
 
 
-@_shared
 class VZero(Value):
     pass
 
