@@ -6,7 +6,10 @@ Closures capture their environment.  Values, neutrals and closures are
 records, and an interval substitution acts on one by acting on its fields
 (`act`); acting on a neutral re-runs its eliminators, which can unstick it
 (a delayed fixed point whose clock reaches 1, a path application reaching
-an endpoint, a stuck composition whose face becomes total).
+an endpoint, a stuck composition whose face becomes total).  The walks over
+a node's fields (`support`, `act`) and the evaluators of the first-order
+term formers are compiled per class, on first use, from the kinds of its
+fields (`FIELD_KINDS`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .interval import (
     inames,
 )
 from .parser import parse_term
-from .record import Record
+from .record import Record, fields
 from .syntax import Term, fresh_name
 
 def fresh_iname() -> str:
@@ -115,7 +118,7 @@ class FnClosure(Closure):
 
 
 class ValueClosure(Closure):
-    value: "Value"
+    value: Value
 
     def apply(self, *vals):
         return self.value
@@ -148,6 +151,15 @@ class Value(Nominal):
     pass
 
 
+def _shared(cls):
+    """A value class without fields, every call of which returns one
+    instance; its `__init__`, now `object.__init__`, leaves the instance's
+    memo slot as it is."""
+    one = cls()
+    cls.__new__, cls.__init__ = lambda cls: one, object.__init__
+    return cls
+
+
 class VPi(Value):
     domain: Value
     codomain: Closure
@@ -164,10 +176,12 @@ class VPathT(Value):
     rhs: Value
 
 
+@_shared
 class VNat(Value):
     pass
 
 
+@_shared
 class VUniv(Value):
     pass
 
@@ -197,6 +211,7 @@ class VPair(Value):
     snd: Value
 
 
+@_shared
 class VZero(Value):
     pass
 
@@ -229,32 +244,32 @@ class NVar(Neutral):
 
 
 class NApp(Neutral):
-    fn: "VNeutral"
+    fn: VNeutral
     arg: Value
 
 
 class NPApp(Neutral):
-    fn: "VNeutral"
+    fn: VNeutral
     arg: IExpr
 
 
 class NFst(Neutral):
-    pair: "VNeutral"
+    pair: VNeutral
 
 
 class NSnd(Neutral):
-    pair: "VNeutral"
+    pair: VNeutral
 
 
 class NNatRec(Neutral):
     motive: Value
     base: Value
     step: Value
-    scrutinee: "VNeutral"
+    scrutinee: VNeutral
 
 
 class NUnglue(Neutral):
-    arg: "VNeutral"
+    arg: VNeutral
 
 
 class NComp(Neutral):
@@ -302,8 +317,10 @@ FORMERS = {
     NUnglue: (S.Unglue, "unglue_v"),
     NComp: (None, "comp_v"),
 }
-# each entry's function by its name in this module
+# each entry's function by its name in this module, and each former's
 _BUILDERS = {cls: build or cls.__name__ for cls, (_, build) in FORMERS.items()}
+_FORMER_BUILDERS = {former: _BUILDERS[cls]
+                    for cls, (former, _) in FORMERS.items() if former}
 
 
 def neutral_var(name: str, ty: Optional[Value] = None) -> VNeutral:
@@ -331,22 +348,80 @@ def env_face(env: dict, phi: Face) -> Face:
 
 
 # ---------------------------------------------------------------------------
-# Interval action on values, neutrals and closures: one walk over the fields
+# Interval action on values, neutrals and closures, and evaluation, by code
+# compiled per class from its fields on first use
+
+
+class _PerClass(dict):
+    """The code `make` compiles for each class, on first use."""
+
+    def __init__(self, make, preset=()):
+        super().__init__(preset)
+        self.make = make
+
+    def __missing__(self, cls):
+        code = self[cls] = self.make(cls)
+        return code
+
+
+# What each walk makes of a field, by the field's annotation: the code of
+# its interval names (`support`), of its acted form (`act`) and of its value
+# (`eval_term`, for a term former's field) over the field `{0}`, or None
+# where the walk skips the field.  A node, an interval expression or a face
+# is acted on itself, a tuple or dict entry by entry; the rest is opaque.
+_NODE = ("support({0})", "act({0}, sub)", None)
+_CONTAINER = ("support({0})", "_act_field({0}, sub)", None)
+_OPAQUE = (None, "{0}", None)
+FIELD_KINDS = {
+    "Value": _NODE, "VNeutral": _NODE, "VSystem": _NODE, "Closure": _NODE,
+    "Neutral": _NODE, "Optional[Value]": (
+        "support({0})", "(None if {0} is None else act({0}, sub))", None),
+    "IExpr": ("inames({0})", "dm_subst_all({0}, sub)", "env_iexpr(env, {0})"),
+    "Face": ("face_names({0})", "face_subst_all({0}, sub)",
+             "env_face(env, {0})"),
+    "Term": (None, "{0}", "eval_term(env, {0})"), "Optional[Term]": (
+        None, "{0}", "(None if {0} is None else eval_term(env, {0}))"),
+    "tuple": _CONTAINER, "dict": _CONTAINER, "str": _OPAQUE, "int": _OPAQUE,
+    "Callable": _OPAQUE, "_Pairing": _OPAQUE, "Optional[Span]": _OPAQUE}
+
+
+def _compile(cls, walk: int, params: str, build: Optional[str]):
+    """The function of `params` that applies `build` to the code of `walk`
+    (a column of `FIELD_KINDS`) over the fields of `x`, an instance of
+    `cls`, or else returns their union.  It runs in this module's globals,
+    so it calls whatever the names here are bound to when it runs."""
+    parts = []
+    for f in fields(cls):
+        if f.type not in FIELD_KINDS:
+            raise TypeError(f"{cls.__qualname__}.{f.name}: no field kind for"
+                            f" the annotation {f.type!r}")
+        if FIELD_KINDS[f.type][walk]:
+            parts.append(FIELD_KINDS[f.type][walk].format(f"x.{f.name}"))
+    if walk == 0 and cls is VSystem:  # a system's clause names count too
+        parts.append("frozenset([n for cl, _ in x.branches for n, _ in cl])")
+    body = (f"{build}({', '.join(parts)})" if build
+            else " | ".join(parts) or "frozenset()")
+    space = {}
+    exec(compile(f"def code({params}): return {body}",
+                 f"<{cls.__qualname__}>", "exec"), globals(), space)
+    return space["code"]
+
+
+_SUPPORT = _PerClass(lambda cls: _compile(cls, 0, "x", None))
+_ACT = _PerClass(lambda cls: _compile(cls, 1, "x, sub",
+                                      _BUILDERS.get(cls, cls.__name__)))
 
 
 def support(x) -> frozenset:
-    """The interval names occurring in x: a value, neutral or closure (the
-    union over its fields, memoized in its `_support` slot), an interval
+    """The interval names occurring in x: a value, neutral or closure (by
+    its class's code, memoized in its `_support` slot), an interval
     expression, a face, or a tuple or dict of these.  A name, a term, an
     integer or a host function has none.  A system's clause names count
     too."""
     if isinstance(x, Nominal):
         s = x._support
         if s is None:
-            s = frozenset().union(*map(support, x.field_values))
-            if type(x) is VSystem:
-                s = s | {n for cl, _ in x.branches for n, _ in cl}
-            x._support = s
+            s = x._support = _SUPPORT[type(x)](x)
         return s
     if isinstance(x, IExpr):
         return inames(x)
@@ -361,11 +436,11 @@ def support(x) -> frozenset:
 
 def act(x, sub: dict):
     """The interval substitution `sub` applied to a value or closure: the
-    node rebuilt from its fields, each acted on (`_act_field`), by its
-    `FORMERS` function where it has one.  A system rebuilds through
-    `make_system`, and a neutral re-runs its eliminators (`act_neutral`),
-    which may unstick it.  Whatever has no interval names in `sub`, None
-    included, is returned as it is."""
+    node rebuilt from its fields, each acted on by its kind, by its
+    `FORMERS` function where it has one (its class's code).  A system
+    rebuilds through `make_system`, and a neutral re-runs its eliminators
+    (`act_neutral`), which may unstick it.  Whatever has no interval names
+    in `sub`, None included, is returned as it is."""
     if not sub or support(x).isdisjoint(sub):
         return x
     cls = type(x)
@@ -376,9 +451,7 @@ def act(x, sub: dict):
                   for cl, val in x.branches]
         return make_system([(phi, act(val, sub)) for phi, val in pieces
                             if not face_is_false(phi)])
-    parts = [_act_field(p, sub) for p in x.field_values]
-    build = _BUILDERS.get(cls)
-    return globals()[build](*parts) if build else cls(*parts)
+    return _ACT[cls](x, sub)
 
 
 def _act_field(p, sub: dict):
@@ -396,15 +469,15 @@ def _act_field(p, sub: dict):
 
 
 def act_neutral(ne: Neutral, sub: dict, ty: Optional[Value]) -> Value:
-    """The eliminator of `ne` re-run on its acted fields (`FORMERS`); a
-    variable and a delayed fixed point keep or rebuild their type."""
+    """The eliminator of `ne` re-run on its acted fields (`FORMERS`, by its
+    class's code); a variable and a delayed fixed point keep or rebuild
+    their type."""
     match ne:
         case NVar():
             return VNeutral(ne, act(ty, sub))
         case NDFix(clock=r, closure=c):
             return dfix_v(dm_subst_all(r, sub), act(c, sub), act(ty, sub))
-    elim = globals()[_BUILDERS[type(ne)]]
-    return elim(*[_act_field(p, sub) for p in ne.field_values])
+    return _ACT[type(ne)](ne, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -675,23 +748,6 @@ def eval_term(env: dict, t: Term) -> Value:
     return ev(env, t)
 
 
-def _evaluator(build: str, parts: tuple):
-    """The evaluator of a `FORMERS` former: each field evaluated by its kind
-    (`parts`), then the builder named `build` applied to them."""
-    def ev(env, t):
-        args = []
-        for name, kind in parts:
-            p = getattr(t, name)
-            if kind is S.TERM:
-                args.append(None if p is None else eval_term(env, p))
-            elif kind is S.IEXPR:
-                args.append(env_iexpr(env, p))
-            else:
-                args.append(env_face(env, p))
-        return globals()[build](*args)
-    return ev
-
-
 def _eval_var(env: dict, t: S.Var) -> Value:
     v = env.get(t.name)
     if not isinstance(v, Value):
@@ -721,14 +777,12 @@ def _eval_dfix(env: dict, t) -> Value:
                   registered_dfix_type(env, t))
 
 
-# The evaluator of each term former: a `FORMERS` former's made from its
-# scheme, the others written out.  Each calls `eval_term` and its builder
-# through the module globals, whatever they are bound to when it runs.
-_EVAL = {
-    former: _evaluator(_BUILDERS[cls],
-                       tuple((n, k) for n, k, _, _ in S._SCHEME[former]))
-    for cls, (former, _) in FORMERS.items() if former is not None
-} | {
+# The evaluator of each term former: a `FORMERS` former's compiled from its
+# fields on first use (`_compile`), the others written out.  Each calls
+# `eval_term` and its builder through the module globals, whatever they are
+# bound to when it runs.
+_EVAL = _PerClass(lambda former: _compile(former, 2, "env, x",
+                                          _FORMER_BUILDERS[former]), {
     S.Var: _eval_var,
     S.Lam: lambda env, t: VLam(capture(env, (t.binder,), t.body)),
     S.PLam: lambda env, t: VPLam(capture(env, (t.binder,), t.body)),
@@ -744,7 +798,7 @@ _EVAL = {
     S.DFix: _eval_dfix,
     S.Fix: lambda env, t: eval_term({**env, t.binder: _eval_dfix(env, t)},
                                     t.body),
-}
+})
 
 
 def surface(source: str, *params: str) -> Callable[..., Value]:

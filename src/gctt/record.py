@@ -1,18 +1,19 @@
 """Immutable records as plain classes with `__slots__`.
 
 A record class declares its fields as annotated class attributes, after
-those of its base, as a dataclass does.  A field's default, where it has
-one, is the attribute's value, or a `field` that also says whether the
-field is compared and carries metadata.  The metaclass `Record` gives the
-class `__slots__` for its own fields and for the memo slots it names, and
-generates its `__init__`, which sets every field in order and every memo
-slot to None, and `field_values`, the fields' values in order.  A record
-class declared with `eq=True`, and its subclasses, also get `__eq__` and
-`__hash__` over the compared fields; any other record compares by
-identity.  Nothing assigns a field outside `__init__`, and a memo slot is
-written only by the function it memoizes (tests/test_source.py checks
-both): a record is immutable by rule, not by a `__setattr__` that every
-construction would pay for.
+those of its base, as a dataclass does.  Each field keeps its annotation
+as written, from which `gctt.eval` compiles code per class.  A field's
+default, where it has one, is the attribute's value, or a `field` that
+also says whether the field is compared and carries metadata.  The
+metaclass `Record` gives the class `__slots__` for its own fields and for
+the memo slots it names, and generates its `__init__`, which sets every
+field in order and every memo slot to None, and `field_values`, the
+fields' values in order.  A record class declared with `eq=True`, and its
+subclasses, also get `__eq__` and `__hash__` over the compared fields; any
+other record compares by identity.  Nothing assigns a field outside
+`__init__`, and a memo slot is written only by the function it memoizes
+(tests/test_source.py checks both): a record is immutable by rule, not by
+a `__setattr__` that every construction would pay for.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ class Field(NamedTuple):
     default: Any
     compare: bool  # compared, hashed and shown by `repr`
     metadata: dict
+    type: str = ""  # the annotation, as written
 
 
 def field(default=_REQUIRED, *, compare: bool = True,
@@ -50,10 +52,10 @@ class Record(type):
 
     def __new__(mcs, name, bases, ns, eq: bool = False, memos: tuple = ()):
         own = []
-        for n in ns.get("__annotations__", ()):
+        for n, t in ns.get("__annotations__", {}).items():
             f = ns.pop(n, _REQUIRED)
             own.append((f if isinstance(f, Field) else field(f))._replace(
-                name=n))
+                name=n, type=t))
         ns["__slots__"] = tuple(f.name for f in own) + memos
         cls = super().__new__(mcs, name, bases, ns)
         base = bases[0] if bases else object

@@ -2,6 +2,8 @@
 systems, and general properties of judgemental equality."""
 
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,9 @@ from gctt.eval import (
 from gctt.interval import FACE_TOP, IVar, face_join, face_lit, face_meet
 from gctt.parser import parse_term
 from gctt.syntax import alpha_canonical
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def later_of(v):
@@ -288,14 +293,17 @@ def test_flexible_probe_has_no_support_of_its_own():
 
 
 def test_later_conversion_agrees_with_readback_on_corpus(corpus_dir,
+                                                         tmp_path,
                                                          monkeypatch):
-    """Every later/next comparison made while checking the corpus is decided
-    as comparing alpha-canonical readbacks decides it.  The readbacks avoid
-    every identifier of the corpus, so no binder they choose captures a
+    """Every later/next comparison made while checking the corpus and the
+    positive `guarded` modules of seed 1 is decided as comparing
+    alpha-canonical readbacks decides it.  The readbacks avoid every
+    identifier of those modules, so no binder they choose captures a
     variable the checker bound."""
     from gctt.cli import Loader
     from gctt.parser import tokenize
 
+    items = workloads.generate("guarded", 1, tmp_path / "guarded")
     seen = []
     plain = conversion.conv
 
@@ -305,15 +313,20 @@ def test_later_conversion_agrees_with_readback_on_corpus(corpus_dir,
         return plain(pairings, a, b, ty)
 
     monkeypatch.setattr(conversion, "conv", recording)
-    loader = Loader([str(corpus_dir)])
-    paths = sorted(corpus_dir.glob("*.gctt"))
-    for path in paths:
-        loader.load(path)
+    paths = []
+    for root, names in [
+            (corpus_dir, [p.name for p in sorted(corpus_dir.glob("*.gctt"))]),
+            (tmp_path / "guarded", [item["argv"][1] for item in items
+                                    if item["expect"]["exit"] == 0])]:
+        loader = Loader([str(root)])
+        for name in names:
+            paths.append(root / name)
+            loader.load(root / name)
     monkeypatch.undo()
     used = frozenset(tok.lexeme for path in paths
                      for tok in tokenize(path.read_text())
                      if tok.kind == "ident")
-    assert len(seen) > 100
+    assert len(seen) > 200  # 239: the check sees many comparisons
     for a, b in seen:
         by_readback = (alpha_canonical(readback_value(used, a))
                        == alpha_canonical(readback_value(used, b)))

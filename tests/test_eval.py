@@ -247,6 +247,8 @@ def test_a_constant_closure_leaves_its_parameter_unbound():
 
 
 def test_every_term_former_has_one_evaluator():
+    for former in S._SCHEME:
+        E._EVAL[former]  # a first-order former's is compiled on first use
     assert set(E._EVAL) == set(S._SCHEME) and len(E._EVAL) == 25
 
 
@@ -688,6 +690,61 @@ def test_support_sees_every_field_and_act_reaches_it(node):
     assert "i" in support(node)
     assert "i" not in support(act(node, {"i": ZERO}))
     assert act(node, {"l": ZERO}) is node  # l is not in the support
+
+
+def test_every_field_of_every_node_class_has_a_kind():
+    from gctt.conversion import _NFlex
+
+    for cls in _node_classes() | {_NFlex}:
+        assert all(f.type in E.FIELD_KINDS for f in fields(cls)), cls
+        assert E._SUPPORT[cls] and E._ACT[cls]  # they compile
+    pairing = {f.name: f for f in fields(_NFlex)}["pairing"]
+    assert E.FIELD_KINDS[pairing.type] == (None, "{0}", None)  # opaque
+
+
+def test_a_field_of_unknown_annotation_fails_loudly():
+    class Weighed(E.Value):
+        weight: "float"
+
+    with pytest.raises(TypeError, match=r"Weighed\.weight: no field kind"):
+        E.support(Weighed(0.5))
+    with pytest.raises(TypeError, match=r"Weighed\.weight: no field kind"):
+        act(Weighed(0.5), {"i": ZERO})
+
+
+def test_compiled_code_looks_its_callees_up_when_it_runs(monkeypatch):
+    """The evaluators and the interval action compiled per class call
+    `eval_term` and `act` through the module globals, which the tracer and
+    these wrappers rebind."""
+    plain_eval, plain_act = E.eval_term, E.act
+    marked, calls = neutral_var("marked"), []
+    monkeypatch.setattr(E, "eval_term",
+                        lambda env, t: calls.append(t) or marked)
+    monkeypatch.setattr(E, "act", lambda x, sub: calls.append(x) or marked)
+    env = {"f": neutral_var("f"), "a": neutral_var("a")}
+    app = plain_eval(env, parse_term("f a"))
+    pair = plain_eval(env, parse_term("(f, a)"))
+    assert calls == [S.Var(name="f"), S.Var(name="a")] * 2
+    assert (app.neutral.fn, app.neutral.arg) == (marked, marked)
+    assert (pair.fst, pair.snd) == (marked, marked)
+    p_at_i, n = VNeutral(E.NPApp(neutral_var("p"), IVar("i"))), VNat()
+    calls.clear()
+    pair = plain_act(VPair(p_at_i, n), {"i": ZERO})
+    app = plain_act(VNeutral(E.NApp(env["f"], p_at_i)), {"i": ZERO})
+    assert calls == [p_at_i, n, env["f"], p_at_i]
+    assert (pair.fst, pair.snd) == (marked, marked)
+    assert (app.neutral.fn, app.neutral.arg) == (marked, marked)
+
+
+def test_the_values_without_fields_are_shared():
+    assert VNat() is VNat() and E.VUniv() is E.VUniv()
+    assert VZero() is VZero() and VNat() is not VZero()
+    assert eval_term({}, S.Nat()) is VNat()
+    assert eval_term({}, S.Zero()) is VZero()
+    assert eval_term({}, S.Univ()) is E.VUniv()
+    p_at_i = VNeutral(E.NPApp(neutral_var("p"), IVar("i")))
+    acted = act(VPair(p_at_i, VZero()), {"i": ZERO})
+    assert acted.snd is VZero() and act(VNat(), {"i": ZERO}) is VNat()
 
 
 def test_act_rebuilds_systems_and_glue_through_their_constructors():

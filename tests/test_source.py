@@ -217,6 +217,12 @@ def test_no_node_is_written_through_object_setattr_or_read_through_dict():
     assert hits == []
 
 
+def test_the_evaluator_looks_up_no_function_by_a_string_in_its_globals():
+    """`gctt.eval` calls its builders from code compiled per class, which
+    names them, not through `globals()`."""
+    assert "globals()[" not in (SOURCE / "eval.py").read_text()
+
+
 def test_every_node_class_is_slotted():
     """Each record class and each of its bases declares `__slots__`, so
     that no instance has a `__dict__`."""
