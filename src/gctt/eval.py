@@ -1107,67 +1107,52 @@ def readback(used: frozenset, v: Value, ty: Optional[Value] = None,
     """`v` read back over `used`, eta-long at `ty`; `expansion` maps the
     enclosing delayed-substitution binders to their expanded contents."""
     match ty:
-        case VPi(domain=d, codomain=c):
-            x = fresh_name(_preferred_name(v, _closure_name(c, "x")), used)
-            var = neutral_var(x, d)
-            return S.Lam(None, x, None, readback(
-                used | {x}, apply_v(v, var), c.apply(var), expansion))
         case VSigma(first=d, second=c):
             a = fst_v(v)
             return S.Pair(None, readback(used, a, d, expansion),
                           readback(used, snd_v(v), c.apply(a), expansion))
-        case VPathT(space=sp):
-            i = fresh_name(_preferred_iname(v), used)
-            return S.PLam(None, i, readback(
-                used | {i}, papp_v(v, IVar(i)), sp, expansion))
+        case VPi() | VPathT():
+            return _readback_binder(used, v, ty, expansion)
     return readback_value(used, v, expansion)
 
 
-def _closure_name(c: Closure, default: str) -> str:
-    if isinstance(c, TermClosure) and c.names:
-        return c.names[0]
-    return default
+def _readback_binder(used: frozenset, v: Value, ty: Optional[Value],
+                     expansion: Optional[dict]) -> Term:
+    """A lambda or path lambda, or any value at a Pi or Path type `ty`, read
+    back as one over a fresh variable named after its own binder, else the
+    Pi type's; `ty`, when known, types the variable and the body."""
+    if isinstance(v, VPLam) or isinstance(ty, VPathT):
+        i = fresh_name(_preferred_name(v, "i"), used)
+        return S.PLam(None, i, readback(used | {i}, papp_v(v, IVar(i)),
+                                        ty and ty.space, expansion))
+    x = fresh_name(_preferred_name(
+        v, _preferred_name(ty.codomain, "x") if ty else "x"), used)
+    var = neutral_var(x, ty and ty.domain)
+    return S.Lam(None, x, None, readback(
+        used | {x}, apply_v(v, var), ty and ty.codomain.apply(var), expansion))
 
 
-def _preferred_name(v: Value, default: str) -> str:
-    if isinstance(v, VLam):
-        return _closure_name(v.closure, default)
-    return default
-
-
-def _preferred_iname(v: Value) -> str:
-    if isinstance(v, VPLam):
-        return _closure_name(v.closure, "i")
-    return "i"
+def _preferred_name(x, default: str) -> str:
+    """The first parameter name of a term closure or a (path) lambda's."""
+    c = x.closure if isinstance(x, (VLam, VPLam)) else x
+    return c.names[0] if isinstance(c, TermClosure) and c.names else default
 
 
 def readback_value(used: frozenset, v: Value,
                    expansion: Optional[dict] = None) -> Term:
     match v:
-        case VPi(domain=d, codomain=c):
-            x = fresh_name(_closure_name(c, "x"), used)
-            var = neutral_var(x, d)
-            return S.Pi(None, x, readback(used, d, None, expansion),
-                        readback(used | {x}, c.apply(var), None, expansion))
-        case VSigma(first=d, second=c):
-            x = fresh_name(_closure_name(c, "x"), used)
-            var = neutral_var(x, d)
-            return S.Sigma(None, x, readback(used, d, None, expansion),
-                           readback(used | {x}, c.apply(var), None,
-                                    expansion))
+        case VPi(domain=d, codomain=c) | VSigma(first=d, second=c):
+            x = fresh_name(_preferred_name(c, "x"), used)
+            former = S.Pi if isinstance(v, VPi) else S.Sigma
+            return former(None, x, readback(used, d, None, expansion),
+                          readback(used | {x}, c.apply(neutral_var(x, d)),
+                                   None, expansion))
         case VPathT(space=sp, lhs=l, rhs=r):
             return S.PathT(None, readback(used, sp, None, expansion),
                            readback(used, l, sp, expansion),
                            readback(used, r, sp, expansion))
-        case VLam(closure=c):
-            x = fresh_name(_closure_name(c, "x"), used)
-            var = neutral_var(x)
-            return S.Lam(None, x, None, readback(used | {x}, c.apply(var),
-                                                 None, expansion))
-        case VPLam(closure=c):
-            i = fresh_name(_preferred_iname(v), used)
-            return S.PLam(None, i, readback(used | {i}, c.apply(IVar(i)),
-                                            None, expansion))
+        case VLam() | VPLam():
+            return _readback_binder(used, v, None, expansion)
         case VLaterT() | VNext():
             entries, body = _readback_ds(used, v, expansion)
             if isinstance(v, VNext):
@@ -1370,7 +1355,7 @@ def readback_neutral(used: frozenset, ne: Neutral,
             return S.Comp(None, i, line_t, tube_t,
                           readback(used, b, None, expansion))
         case NDFix(clock=r, closure=c):
-            x = fresh_name(_closure_name(c, "x"), used)
+            x = fresh_name(_preferred_name(c, "x"), used)
             node = S.DFix(None, r, x, readback(
                 used | {x}, c.apply(neutral_var(x)), None, expansion))
             # keep the checked type attached to the printed fixed point, so

@@ -233,17 +233,18 @@ def face_of_eq(r: IExpr, polarity: int) -> Face:
 
 
 def face_subst_all(phi: Face, sub: dict[Name, IExpr]) -> Face:
-    """Replace every literal (i=b) with i in sub by the face (sub[i]=b)."""
+    """Replace every literal (i=b) with i in sub by the face (sub[i]=b):
+    the clauses' products of their literals' DNFs, normalized once."""
     if not sub:
         return phi
-    result = FACE_BOT
+    clauses = []
     for clause in phi.clauses:
-        acc = FACE_TOP
-        for n, p in sorted(clause):
-            lit = face_of_eq(sub[n], p) if n in sub else face_lit(n, p)
-            acc = face_meet(acc, lit)
-        result = face_join(result, acc)
-    return result
+        product = DNF_TOP
+        for n, p in clause:
+            lit = dm_dnf(sub[n], p) if n in sub else face_lit(n, p).clauses
+            product = [c | d for c in product for d in lit]
+        clauses += product
+    return _mk_face(clauses)
 
 
 def face_forall(i: Name, phi: Face) -> Face:

@@ -115,9 +115,8 @@ class ParseError(Exception):
         self.span = span
         self.expected = tuple(sorted(set(expected)))
         self.found = found
-        where = f"{span.line}:{span.col}" if span else "?"
         exp = ", ".join(self.expected)
-        super().__init__(f"{where}: expected {exp}, found {found}")
+        super().__init__(f"{span or '?'}: expected {exp}, found {found}")
 
 
 def tokenize(source: str) -> list[Token]:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from . import syntax as S
 from .conversion import conv_under
@@ -63,6 +63,7 @@ from .interval import (
     face_str,
     inames,
 )
+from .record import Record
 from .syntax import Span, Term, term_str
 
 
@@ -74,21 +75,19 @@ class GcttTypeError(Exception):
         super().__init__(message)
 
     def located(self) -> str:
-        where = f"{self.span.line}:{self.span.col}" if self.span else "?:?"
-        return f"{where}: [{self.kind}] {self.message}"
+        return f"{self.span or '?:?'}: [{self.kind}] {self.message}"
 
     def render(self, filename: str = "<input>") -> str:
         return f"{filename}:{self.located()}"
 
 
-@dataclass(frozen=True)
-class Ctx:
+class Ctx(metaclass=Record):
     """Term and interval variables in scope, each bound once under its own
     name (the checked term is renamed apart, `syntax.rename_apart`), which
     is also the name readback prints for it."""
 
-    env: dict = field(default_factory=dict)
-    types: dict = field(default_factory=dict)
+    env: Mapping = MappingProxyType({})
+    types: Mapping = MappingProxyType({})
     face: Face = FACE_TOP
 
     @property
@@ -114,16 +113,14 @@ class Ctx:
         return Ctx({**self.env, x: value}, {**self.types, x: ty}, self.face)
 
 
-@dataclass
-class CheckedModule:
+class CheckedModule(metaclass=Record):
     name: str
     table: dict  # decl name -> (type Value, body Value)
     order: tuple = ()
-    reports: list = field(default_factory=list)
+    reports: tuple = ()
 
 
-@dataclass
-class DeclReport:
+class DeclReport(metaclass=Record):
     name: str
     status: str
     millis: float
@@ -199,17 +196,13 @@ class Checker:
                     )
                 self.check_interval(ctx, r, t.span)
                 return fty.space
-            case S.Fst(pair=p):
+            case S.Fst(pair=p) | S.Snd(pair=p):
                 pty = self.infer(ctx, p)
                 if not isinstance(pty, VSigma):
                     raise GcttTypeError(t.span, "mismatch",
                                         "projection from a non-pair")
-                return pty.first
-            case S.Snd(pair=p):
-                pty = self.infer(ctx, p)
-                if not isinstance(pty, VSigma):
-                    raise GcttTypeError(t.span, "mismatch",
-                                        "projection from a non-pair")
+                if isinstance(t, S.Fst):
+                    return pty.first
                 return pty.second.apply_lazy(
                     lambda: fst_v(eval_term(ctx.env, p)))
             case S.Lam(binder=x, annotation=ann, body=b):
@@ -555,7 +548,7 @@ class Checker:
         with self.fuelled():
             ctx = Ctx()
             table = {}
-            reports = []
+            reports = ()
             for imported in imports:
                 for name, (ty, val) in imported.table.items():
                     if name not in table:
@@ -580,9 +573,8 @@ class Checker:
                 ctx = ctx.define(decl.name, ty, value)
                 table[decl.name] = (ty, value)
                 order[decl.name] = None
-                reports.append(DeclReport(
-                    decl.name, "ok", (time.monotonic() - start) * 1000.0
-                ))
+                millis = (time.monotonic() - start) * 1000.0
+                reports += (DeclReport(decl.name, "ok", millis),)
             return CheckedModule(module.name, table, tuple(order), reports)
 
 

@@ -246,6 +246,50 @@ def test_a_tube_face_may_not_name_its_compositions_binder(capsys):
                    " composition's own binder\n")
 
 
+# a glue element whose face is not its type's, under `--at i=0`
+GLUE_MISMATCH = (
+    r"\(e : (f : N -> N) * ((a : N) -> (c : (t : N) * Path N a (f t))"
+    r" * ((c1 : (t : N) * Path N a (f t)) -> Path ((t : N) * Path N a (f t))"
+    r" c c1))) -> (\(g : Glue [ (i=0) -> N, e ] N) -> g)"
+    " (glue [ (i=1) -> 0 ] 0)")
+
+
+@pytest.mark.parametrize("expr, at, col, message", [
+    ("(0).1", [], 4, "projection from a non-pair"),
+    ("(0).2", [], 4, "projection from a non-pair"),
+    ("unglue 0", [], 1, "unglue of a non-glue term"),
+    ("(0, 0)", [], 1, "cannot infer the type of (0, 0)"),
+    (GLUE_MISMATCH, ["--at", "i=0"], GLUE_MISMATCH.index("(glue") + 1,
+     "glue face (i=1) differs from the type's face (i=0)"),
+])
+def test_a_term_the_checker_rejects_is_reported_where_it_fails(
+        capsys, expr, at, col, message):
+    code, out, err = run(capsys, "normalize", "--expr", expr, *at)
+    assert (code, out) == (1, "")
+    assert err == f"<expr>:1:{col}: [mismatch] {message}\n"
+
+
+def test_a_delayed_fixed_point_is_not_checked_at_a_delayed_substitution(
+        capsys, tmp_path):
+    path = write_module(
+        tmp_path, "dfixds", "f : (l : |> N) -> |> [x <- l] Path N x x"
+        r" = \l -> dfix 0 y. next [x <- l] (<i> x)")
+    code, out, err = run(capsys, "check", path)
+    assert (code, out) == (1, "")
+    assert err == (f"{path}:3:50: [mismatch] delayed fixed point needs a"
+                   " later type without a delayed substitution\n")
+
+
+def test_natrec_checks_with_a_motive_that_is_a_variable(capsys, tmp_path):
+    path = write_module(
+        tmp_path, "motive", "f : (m : N -> U) -> m 0"
+        r" -> ((x : N) -> m x -> m (suc x)) -> m 2 = \m z s -> natrec m z s 2")
+    assert run(capsys, "check", path) == (0, f"{path}: ok (1 declarations)\n",
+                                          "")
+    assert run(capsys, "normalize", path, "f") == (
+        0, "\\m -> \\z -> \\s -> s 1 (s 0 z)\n", "")
+
+
 def test_normalize_at_needs_an_expr(capsys, corpus_dir):
     # a declaration's value is closed: no interval substitution can act on it
     code, out, err = run(capsys, "normalize", str(corpus_dir / "streams.gctt"),
@@ -404,8 +448,9 @@ def test_zero_fuel_allows_no_conversion_step(capsys):
 
 def test_zipwith_checks_within_a_fuel_bound(capsys, corpus_dir):
     # a deterministic work bound: comparing closures built alike without
-    # applying them takes zipwith from 2087 conversion steps to 865, and
-    # evaluating each application once per declaration to 557
+    # applying them takes zipwith from 2087 conversion steps to 865,
+    # evaluating each application once per declaration to 557, and sharing
+    # the values without fields to 541
     code, out, err = run(capsys, "check", "--fuel", "1200",
                          str(corpus_dir / "zipwith.gctt"))
     assert (code, err) == (0, "") and "ok" in out

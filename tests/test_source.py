@@ -5,9 +5,9 @@ acted on by interval substitutions, conversion keeps no module-level table
 and takes no name set, no module-level table hides a function from the
 benchmark's tracer, none grows across invocations, no function rebinds a
 module global and no module numbers names from a counter of its own, the
-source keeps to the oldest Python the package declares, and every node is a
-slotted record that no code writes to after building it but through its
-memo slots."""
+source keeps to the oldest Python the package declares, records are made
+one way, and every node is a slotted record that no code writes to after
+building it but through its memo slots."""
 
 import ast
 import importlib.util
@@ -86,6 +86,19 @@ def test_no_global_statement_and_no_module_level_counter():
                 for name, value in vars(mod).items()
                 if isinstance(value, itertools.count)]
     assert rebinds == [] and counters == []
+
+
+def test_records_are_made_one_way():
+    """Every record is a `gctt.record.Record` class: no module imports
+    `dataclasses`."""
+    hits = [f"{path.name}:{node.lineno}"
+            for path in sorted(SOURCE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import)
+            and any(a.name == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and node.module == "dataclasses"]
+    assert hits == []
 
 
 def test_no_weak_reference_tables():
