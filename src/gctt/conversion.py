@@ -57,6 +57,7 @@ from .eval import (
     ds_binders,
     fresh_iname,
     fst_v,
+    neutral_type,
     papp_v,
     probe_var,
     snd_v,
@@ -317,7 +318,8 @@ def _conv_neutral(pairings: tuple, a, b) -> bool:
         case (NVar(name=x), NVar(name=y)):
             return x == y or _same_var(pairings, a, b)
         case (NApp(fn=f1, arg=a1), NApp(fn=f2, arg=a2)):
-            arg_ty = f1.type.domain if isinstance(f1.type, VPi) else None
+            f_ty = neutral_type(f1)
+            arg_ty = f_ty.domain if isinstance(f_ty, VPi) else None
             return conv(pairings, f1, f2) and conv(pairings, a1, a2, arg_ty)
         case (NComp(binder=k1, line=l1, tube=t1, base=b1),
               NComp(binder=k2, line=l2, tube=t2, base=b2)):

@@ -284,9 +284,21 @@ class NDFix(Neutral):
     closure: Closure
 
 
-class VNeutral(Value):
+class VNeutral(Value, memos=("_type",)):
+    """A stuck value.  `type` is the type given with it, if any: a
+    variable's or a probe's, or a fixed point's (`dfix_v`), which may be a
+    `PendingType` until it is read.  An eliminator is built with none: its
+    type is derived from its head's when it is read (`neutral_type`)."""
     neutral: Neutral
     type: Optional[Value] = None
+
+
+class PendingType(metaclass=Record):
+    """A fixed point's registered later type, not read yet: the node's
+    registration entry as it stood when the fixed point was evaluated, and
+    the environment it was evaluated in (`registered_dfix_type`)."""
+    env: dict
+    entry: list
 
 
 # The term former of each constructor value and stuck eliminator, and the
@@ -407,7 +419,16 @@ def _compile(cls, walk: int, params: str, build: Optional[str]):
     return space["code"]
 
 
-_SUPPORT = _PerClass(lambda cls: _compile(cls, 0, "x", None))
+def _support_neutral(x: VNeutral) -> frozenset:
+    """A stuck value's names: its eliminator's, and its given type's (a
+    pending one is read for it).  A derived type is not counted: its free
+    names are among the head's and the arguments' (`_derived_type`)."""
+    s = support(x.neutral)
+    return s if x.type is None else s | support(neutral_type(x))
+
+
+_SUPPORT = _PerClass(lambda cls: _compile(cls, 0, "x", None),
+                     {VNeutral: _support_neutral})
 _ACT = _PerClass(lambda cls: _compile(cls, 1, "x, sub",
                                       _BUILDERS.get(cls, cls.__name__)))
 
@@ -445,7 +466,7 @@ def act(x, sub: dict):
         return x
     cls = type(x)
     if cls is VNeutral:
-        return act_neutral(x.neutral, sub, x.type)
+        return act_neutral(x, sub)
     if cls is VSystem:
         pieces = [(face_subst_all(clause_face(cl), sub), val)
                   for cl, val in x.branches]
@@ -468,15 +489,17 @@ def _act_field(p, sub: dict):
     return p
 
 
-def act_neutral(ne: Neutral, sub: dict, ty: Optional[Value]) -> Value:
-    """The eliminator of `ne` re-run on its acted fields (`FORMERS`, by its
-    class's code); a variable and a delayed fixed point keep or rebuild
-    their type."""
+def act_neutral(v: VNeutral, sub: dict) -> Value:
+    """The eliminator of the stuck value `v` re-run on its acted fields
+    (`FORMERS`, by its class's code), which derives its type anew; a
+    variable and a delayed fixed point keep or rebuild their given type."""
+    ne = v.neutral
     match ne:
         case NVar():
-            return VNeutral(ne, act(ty, sub))
+            return VNeutral(ne, act(neutral_type(v), sub))
         case NDFix(clock=r, closure=c):
-            return dfix_v(dm_subst_all(r, sub), act(c, sub), act(ty, sub))
+            return dfix_v(dm_subst_all(r, sub), act(c, sub),
+                          act(neutral_type(v), sub))
     return _ACT[type(ne)](ne, sub)
 
 
@@ -535,9 +558,8 @@ def apply_v(fn: Value, arg: Value) -> Value:
             return res
         case VSystem():
             return _by_branch(apply_v, (fn, arg))
-        case VNeutral(neutral=_, type=ty):
-            res_ty = ty.codomain.apply(arg) if isinstance(ty, VPi) else None
-            return VNeutral(NApp(fn, arg), res_ty)
+        case VNeutral():
+            return VNeutral(NApp(fn, arg))
     raise TypeError(f"cannot apply {fn!r}")
 
 
@@ -548,14 +570,12 @@ def papp_v(fn: Value, arg: IExpr) -> Value:
             return c.apply(r)
         case VSystem():
             return _by_branch(papp_v, (fn, r))
-        case VNeutral(neutral=_, type=ty):
-            if isinstance(ty, VPathT):
-                if r == ZERO:
-                    return ty.lhs
-                if r == ONE:
-                    return ty.rhs
-                return VNeutral(NPApp(fn, r), ty.space)
-            return VNeutral(NPApp(fn, r), None)
+        case VNeutral():
+            if r == ZERO or r == ONE:  # a path's endpoints are in its type
+                ty = neutral_type(fn)
+                if isinstance(ty, VPathT):
+                    return ty.lhs if r == ZERO else ty.rhs
+            return VNeutral(NPApp(fn, r))
     raise TypeError(f"cannot path-apply {fn!r}")
 
 
@@ -565,9 +585,8 @@ def fst_v(pair: Value) -> Value:
             return a
         case VSystem():
             return _by_branch(fst_v, (pair,))
-        case VNeutral(neutral=_, type=ty):
-            res_ty = ty.first if isinstance(ty, VSigma) else None
-            return VNeutral(NFst(pair), res_ty)
+        case VNeutral():
+            return VNeutral(NFst(pair))
     raise TypeError(f"cannot project {pair!r}")
 
 
@@ -577,10 +596,8 @@ def snd_v(pair: Value) -> Value:
             return b
         case VSystem():
             return _by_branch(snd_v, (pair,))
-        case VNeutral(neutral=_, type=ty):
-            res_ty = (ty.second.apply(fst_v(pair)) if isinstance(ty, VSigma)
-                      else None)
-            return VNeutral(NSnd(pair), res_ty)
+        case VNeutral():
+            return VNeutral(NSnd(pair))
     raise TypeError(f"cannot project {pair!r}")
 
 
@@ -594,8 +611,7 @@ def natrec_v(motive: Value, base: Value, step: Value,
         case VSystem():
             return _by_branch(natrec_v, (motive, base, step, scrutinee), at=3)
         case VNeutral():
-            return VNeutral(NNatRec(motive, base, step, scrutinee),
-                            apply_v(motive, scrutinee))
+            return VNeutral(NNatRec(motive, base, step, scrutinee))
     raise TypeError(f"natrec on {scrutinee!r}")
 
 
@@ -605,10 +621,59 @@ def unglue_v(arg: Value) -> Value:
             return a
         case VSystem():
             return _by_branch(unglue_v, (arg,))
-        case VNeutral(neutral=_, type=ty):
-            return VNeutral(NUnglue(arg),
-                            ty.base if isinstance(ty, VGlueT) else None)
+        case VNeutral():
+            return VNeutral(NUnglue(arg))
     raise TypeError(f"cannot unglue {arg!r}")
+
+
+def neutral_type(v: VNeutral) -> Optional[Value]:
+    """The type of the stuck value `v`, None where it has none: its given
+    type, a pending one read and evaluated now, or else the one its
+    eliminator's typing rule derives from its head's type
+    (`_derived_type`).  A type it had to compute, or the lack of one
+    (`False`), is memoized in its `_type` slot."""
+    given = v.type
+    if given is not None and not isinstance(given, PendingType):
+        return given
+    ty = v._type
+    if ty is None:
+        ty = v._type = (_derived_type(v.neutral) if given is None else
+                        _registered_type(given.env, given.entry)) or False
+    return ty or None
+
+
+def _derived_type(ne: Neutral) -> Optional[Value]:
+    """The type of a stuck eliminator, from its head's type by its typing
+    rule.  Its free interval names are among those of the head's type,
+    which are the head's own (`support`, by induction), and of the other
+    fields, so `support` need not count it; each rule says why.  The only
+    other names it can have are the binders of the stuck compositions
+    evaluated while deriving it, drawn fresh then and bound there, so no
+    substitution on the stuck value names them."""
+    match ne:
+        case NApp(fn=f, arg=a):
+            # the codomain closure (a field of f's type) applied to a
+            ty = neutral_type(f)
+            return ty.codomain.apply(a) if isinstance(ty, VPi) else None
+        case NPApp(fn=f):
+            ty = neutral_type(f)  # a field of f's type
+            return ty.space if isinstance(ty, VPathT) else None
+        case NFst(pair=p):
+            ty = neutral_type(p)  # a field of p's type
+            return ty.first if isinstance(ty, VSigma) else None
+        case NSnd(pair=p):
+            # the family (a field of p's type) applied to the first
+            # projection of p
+            ty = neutral_type(p)
+            return ty.second.apply(fst_v(p)) if isinstance(ty, VSigma) else None
+        case NNatRec(motive=m, scrutinee=n):
+            return apply_v(m, n)  # two of the fields
+        case NUnglue(arg=g):
+            ty = neutral_type(g)  # a field of g's type
+            return ty.base if isinstance(ty, VGlueT) else None
+        case NComp(binder=k, line=line):
+            return line_at(line, k, ONE)  # the line's names, k replaced by 1
+    return None  # a variable's or fixed point's type is given, if at all
 
 
 def _clause_branches(pieces) -> tuple:
@@ -717,7 +782,10 @@ def _dfix_type_term(entry) -> Optional[Term]:
 def registered_dfix_type(env: dict, node) -> Optional[Value]:
     """The later type registered for this fixed-point node, evaluated in
     `env`, when its free names are all in scope there."""
-    entry = node._dfix_type
+    return _registered_type(env, node._dfix_type)
+
+
+def _registered_type(env: dict, entry) -> Optional[Value]:
     term = None if entry is None else _dfix_type_term(entry)
     if term is None:
         return None
@@ -772,9 +840,14 @@ def _eval_ds(env: dict, t) -> tuple:
 
 
 def _eval_dfix(env: dict, t) -> Value:
-    """The delayed fixed point of a `dfix`, or the one a `fix` binds."""
+    """The delayed fixed point of a `dfix`, or the one a `fix` binds.  Its
+    type is the node's registered one, read on first use; the entry is the
+    one registered now, and one being read back now gives none."""
+    entry = t._dfix_type
+    pending = (None if entry is None or entry == [None, None]  # being read
+               else PendingType(env, entry))
     return dfix_v(env_iexpr(env, t.clock), capture(env, (t.binder,), t.body),
-                  registered_dfix_type(env, t))
+                  pending)
 
 
 # The evaluator of each term former: a `FORMERS` former's compiled from its
@@ -857,7 +930,7 @@ def comp_v(binder: str, line: Value, tube: Value, base: Value) -> Value:
 
 
 def _stuck_comp(k, line, tube, base):
-    return VNeutral(NComp(k, line, tube, base), line_at(line, k, ONE))
+    return VNeutral(NComp(k, line, tube, base))
 
 
 def comp_pieces(k: str, line: Value, pieces: list, base: Value) -> Value:
@@ -1173,8 +1246,11 @@ def readback_value(used: frozenset, v: Value,
                 (clause_face(cl), readback(used, val, None, expansion))
                 for cl, val in bs
             ))
-        case VNeutral(neutral=ne, type=ty):
-            return readback_neutral(used, ne, ty, expansion)
+        case VNeutral(neutral=ne):
+            # only a fixed point's type is read back with it
+            return readback_neutral(
+                used, ne, neutral_type(v) if isinstance(ne, NDFix) else None,
+                expansion)
     return _readback_former(used, v, expansion)
 
 
@@ -1333,7 +1409,7 @@ def ds_binders(entries: tuple, make_var, pairings: tuple = ()):
     preceding entries (up to weakening)."""
     vars_, deps = [], []
     for idx, (_, u) in enumerate(entries):
-        lty = u.type if isinstance(u, VNeutral) else None
+        lty = neutral_type(u) if isinstance(u, VNeutral) else None
         ty, dep = match_later(lty, entries[:idx], vars_,
                               pairings=pairings) or (None, ())
         vars_.append(make_var(idx, ty))

@@ -241,9 +241,9 @@ def test_a_constant_closure_leaves_its_parameter_unbound():
         raise AssertionError("a constant closure's argument was evaluated")
 
     v = closure.apply_lazy(no_argument)
-    assert isinstance(v, VNeutral) and v.type is None
+    assert isinstance(v, VNeutral) and E.neutral_type(v) is None
     with pytest.raises(RuntimeError, match="ill-scoped variable 'x'"):
-        closure.apply(None).type.body.apply()
+        E.neutral_type(closure.apply(None)).body.apply()
 
 
 def test_every_term_former_has_one_evaluator():

@@ -1,0 +1,312 @@
+"""The type of a stuck value (`eval.neutral_type`).
+
+A variable, a probe and a fixed point are given their type; a fixed
+point's registered type is read back and evaluated only when it is first
+read. An eliminator is built with no type: its type is derived from its
+head's, by the eliminator's typing rule, when something reads it. Nothing
+counts a derived type in `support`, so the interval action's early return
+must stay sound without it.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+import gctt.eval as E
+import gctt.syntax as S
+from gctt.cli import main
+from gctt.eval import (
+    FnClosure,
+    NApp,
+    NComp,
+    NFst,
+    NNatRec,
+    NPApp,
+    NSnd,
+    NUnglue,
+    VGlueT,
+    VLam,
+    VLaterT,
+    VNat,
+    VNeutral,
+    VPathT,
+    VPi,
+    VSigma,
+    VUniv,
+    VZero,
+    ValueClosure,
+    act,
+    apply_v,
+    comp_v,
+    eval_term,
+    fst_v,
+    make_system,
+    natrec_v,
+    neutral_type,
+    neutral_var,
+    papp_v,
+    readback,
+    snd_v,
+    support,
+    unglue_v,
+)
+from gctt.interval import IVar, ONE, ZERO, face_lit
+from gctt.parser import parse_term
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+
+def _recording(calls, result):
+    """A host closure that records its arguments and returns `result`."""
+    return FnClosure(lambda *args: calls.append(args) or result)
+
+
+def _printed(v) -> str:
+    return S.term_str(S.alpha_canonical(readback(frozenset(), v)))
+
+
+# ---------------------------------------------------------------------------
+# each eliminator derives its type on demand, by the rule it had when eager
+
+
+def _app(calls):
+    cod = VNat()
+    f = neutral_var("f", VPi(VUniv(), _recording(calls, cod)))
+    return apply_v(f, VZero()), cod, [(VZero(),)]
+
+
+def _fst(calls):
+    first = neutral_var("A", VUniv())
+    p = neutral_var("p", VSigma(first, _recording(calls, VNat())))
+    return fst_v(p), first, []
+
+
+def _snd(calls):
+    second = VNat()
+    p = neutral_var("p", VSigma(VUniv(), _recording(calls, second)))
+    return snd_v(p), second, None  # the argument is checked below
+
+
+def _papp(calls):
+    space = neutral_var("A", VUniv())
+    p = neutral_var("p", VPathT(space, neutral_var("a"), neutral_var("b")))
+    return papp_v(p, IVar("i")), space, []
+
+
+def _natrec(calls):
+    motive_at = VNat()
+    motive = VLam(_recording(calls, motive_at))
+    n = neutral_var("n", VNat())
+    return natrec_v(motive, VZero(), neutral_var("s"), n), motive_at, [(n,)]
+
+
+def _unglue(calls):
+    base = neutral_var("B", VUniv())
+    g = neutral_var("g", VGlueT(face_lit("i", 0), neutral_var("T"),
+                                neutral_var("e"), base))
+    return unglue_v(g), base, []
+
+
+def _comp(calls):
+    # a line of types `L @ k` along a path L from A to B: at 1 it is B
+    a, b = neutral_var("A", VUniv()), neutral_var("B", VUniv())
+    line_path = neutral_var("L", VPathT(VUniv(), a, b))
+    v = comp_v("k", papp_v(line_path, IVar("k")), make_system([]),
+               neutral_var("u"))
+    return v, b, []
+
+
+ELIMINATORS = {NApp: _app, NFst: _fst, NSnd: _snd, NPApp: _papp,
+               NNatRec: _natrec, NUnglue: _unglue, NComp: _comp}
+
+
+@pytest.mark.parametrize("cls", list(ELIMINATORS), ids=lambda c: c.__name__)
+def test_an_eliminator_derives_its_type_only_when_it_is_read(cls,
+                                                             monkeypatch):
+    """Building the stuck value applies no closure of its head's type and
+    acts on no line; reading its type gives what the eager rule gave, once,
+    and reading it again gives the same object."""
+    calls, lines = [], []
+    line_at = E.line_at
+    monkeypatch.setattr(E, "line_at",
+                        lambda *args: lines.append(args) or line_at(*args))
+    v, expected, args = ELIMINATORS[cls](calls)
+    assert isinstance(v, VNeutral) and type(v.neutral) is cls
+    assert v.type is None and calls == [] and lines == []
+    assert neutral_type(v) is expected
+    assert neutral_type(v) is expected  # memoized: nothing runs again
+    if cls is NSnd:  # the family applied to the first projection
+        (arg,), = calls
+        assert isinstance(arg.neutral, NFst)
+        assert arg.neutral.pair is v.neutral.pair
+    else:
+        assert calls == args
+    assert len(lines) == (cls is NComp)
+
+
+def test_a_path_application_at_an_endpoint_reads_the_path_type():
+    a, b = neutral_var("a"), neutral_var("b")
+    p = neutral_var("p", VPathT(VNat(), a, b))
+    assert papp_v(p, ZERO) is a and papp_v(p, ONE) is b
+    untyped = neutral_var("q")
+    assert neutral_type(papp_v(untyped, ONE)) is None
+
+
+def test_an_eliminator_of_an_untyped_head_has_no_type():
+    v = snd_v(apply_v(neutral_var("f"), VZero()))
+    assert neutral_type(v) is None and neutral_type(v) is None
+
+
+# ---------------------------------------------------------------------------
+# a fixed point's registered type is read on first use
+
+
+def _register_nat(node):
+    E.register_dfix_type(node, frozenset(), VLaterT((), ValueClosure(VNat())))
+
+
+def test_a_fixed_point_reads_back_its_registered_type_when_it_is_read(
+        count_calls):
+    node = parse_term("dfix 0 r. r")
+    _register_nat(node)
+    calls = count_calls("readback")
+    v = eval_term({}, node)
+    assert calls["readback"] == 0
+    ty = neutral_type(v)
+    assert calls["readback"] > 0
+    assert isinstance(ty, VLaterT) and ty.body.apply() is VNat()
+    read = calls["readback"]
+    again = eval_term({}, node)  # the entry keeps the read-back term
+    assert neutral_type(v) is ty and neutral_type(again) is not ty
+    assert isinstance(neutral_type(again), VLaterT)
+    assert calls["readback"] == read
+
+
+def test_a_pending_fixed_point_type_counts_in_the_support():
+    """A given type is counted in `support`, so a pending one is read for
+    it, and the interval action rebuilds it."""
+    node = parse_term("dfix 0 r. r")
+    p = neutral_var("p", VPathT(VUniv(), neutral_var("a"), neutral_var("b")))
+    E.register_dfix_type(node, frozenset({"p", "i"}), VLaterT(
+        (), ValueClosure(papp_v(p, IVar("i")))))
+    v = eval_term({"p": p, "i": IVar("i")}, node)
+    assert support(v.neutral) == frozenset() and support(v) == {"i"}
+    acted = act(v, {"i": ZERO})
+    assert _printed(neutral_type(acted)) == "|> a"
+    assert _printed(neutral_type(v)) == "|> (p @ i)"
+
+
+def test_a_fixed_point_keeps_the_registration_it_was_evaluated_under(
+        monkeypatch):
+    """The registration entry is taken when the fixed point is evaluated:
+    one evaluated before its node's type is registered, or while that type
+    is being read back, has none when its type is first read later, as
+    when the type was read at evaluation."""
+    node = parse_term("dfix 0 r. r")
+    early = eval_term({}, node)
+    _register_nat(node)
+    late = eval_term({}, node)
+    inside = []
+    readback_ = E.readback
+
+    def reentrant(*args):
+        if not inside:
+            inside.append(eval_term({}, node))
+        return readback_(*args)
+
+    monkeypatch.setattr(E, "readback", reentrant)
+    assert isinstance(neutral_type(late), VLaterT)
+    assert len(inside) == 1 and neutral_type(inside[0]) is None
+    assert neutral_type(early) is None
+
+
+# ---------------------------------------------------------------------------
+# the interval action's early return stays sound
+
+
+def _neutrals_built_checking(paths, monkeypatch):
+    built = []
+    init = VNeutral.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(VNeutral, "__init__", recording)
+    for path in paths:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check", str(path)]) == 0, path
+    monkeypatch.undo()
+    return built
+
+
+def _composition_binders(x, seen=None) -> set:
+    """The binders of the stuck compositions in a value, closure or
+    neutral, or in a tuple or dict of these."""
+    seen = set() if seen is None else seen
+    if id(x) in seen:
+        return set()
+    seen.add(id(x))
+    if isinstance(x, E.Nominal):
+        parts = x.field_values
+    elif isinstance(x, (tuple, dict)):
+        parts = x.values() if isinstance(x, dict) else x
+    else:
+        return set()
+    found = {x.binder} if isinstance(x, NComp) else set()
+    for p in parts:
+        found |= _composition_binders(p, seen)
+    return found
+
+
+# a line of function types: its domain's variable has a type with a name
+TRANSPORT = """module transport where
+
+transportFn : (A : U) -> (P : Path U A A) -> ((x : A) -> A) -> (x : A) -> A
+  = \\A P f -> transp i ((x : P @ i) -> P @ i) f
+"""
+
+
+def test_a_derived_type_has_no_name_of_its_own_and_commutes_with_act(
+        corpus_dir, tmp_path, monkeypatch):
+    """For every stuck value built while checking the positive corpus, the
+    generated `guarded` modules and a transport along a line of function
+    types: its type's names are among its own, but for the binders of
+    stuck compositions in the type (drawn while deriving it, and bound
+    there), so `act` may return it untouched when none of its names is
+    substituted; and the type of the acted value is the acted type, for a
+    substitution of one of its free names by each endpoint."""
+    workloads.generate("guarded", 1, tmp_path / "guarded")
+    (tmp_path / "transport.gctt").write_text(TRANSPORT, encoding="utf-8")
+    paths = sorted(corpus_dir.glob("*.gctt")) + [
+        tmp_path / "guarded" / f"zipwith{k}.gctt"
+        for k in workloads.GUARDED_ARITIES] + [tmp_path / "transport.gctt"]
+    built = _neutrals_built_checking(paths, monkeypatch)
+    typed = compared = named = 0
+    for v in built:
+        ty = neutral_type(v)
+        if ty is None:
+            continue
+        typed += 1
+        names = support(v)
+        extra = support(ty) - names
+        assert extra <= _composition_binders(ty), (v, sorted(extra))
+        free = names - _composition_binders(v)
+        if not free:
+            continue
+        named += bool(support(ty))
+        for r in (ZERO, ONE):
+            sub = {min(free): r}
+            acted = act(v, sub)
+            if not isinstance(acted, VNeutral):
+                continue  # it unstuck
+            acted_ty = neutral_type(acted)
+            assert acted_ty is not None, v
+            assert _printed(acted_ty) == _printed(act(ty, sub)), v
+            compared += 1
+    assert len(built) > 4000 and typed > 3000 and compared > 500
+    assert named > 10  # types with interval names
