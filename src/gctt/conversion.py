@@ -8,10 +8,14 @@ the enclosing later comparisons travel with the call, innermost last
 (`pairings`); a comparison started afresh passes `()`.  Equality under a
 face restriction is checked clause by clause.
 
-Two sides that are one object are equal at once.  That test is lifted to
-closures (`_same_closure`): closures over one body term and identical
-captured values are equal without applying them to a probe, for lambdas,
-codomains, delayed fixed points and the bodies of later values.
+Two sides built alike are equal at once (`_same_captured`): one object,
+or lambdas, variables or delayed fixed points alike.  Closures are alike
+(`_same_closure`) over the same binders, structurally equal body terms and
+captured values alike; they are then equal without applying them to a
+probe, for lambdas, codomains, path endpoints, delayed fixed points and the
+bodies and bindings of later values.  Only closures are entered, never a
+whole value, and a flexible probe, a stuck composition or a host closure is
+alike only to itself.
 """
 
 from __future__ import annotations
@@ -59,11 +63,13 @@ from .eval import (
     fst_v,
     neutral_type,
     papp_v,
+    path_end,
     probe_var,
     snd_v,
     tube_face,
     unglue_v,
 )
+from .syntax import same_term
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +79,7 @@ from .eval import (
 def conv(pairings: tuple, a: Value, b: Value,
          ty: Optional[Value] = None) -> bool:
     FUEL.tick()
-    if a is b or (type(a) is type(b) in (VLam, VPLam)
-                  and _same_closure(a.closure, b.closure)):
+    if _same_captured(a, b):
         return True
     match ty:
         case VPi(domain=d, codomain=c):
@@ -115,10 +120,11 @@ def _conv_structural(pairings: tuple, a: Value, b: Value) -> bool:
             if not conv(pairings, d1, d2):
                 return False
             return _conv_bodies(pairings, c1, c2, probe_var(d1))
-        case (VPathT(space=s1, lhs=l1, rhs=r1),
-              VPathT(space=s2, lhs=l2, rhs=r2)):
-            return (conv(pairings, s1, s2) and conv(pairings, l1, l2, s1)
-                    and conv(pairings, r1, r2, s1))
+        case (VPathT(space=s1), VPathT(space=s2)):
+            return conv(pairings, s1, s2) and all(
+                _same_closure(c, d)
+                or conv(pairings, path_end(a, end), path_end(b, end), s1)
+                for end, c, d in ((0, a.lhs, b.lhs), (1, a.rhs, b.rhs)))
         case (VLaterT(), VLaterT()) | (VNext(), VNext()):
             return _conv_later(pairings, a, b)
         case (VNext(), VNeutral()):
@@ -168,9 +174,9 @@ def _conv_later(pairings: tuple, a: Value, b: Value) -> bool:
     with each other too.  This call's pairing travels on, after those of the
     enclosing calls (`pairings`), into the comparisons it makes.
 
-    Before pairing, the `a is b` test lifted to closures is tried
-    (`_same_later`): two sides with one body closure (`_same_closure`) are
-    equal if their bindings convert position by position."""
+    Before pairing, the test for sides built alike is tried (`_same_later`):
+    two sides with body closures alike (`_same_closure`) are equal if their
+    bindings are alike or convert position by position."""
     a, b = [canon_later_value(v, pairings=pairings) for v in (a, b)]
     if _same_later(pairings, a, b):
         return True
@@ -186,14 +192,15 @@ def _conv_later(pairings: tuple, a: Value, b: Value) -> bool:
 
 
 def _same_later(pairings: tuple, a: Value, b: Value) -> bool:
-    """One body closure and bindings convertible position by position.  The
-    check holds only if it paired no binding of an enclosing call (in
-    `pairings`): pairing might leave an unused binding unpaired, or pair it
-    otherwise, so such pairings are undone and the caller pairs anew."""
+    """Body closures alike, and bindings alike (which takes no conversion
+    step) or convertible position by position.  The check holds only if it
+    paired no binding of an enclosing call (in `pairings`): pairing might
+    leave an unused binding unpaired, or pair it otherwise, so such
+    pairings are undone and the caller pairs anew."""
     if len(a.entries) != len(b.entries) or not _same_closure(a.body, b.body):
         return False
     sizes = [len(st.pairs) for st in pairings]
-    same = all(conv(pairings, u, v)
+    same = all(_same_captured(u, v) or conv(pairings, u, v)
                for (_, u), (_, v) in zip(a.entries, b.entries))
     for st, n in zip(pairings, sizes):
         while len(st.pairs) > n:
@@ -203,17 +210,18 @@ def _same_later(pairings: tuple, a: Value, b: Value) -> bool:
 
 
 def _same_closure(c, d) -> bool:
-    """Closures equal on every argument because they are built alike: one
-    body term over the same binders and identical captured values (interval
-    expressions equal), or one inlining of such closures, or one value."""
+    """Closures equal on every argument because they are built alike: over
+    the same binders, captured values alike (`_same_captured`) and equal
+    body terms, compared in that order, the cheap parts first; or one
+    inlining of such closures, or one value."""
     if c is d:
         return True
     match (c, d):
         case (TermClosure(), TermClosure()):
-            # `==` on the environments compares a value by identity and an
-            # interval expression by value
-            return (c.body is d.body and c.names == d.names
-                    and c.env == d.env)
+            return (c.names == d.names and c.env.keys() == d.env.keys()
+                    and all(_same_captured(u, d.env[x])
+                            for x, u in c.env.items())
+                    and (c.body is d.body or same_term(c.body, d.body)))
         case (InlinedDsClosure(), InlinedDsClosure()):
             return (c.kept == d.kept and len(c.recipe) == len(d.recipe)
                     and _same_closure(c.base, d.base)
@@ -223,6 +231,26 @@ def _same_closure(c, d) -> bool:
         case (ValueClosure(), ValueClosure()):
             return c.value is d.value
     return False
+
+
+def _same_captured(u, v) -> bool:
+    """Values alike: one object, equal interval expressions, (path) lambdas
+    over closures alike, variables of one name, or delayed fixed points at
+    one clock over closures alike.  Only closures are entered, never a whole
+    value; a probe of a later comparison (`_NFlex`) and a stuck composition
+    are alike only to themselves."""
+    cls = type(u)
+    if u is v or cls is not type(v):
+        return u is v
+    if cls is VLam or cls is VPLam:
+        return _same_closure(u.closure, v.closure)
+    if cls is VNeutral:
+        m, n = u.neutral, v.neutral
+        if type(m) is NVar is type(n):
+            return m.name == n.name
+        return (type(m) is NDFix is type(n) and m.clock == n.clock
+                and _same_closure(m.closure, n.closure))
+    return isinstance(u, IExpr) and u == v
 
 
 def _conv_bodies(pairings: tuple, c, d, x: Value) -> bool:

@@ -2,11 +2,13 @@
 
 Terms evaluate into a semantic domain of weak-head values; composition is
 implemented per type former; `readback` turns values into canonical terms.
-Closures capture their environment.  Values, neutrals and closures are
-records, and an interval substitution acts on one by acting on its fields
-(`act`); acting on a neutral re-runs its eliminators, which can unstick it
-(a delayed fixed point whose clock reaches 1, a path application reaching
-an endpoint, a stuck composition whose face becomes total).  The walks over
+Closures capture their environment.  A path type holds its endpoints as
+closures of no parameter, each evaluated on its first read (`path_end`):
+many are never read.  Values, neutrals and closures are records, and an
+interval substitution acts on one by acting on its fields (`act`); acting
+on a neutral re-runs its eliminators, which can unstick it (a delayed
+fixed point whose clock reaches 1, a path application reaching an
+endpoint, a stuck composition whose face becomes total).  The walks over
 a node's fields (`support`, `act`) and the evaluators of the first-order
 term formers are compiled per class, on first use, from the kinds of its
 fields (`FIELD_KINDS`).
@@ -170,10 +172,12 @@ class VSigma(Value):
     second: Closure
 
 
-class VPathT(Value):
+class VPathT(Value, memos=("_ends",)):
+    """A path type.  Its endpoints are closures of no parameter, each
+    evaluated on its first read and kept (`path_end`)."""
     space: Value
-    lhs: Value
-    rhs: Value
+    lhs: Closure
+    rhs: Closure
 
 
 @_shared
@@ -305,7 +309,8 @@ class PendingType(metaclass=Record):
 # name of the function that builds or re-runs the node from its fields (a
 # smart constructor or an eliminator; None: the class itself), whose
 # parameters are the node's fields, in the former's order.  `eval_term`
-# applies the function to a former's evaluated fields (`_EVAL`), the
+# applies the function to a former's evaluated fields (`_EVAL`; a path
+# type's endpoints are captured, not evaluated), the
 # interval action to a node's acted fields, readback applies the former to
 # the read-back fields, and conversion compares field by field; both write
 # path and glue types out, to compare endpoints and equivalences at a type.
@@ -574,9 +579,18 @@ def papp_v(fn: Value, arg: IExpr) -> Value:
             if r == ZERO or r == ONE:  # a path's endpoints are in its type
                 ty = neutral_type(fn)
                 if isinstance(ty, VPathT):
-                    return ty.lhs if r == ZERO else ty.rhs
+                    return path_end(ty, r == ONE)
             return VNeutral(NPApp(fn, r))
     raise TypeError(f"cannot path-apply {fn!r}")
+
+
+def path_end(ty: VPathT, end: int) -> Value:
+    """The endpoint of a path type at 0 or 1 (`end`): its closure applied
+    to nothing on the first read, memoized in the `_ends` slot."""
+    ends = ty._ends = ty._ends or [None, None]
+    if ends[end] is None:
+        ends[end] = (ty.rhs if end else ty.lhs).apply()
+    return ends[end]
 
 
 def fst_v(pair: Value) -> Value:
@@ -859,6 +873,9 @@ _EVAL = _PerClass(lambda former: _compile(former, 2, "env, x",
     S.Var: _eval_var,
     S.Lam: lambda env, t: VLam(capture(env, (t.binder,), t.body)),
     S.PLam: lambda env, t: VPLam(capture(env, (t.binder,), t.body)),
+    S.PathT: lambda env, t: VPathT(eval_term(env, t.space),
+                                   capture(env, (), t.lhs),
+                                   capture(env, (), t.rhs)),
     S.Pi: lambda env, t: VPi(eval_term(env, t.domain),
                              capture(env, (t.binder,), t.codomain)),
     S.Sigma: lambda env, t: VSigma(eval_term(env, t.first),
@@ -984,7 +1001,8 @@ def comp_sigma(k, line, tube, base):
 def comp_path(k, line, tube, base):
     def fn(k, line, tube, base, j):
         pieces = [(tube_face(tube), papp_v(tube, j)),
-                  (face_of_eq(j, 0), line.lhs), (face_of_eq(j, 1), line.rhs)]
+                  (face_of_eq(j, 0), path_end(line, 0)),
+                  (face_of_eq(j, 1), path_end(line, 1))]
         return comp_pieces(k, line.space, pieces, papp_v(base, j))
 
     return VPLam(FnClosure(fn, captured=(k, line, tube, base)))
@@ -1220,10 +1238,10 @@ def readback_value(used: frozenset, v: Value,
             return former(None, x, readback(used, d, None, expansion),
                           readback(used | {x}, c.apply(neutral_var(x, d)),
                                    None, expansion))
-        case VPathT(space=sp, lhs=l, rhs=r):
+        case VPathT(space=sp):
             return S.PathT(None, readback(used, sp, None, expansion),
-                           readback(used, l, sp, expansion),
-                           readback(used, r, sp, expansion))
+                           readback(used, path_end(v, 0), sp, expansion),
+                           readback(used, path_end(v, 1), sp, expansion))
         case VLam() | VPLam():
             return _readback_binder(used, v, None, expansion)
         case VLaterT() | VNext():

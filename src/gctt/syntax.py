@@ -234,6 +234,22 @@ def subterms(t: Term):
                 yield u
 
 
+def same_term(a: Term, b: Term) -> bool:
+    """`a == b`, spans ignored, by a loop: `==` takes C stack per level."""
+    stack = [(a, b)]
+    while stack:
+        p, q = stack.pop()
+        if p is q:
+            continue
+        if isinstance(p, Term) and type(p) is type(q):
+            stack.extend(zip(p.field_values[1:], q.field_values[1:]))
+        elif type(p) is tuple and type(q) is tuple and len(p) == len(q):
+            stack.extend(zip(p, q))  # a system's or delayed substitution's
+        elif isinstance(p, (Term, tuple)) or p != q:
+            return False
+    return True
+
+
 def _bound(value, kind) -> tuple[frozenset, frozenset]:
     """The term and interval names a binder field binds."""
     if kind is BINDER:
@@ -369,13 +385,41 @@ def rename_apart(t: Term, avoid) -> Term:
     """t with each binder that shadows a name in scope (in `avoid` or bound
     around it, in either name space) renamed by `fresh_name` to a name
     neither in scope nor free in its node.  A subterm in which nothing is
-    renamed is returned as it is."""
+    renamed is returned as it is, and t itself, without a rebuild, when no
+    binder shadows (`_shadows`)."""
     def rename(x, kind, node, chosen, bound):
         if x not in avoid and x not in bound:
             return x
         return fresh_name(x, bound.union(avoid, *free_names(node)))
 
+    if not _shadows(t, avoid):
+        return t
     return _rebuild(t, {}, {}, frozenset(), rename, True)
+
+
+def _shadows(t: Term, avoid) -> bool:
+    """Whether a binder of t is in `avoid` or bound around it, in
+    `_rebuild`'s scopes: a delayed substitution's entries, a lambda's
+    annotation and a composition's base lie outside the binder, and a
+    delayed substitution binds in sequence.  It builds no term."""
+    stack = [(t, frozenset())]
+    while stack:
+        t, bound = stack.pop()
+        scopes = {None: bound}
+        for name, kind, under, _ in _SCHEME[type(t)]:
+            value = getattr(t, name)
+            if kind is TERM and value is not None:
+                stack.append((value, scopes[under]))
+            elif kind is SYSTEM or kind is DS:
+                stack.extend((u, bound) for _, u in value)
+            if kind is BINDER or kind is IBINDER or kind is DS:
+                inner = bound
+                for x in [x for x, _ in value] if kind is DS else [value]:
+                    if x in avoid or x in inner:
+                        return True
+                    inner = inner | {x}
+                scopes[name] = inner
+    return False
 
 
 def _binders(t: Term) -> set:

@@ -43,6 +43,7 @@ from .eval import (
     match_later,
     match_next,
     neutral_var,
+    path_end,
     readback,
     register_dfix_type,
     registered_dfix_type,
@@ -253,8 +254,8 @@ class Checker:
                 body_v = eval_term(ctx2.env, b)
                 return VPathT(
                     act(body_ty, {i: ZERO}),
-                    act(body_v, {i: ZERO}),
-                    act(body_v, {i: ONE}),
+                    ValueClosure(act(body_v, {i: ZERO})),
+                    ValueClosure(act(body_v, {i: ONE})),
                 )
             case S.LaterT(subst=ds, body=b):
                 # later formation; this also covers the code rule, since
@@ -339,9 +340,9 @@ class Checker:
                 ctx2 = ctx.bind_interval(i)
                 self.check(ctx2, b, ty.space)
                 body_v = eval_term(ctx2.env, b)
-                for r, endpoint, side in ((ZERO, ty.lhs, "left"),
-                                          (ONE, ty.rhs, "right")):
-                    self.ensure_conv(ctx, act(body_v, {i: r}), endpoint,
+                for r, side in ((ZERO, "left"), (ONE, "right")):
+                    self.ensure_conv(ctx, act(body_v, {i: r}),
+                                     path_end(ty, r == ONE),
                                      t.span, f"{side} endpoint", ty.space,
                                      "boundary-violation")
                 return

@@ -145,6 +145,30 @@ def test_an_import_resolves_in_the_importing_files_directory(
     assert out == f"{x}: ok (0 declarations)\n{w}: ok (1 declarations)\n"
 
 
+def test_an_import_is_found_in_the_second_directory_of_gctt_path(
+        capsys, tmp_path, monkeypatch):
+    first, second, main_dir = (tmp_path / d for d in ("first", "second",
+                                                       "main"))
+    for d in (first, second, main_dir):
+        d.mkdir()
+    (second / "lib.gctt").write_text("module lib where\ny : N = 2")
+    m = main_dir / "m.gctt"
+    m.write_text("module m where\nimport lib\nx : N = suc y")
+    monkeypatch.setenv("GCTT_PATH", os.pathsep.join([str(first),
+                                                     str(second)]))
+    assert run(capsys, "check", str(m)) == (
+        0, f"{m}: ok (1 declarations)\n", "")
+    assert run(capsys, "normalize", str(m), "x") == (0, "3\n", "")
+
+
+def test_a_missing_import_is_an_io_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("GCTT_PATH", raising=False)
+    m = tmp_path / "m.gctt"
+    m.write_text("module m where\nimport absent\nx : N = 0")
+    assert run(capsys, "check", str(m)) == (
+        2, "", "io error: module absent not found on the search path\n")
+
+
 # ---------------------------------------------------------------------------
 # normalize
 

@@ -196,14 +196,16 @@ def test_later_type_matches_bindings_under_a_face():
     # p @ i is t on (i=0) and s on (i=1), so the later type's substitution
     # matches the binding of t under (i=0) only
     env = std_env()
-    env["p"] = neutral_var("p", VPathT(later_of(VNat()), env["t"], env["s"]))
+    env["p"] = neutral_var("p", VPathT(
+        later_of(VNat()), ValueClosure(env["t"]), ValueClosure(env["s"])))
     env["i"] = IVar("i")
     lty = ev("|> [y <- p @ i] (Path N y y)", env)
     x = neutral_var("x", VNat())
     entries = [("x", env["t"])]
     matched = match_later(lty, entries, [x], face_lit("i", 0))
     assert matched is not None and matched[1] == (0,)
-    assert conv((), matched[0], VPathT(VNat(), x, x))
+    assert conv((), matched[0],
+                VPathT(VNat(), ValueClosure(x), ValueClosure(x)))
     assert match_later(lty, entries, [x]) is None
     assert match_later(lty, entries, [x], face_lit("i", 1)) is None
 
@@ -296,14 +298,13 @@ def test_later_conversion_agrees_with_readback_on_corpus(corpus_dir,
                                                          tmp_path,
                                                          monkeypatch):
     """Every later/next comparison made while checking the corpus and the
-    positive `guarded` modules of seed 1 is decided as comparing
+    positive `guarded` modules of seeds 1 and 2 is decided as comparing
     alpha-canonical readbacks decides it.  The readbacks avoid every
     identifier of those modules, so no binder they choose captures a
     variable the checker bound."""
     from gctt.cli import Loader
     from gctt.parser import tokenize
 
-    items = workloads.generate("guarded", 1, tmp_path / "guarded")
     seen = []
     plain = conversion.conv
 
@@ -314,10 +315,9 @@ def test_later_conversion_agrees_with_readback_on_corpus(corpus_dir,
 
     monkeypatch.setattr(conversion, "conv", recording)
     paths = []
-    for root, names in [
-            (corpus_dir, [p.name for p in sorted(corpus_dir.glob("*.gctt"))]),
-            (tmp_path / "guarded", [item["argv"][1] for item in items
-                                    if item["expect"]["exit"] == 0])]:
+    for root, names in [(corpus_dir, [p.name for p in
+                                      sorted(corpus_dir.glob("*.gctt"))]),
+                        *_guarded_positives(tmp_path, (1, 2))]:
         loader = Loader([str(root)])
         for name in names:
             paths.append(root / name)
@@ -326,19 +326,33 @@ def test_later_conversion_agrees_with_readback_on_corpus(corpus_dir,
     used = frozenset(tok.lexeme for path in paths
                      for tok in tokenize(path.read_text())
                      if tok.kind == "ident")
-    assert len(seen) > 200  # 239: the check sees many comparisons
+    assert len(seen) > 200  # 331: the check sees many comparisons
     for a, b in seen:
         by_readback = (alpha_canonical(readback_value(used, a))
                        == alpha_canonical(readback_value(used, b)))
         assert conv((), a, b) == by_readback
 
 
+def _guarded_positives(tmp_path, seeds):
+    """(directory, file names) of the positive `guarded` modules of each
+    seed, generated under `tmp_path`."""
+    out = []
+    for seed in seeds:
+        root = tmp_path / f"guarded{seed}"
+        items = workloads.generate("guarded", seed, root)
+        out.append((root, [item["argv"][1] for item in items
+                           if item["expect"]["exit"] == 0]))
+    return out
+
+
 def test_closure_check_agrees_with_applying_the_closures_on_corpus(
-        corpus_dir, monkeypatch):
-    """Every comparison made while checking the corpus is decided alike
-    when closures built alike are applied and compared instead.  A nested
-    comparison's verdict may rest on the pairings of its enclosing later
-    comparison, so each is decided afresh both ways."""
+        corpus_dir, tmp_path, monkeypatch):
+    """Every comparison made while checking the corpus and the positive
+    `guarded` modules of seed 1 is decided alike when closures built alike
+    are applied and compared instead, and captured values alike are
+    compared by `conv`.  A nested comparison's verdict may rest on the
+    pairings of its enclosing later comparison, so each is decided afresh
+    both ways."""
     from gctt.cli import Loader
 
     seen = []
@@ -349,12 +363,16 @@ def test_closure_check_agrees_with_applying_the_closures_on_corpus(
         return plain(pairings, a, b, ty)
 
     monkeypatch.setattr(conversion, "conv", recording)
-    loader = Loader([str(corpus_dir)])
-    for path in sorted(corpus_dir.glob("*.gctt")):
-        loader.load(path)
+    for root, names in [(corpus_dir, [p.name for p in
+                                      sorted(corpus_dir.glob("*.gctt"))]),
+                        *_guarded_positives(tmp_path, (1,))]:
+        loader = Loader([str(root)])
+        for name in names:
+            loader.load(root / name)
     monkeypatch.setattr(conversion, "conv", plain)
     verdicts = [conv((), *call) for call in seen]
     monkeypatch.setattr(conversion, "_same_closure", lambda c, d: False)
+    monkeypatch.setattr(conversion, "_same_captured", lambda u, v: u is v)
     assert len(seen) > 1000 and not all(verdicts)
     for call, verdict in zip(seen, verdicts):
         assert conv((), *call) == verdict
@@ -378,24 +396,72 @@ def deep(leaf):
     return body
 
 
-@pytest.mark.parametrize("src", [
+BUILT_ALIKE = [
     "dfix 0 x. " + deep("(f x)"),
     # bindings convertible, but not the same objects
     "next [x <- k1 u, y <- k1 (suc u)] " + deep("(g x y)"),
     "\\(z : N) -> " + deep("(h z)"),
-], ids=["dfix", "next", "lambda"])
-def test_closures_built_alike_convert_without_applying_them(src):
+]
+
+
+def converts_within_20_steps(a, b) -> bool:
     # applying the closures and comparing the bodies takes over 100 steps
-    env = std_env()
-    env["k1"] = neutral_var("k1", VPi(VNat(), FnClosure(
-        lambda _x: later_of(VNat()))))
-    a, b = ev_twice(src, env)
     assert a is not b
     conversion.FUEL.set(20)
     try:
-        assert conv((), a, b)
+        return conv((), a, b)
     finally:
         conversion.FUEL.set(None)
+
+
+def alike_env():
+    env = std_env()
+    env["k1"] = neutral_var("k1", VPi(VNat(), FnClosure(
+        lambda _x: later_of(VNat()))))
+    return env
+
+
+@pytest.mark.parametrize("src", BUILT_ALIKE, ids=["dfix", "next", "lambda"])
+def test_closures_built_alike_convert_without_applying_them(src):
+    assert converts_within_20_steps(*ev_twice(src, alike_env()))
+
+
+@pytest.mark.parametrize("src", BUILT_ALIKE, ids=["dfix", "next", "lambda"])
+def test_closures_over_equal_body_terms_convert_without_applying_them(src):
+    """Two parses of one source: distinct body nodes, structurally equal,
+    each captured over variables of one name that are distinct objects."""
+    env = alike_env()
+    a = eval_term(dict(env), parse_term(src))
+    b = eval_term({x: neutral_var(v.neutral.name, v.type)
+                   for x, v in env.items()}, parse_term(src))
+    assert converts_within_20_steps(a, b)
+
+
+def test_probes_compositions_and_host_closures_are_alike_only_to_themselves():
+    """A flexible probe of a later comparison, a stuck composition and a
+    host closure never make two closures alike, however they are built."""
+    from gctt.eval import NComp, TermClosure, VLam, VNeutral, VSystem, VZero
+
+    side = VNext((), ValueClosure(VNat()))
+    pairing = conversion._Pairing((), side, side)
+
+    def identity(x):
+        return x
+
+    pairs = [[VNeutral(conversion._NFlex("?v", pairing, 0)) for _ in "ab"],
+             [VNeutral(NComp("k", VNat(), VSystem(()), VZero()))
+              for _ in "ab"],
+             [VLam(FnClosure(identity)) for _ in "ab"]]
+    body = parse_term("g x u")
+    for u, v in pairs:
+        assert conversion._same_captured(u, u)
+        assert not conversion._same_captured(u, v)
+        assert not conversion._same_closure(
+            *[TermClosure({"x": w}, ("u",), body) for w in (u, v)])
+    assert not conversion._same_closure(FnClosure(identity),
+                                        FnClosure(identity))
+    # variables of one name are alike
+    assert conversion._same_captured(neutral_var("x"), neutral_var("x"))
 
 
 @pytest.mark.parametrize("src", ["\\(z : N) -> g z u",
@@ -573,7 +639,7 @@ def test_eta_pair():
 
 def test_eta_path():
     env = std_env()
-    pty = VPathT(VNat(), env["u"], env["u"])
+    pty = VPathT(VNat(), ValueClosure(env["u"]), ValueClosure(env["u"]))
     p = neutral_var("q", pty)
     env2 = dict(env)
     env2["q"] = p
@@ -603,7 +669,7 @@ def test_interval_arguments_compared_up_to_de_morgan():
     env = std_env()
     env2 = dict(env)
     env2.update({"i": IVar("i"), "j": IVar("j")})
-    pty = VPathT(VNat(), env["u"], env["u"])
+    pty = VPathT(VNat(), ValueClosure(env["u"]), ValueClosure(env["u"]))
     env2["q"] = neutral_var("q", pty)
     lhs = ev("q @ -(i /\\ j)", env2)
     rhs = ev("q @ (-i \\/ -j)", env2)

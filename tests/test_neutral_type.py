@@ -93,7 +93,8 @@ def _snd(calls):
 
 def _papp(calls):
     space = neutral_var("A", VUniv())
-    p = neutral_var("p", VPathT(space, neutral_var("a"), neutral_var("b")))
+    p = neutral_var("p", VPathT(space, ValueClosure(neutral_var("a")),
+                                ValueClosure(neutral_var("b"))))
     return papp_v(p, IVar("i")), space, []
 
 
@@ -114,7 +115,8 @@ def _unglue(calls):
 def _comp(calls):
     # a line of types `L @ k` along a path L from A to B: at 1 it is B
     a, b = neutral_var("A", VUniv()), neutral_var("B", VUniv())
-    line_path = neutral_var("L", VPathT(VUniv(), a, b))
+    line_path = neutral_var(
+        "L", VPathT(VUniv(), ValueClosure(a), ValueClosure(b)))
     v = comp_v("k", papp_v(line_path, IVar("k")), make_system([]),
                neutral_var("u"))
     return v, b, []
@@ -150,7 +152,7 @@ def test_an_eliminator_derives_its_type_only_when_it_is_read(cls,
 
 def test_a_path_application_at_an_endpoint_reads_the_path_type():
     a, b = neutral_var("a"), neutral_var("b")
-    p = neutral_var("p", VPathT(VNat(), a, b))
+    p = neutral_var("p", VPathT(VNat(), ValueClosure(a), ValueClosure(b)))
     assert papp_v(p, ZERO) is a and papp_v(p, ONE) is b
     untyped = neutral_var("q")
     assert neutral_type(papp_v(untyped, ONE)) is None
@@ -190,7 +192,8 @@ def test_a_pending_fixed_point_type_counts_in_the_support():
     """A given type is counted in `support`, so a pending one is read for
     it, and the interval action rebuilds it."""
     node = parse_term("dfix 0 r. r")
-    p = neutral_var("p", VPathT(VUniv(), neutral_var("a"), neutral_var("b")))
+    p = neutral_var("p", VPathT(VUniv(), ValueClosure(neutral_var("a")),
+                                ValueClosure(neutral_var("b"))))
     E.register_dfix_type(node, frozenset({"p", "i"}), VLaterT(
         (), ValueClosure(papp_v(p, IVar("i")))))
     v = eval_term({"p": p, "i": IVar("i")}, node)
@@ -274,17 +277,19 @@ transportFn : (A : U) -> (P : Path U A A) -> ((x : A) -> A) -> (x : A) -> A
 def test_a_derived_type_has_no_name_of_its_own_and_commutes_with_act(
         corpus_dir, tmp_path, monkeypatch):
     """For every stuck value built while checking the positive corpus, the
-    generated `guarded` modules and a transport along a line of function
-    types: its type's names are among its own, but for the binders of
+    generated `guarded` modules of seeds 1 and 2 and a transport along a
+    line of function types: its type's names are among its own, but for the binders of
     stuck compositions in the type (drawn while deriving it, and bound
     there), so `act` may return it untouched when none of its names is
     substituted; and the type of the acted value is the acted type, for a
     substitution of one of its free names by each endpoint."""
-    workloads.generate("guarded", 1, tmp_path / "guarded")
+    paths = sorted(corpus_dir.glob("*.gctt"))
+    for seed in (1, 2):
+        workloads.generate("guarded", seed, tmp_path / f"guarded{seed}")
+        paths += [tmp_path / f"guarded{seed}" / f"zipwith{k}.gctt"
+                  for k in workloads.GUARDED_ARITIES]
     (tmp_path / "transport.gctt").write_text(TRANSPORT, encoding="utf-8")
-    paths = sorted(corpus_dir.glob("*.gctt")) + [
-        tmp_path / "guarded" / f"zipwith{k}.gctt"
-        for k in workloads.GUARDED_ARITIES] + [tmp_path / "transport.gctt"]
+    paths.append(tmp_path / "transport.gctt")
     built = _neutrals_built_checking(paths, monkeypatch)
     typed = compared = named = 0
     for v in built:

@@ -250,7 +250,7 @@ def test_every_node_class_is_slotted():
 # the function that memoizes each memo slot, the only one that writes it
 MEMO_WRITERS = {"_support": "support", "_free_names": "free_names",
                 "_captured": "capture", "_dfix_type": "register_dfix_type",
-                "_type": "neutral_type"}
+                "_type": "neutral_type", "_ends": "path_end"}
 
 
 def _attribute_writes(tree):

@@ -45,6 +45,7 @@ from gctt.syntax import (
     Pi,
     Sigma,
     Snd,
+    Span,
     Suc,
     SystemTerm,
     Term,
@@ -55,6 +56,7 @@ from gctt.syntax import (
     alpha_canonical,
     free_names,
     rename_apart,
+    same_term,
     subst_interval,
     subst_term,
     term_str,
@@ -391,6 +393,70 @@ def test_rename_apart_keeps_what_it_does_not_rename():
     got = rename_apart(t, {"x"})
     assert got.fn.binder != "x" and got.fn.body.arg is inner
     assert got.arg is inner
+
+
+def test_rename_apart_rebuilds_only_where_it_renames(corpus_dir, tmp_path,
+                                                    monkeypatch, capsys):
+    """Over every renaming the checker asks for on the positive corpus and
+    the generated `guarded` modules, `rename_apart` returns the term itself
+    where it renames nothing, and otherwise what the full rebuild, with no
+    shadowing test before it, returns."""
+    import sys
+    from pathlib import Path
+
+    import gctt.syntax as S
+    from gctt.cli import main
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    import workloads
+
+    calls = []
+    plain = S.rename_apart
+
+    def recording(t, avoid):
+        calls.append((t, frozenset(avoid)))
+        return plain(t, avoid)
+
+    items = workloads.generate("guarded", 1, tmp_path / "guarded")
+    paths = sorted(corpus_dir.glob("*.gctt")) + [
+        tmp_path / "guarded" / item["argv"][1] for item in items
+        if item["expect"]["exit"] == 0]
+    monkeypatch.setattr(S, "rename_apart", recording)
+    for path in paths:
+        assert main(["check", str(path)]) == 0, path
+    monkeypatch.undo()
+    capsys.readouterr()
+    got = [plain(t, avoid) for t, avoid in calls]
+    monkeypatch.setattr(S, "_shadows", lambda t, avoid: True)
+    full = [plain(t, avoid) for t, avoid in calls]
+    for (t, avoid), g, f in zip(calls, got, full):
+        renames = shadows(t, avoid)
+        assert (g is not t) == (f is not t) == renames
+        assert g == f
+    unchanged = sum(g is t for (t, _), g in zip(calls, got))
+    assert 0 < unchanged < len(calls)
+
+
+def test_same_term_is_structural_equality_and_takes_no_stack_per_level():
+    def numeral(n, span=None):
+        t = Zero()
+        for _ in range(n):
+            t = Suc(span, t)
+        return t
+
+    # `==` on terms this deep overflows the C stack
+    deep = 100_000
+    assert same_term(numeral(deep), numeral(deep, Span(1, 1, 0, 1)))
+    assert not same_term(numeral(deep), numeral(deep - 1))
+    pairs = [(Next(None, (("x", v("a")),), v("x")),
+              Next(None, (("y", v("a")),), v("y"))),
+             (SystemTerm(None, ((face_lit("i", 0), v("a")),)),
+              SystemTerm(None, ((face_lit("i", 1), v("a")),))),
+             (Lam(None, "x", None, v("x")), Lam(None, "x", Nat(), v("x"))),
+             (PApp(None, v("p"), IVar("i")), PApp(None, v("p"), ZERO))]
+    for a, b in pairs:
+        assert same_term(a, a) and not same_term(a, b) and a != b
 
 
 # ---------------------------------------------------------------------------
