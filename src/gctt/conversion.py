@@ -211,14 +211,17 @@ def _same_later(pairings: tuple, a: Value, b: Value) -> bool:
 
 def _same_closure(c, d) -> bool:
     """Closures equal on every argument because they are built alike: over
-    the same binders, captured values alike (`_same_captured`) and equal
-    body terms, compared in that order, the cheap parts first; or one
-    inlining of such closures, or one value."""
+    the same binders (or as many, both ignored by their bodies), captured
+    values alike (`_same_captured`) and equal body terms, compared in that
+    order, the cheap parts first; or one inlining of such closures, or one
+    value."""
     if c is d:
         return True
     match (c, d):
         case (TermClosure(), TermClosure()):
-            return (c.names == d.names and c.env.keys() == d.env.keys()
+            return ((c.names == d.names or len(c.names) == len(d.names)
+                     and c.constant() and d.constant())
+                    and c.env.keys() == d.env.keys()
                     and all(_same_captured(u, d.env[x])
                             for x, u in c.env.items())
                     and (c.body is d.body or same_term(c.body, d.body)))

@@ -4,14 +4,16 @@ Terms evaluate into a semantic domain of weak-head values; composition is
 implemented per type former; `readback` turns values into canonical terms.
 Closures capture their environment.  A path type holds its endpoints as
 closures of no parameter, each evaluated on its first read (`path_end`):
-many are never read.  Values, neutrals and closures are records, and an
-interval substitution acts on one by acting on its fields (`act`); acting
-on a neutral re-runs its eliminators, which can unstick it (a delayed
-fixed point whose clock reaches 1, a path application reaching an
-endpoint, a stuck composition whose face becomes total).  The walks over
-a node's fields (`support`, `act`) and the evaluators of the first-order
-term formers are compiled per class, on first use, from the kinds of its
-fields (`FIELD_KINDS`).
+many are never read.  Values, neutrals and closures are records, and a
+substitution of interval expressions for interval names and of values for
+variables acts on one by acting on its fields (`act`); acting on a
+neutral re-runs its eliminators, which can unstick it (a variable given a
+value, a delayed fixed point whose clock reaches 1, a path application
+reaching an endpoint, a stuck composition whose face becomes total).  A
+fixed point's registered type is instantiated so, not read back.  The
+walks over a node's fields (`support`, `act`) and the evaluators of the
+first-order term formers are compiled per class, on first use, from the
+kinds of its fields (`FIELD_KINDS`).
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ def fresh_iname() -> str:
 
 class Nominal(metaclass=Record, memos=("_support",)):
     """A value, neutral or closure: an immutable record compared by
-    identity, on whose fields interval substitutions act (`support`,
-    `act`); its `_support` slot memoizes `support`."""
+    identity, on whose fields substitutions act (`support`, `act`); its
+    `_support` slot memoizes `support`."""
 
 
 class Closure(Nominal):
@@ -290,19 +292,12 @@ class NDFix(Neutral):
 
 class VNeutral(Value, memos=("_type",)):
     """A stuck value.  `type` is the type given with it, if any: a
-    variable's or a probe's, or a fixed point's (`dfix_v`), which may be a
-    `PendingType` until it is read.  An eliminator is built with none: its
-    type is derived from its head's when it is read (`neutral_type`)."""
+    variable's or a probe's, or a fixed point's (`dfix_v`), its registered
+    type instantiated when it was evaluated.  An eliminator is built with
+    none: its type is derived from its head's when it is read
+    (`neutral_type`)."""
     neutral: Neutral
     type: Optional[Value] = None
-
-
-class PendingType(metaclass=Record):
-    """A fixed point's registered later type, not read yet: the node's
-    registration entry as it stood when the fixed point was evaluated, and
-    the environment it was evaluated in (`registered_dfix_type`)."""
-    env: dict
-    entry: list
 
 
 # The term former of each constructor value and stuck eliminator, and the
@@ -365,8 +360,8 @@ def env_face(env: dict, phi: Face) -> Face:
 
 
 # ---------------------------------------------------------------------------
-# Interval action on values, neutrals and closures, and evaluation, by code
-# compiled per class from its fields on first use
+# The action of substitutions on values, neutrals and closures, and
+# evaluation, by code compiled per class from its fields on first use
 
 
 class _PerClass(dict):
@@ -382,7 +377,7 @@ class _PerClass(dict):
 
 
 # What each walk makes of a field, by the field's annotation: the code of
-# its interval names (`support`), of its acted form (`act`) and of its value
+# its free names (`support`), of its acted form (`act`) and of its value
 # (`eval_term`, for a term former's field) over the field `{0}`, or None
 # where the walk skips the field.  A node, an interval expression or a face
 # is acted on itself, a tuple or dict entry by entry; the rest is opaque.
@@ -424,26 +419,18 @@ def _compile(cls, walk: int, params: str, build: Optional[str]):
     return space["code"]
 
 
-def _support_neutral(x: VNeutral) -> frozenset:
-    """A stuck value's names: its eliminator's, and its given type's (a
-    pending one is read for it).  A derived type is not counted: its free
-    names are among the head's and the arguments' (`_derived_type`)."""
-    s = support(x.neutral)
-    return s if x.type is None else s | support(neutral_type(x))
-
-
 _SUPPORT = _PerClass(lambda cls: _compile(cls, 0, "x", None),
-                     {VNeutral: _support_neutral})
+                     {NVar: lambda x: frozenset((x.name,))})
 _ACT = _PerClass(lambda cls: _compile(cls, 1, "x, sub",
                                       _BUILDERS.get(cls, cls.__name__)))
 
 
 def support(x) -> frozenset:
-    """The interval names occurring in x: a value, neutral or closure (by
-    its class's code, memoized in its `_support` slot), an interval
-    expression, a face, or a tuple or dict of these.  A name, a term, an
-    integer or a host function has none.  A system's clause names count
-    too."""
+    """The free names of x, interval names and variables alike: a value,
+    neutral or closure (by its class's code, memoized in its `_support`
+    slot; a variable counts its name), an interval expression, a face, or a
+    tuple or dict of these.  A name, a term, an integer or a host function
+    has none.  A system's clause names count too."""
     if isinstance(x, Nominal):
         s = x._support
         if s is None:
@@ -461,12 +448,13 @@ def support(x) -> frozenset:
 
 
 def act(x, sub: dict):
-    """The interval substitution `sub` applied to a value or closure: the
-    node rebuilt from its fields, each acted on by its kind, by its
-    `FORMERS` function where it has one (its class's code).  A system
-    rebuilds through `make_system`, and a neutral re-runs its eliminators
-    (`act_neutral`), which may unstick it.  Whatever has no interval names
-    in `sub`, None included, is returned as it is."""
+    """The substitution `sub`, of interval expressions for interval names
+    and of values for variables, applied to a value or closure: the node
+    rebuilt from its fields, each acted on by its kind, by its `FORMERS`
+    function where it has one (its class's code).  A system rebuilds
+    through `make_system`, and a neutral re-runs its eliminators
+    (`act_neutral`), which may unstick it.  Whatever has no name in `sub`,
+    None included, is returned as it is."""
     if not sub or support(x).isdisjoint(sub):
         return x
     cls = type(x)
@@ -497,10 +485,14 @@ def _act_field(p, sub: dict):
 def act_neutral(v: VNeutral, sub: dict) -> Value:
     """The eliminator of the stuck value `v` re-run on its acted fields
     (`FORMERS`, by its class's code), which derives its type anew; a
-    variable and a delayed fixed point keep or rebuild their given type."""
+    variable in `sub` is replaced by its value, so every eliminator over it
+    runs again, and a variable or delayed fixed point otherwise keeps or
+    rebuilds its given type."""
     ne = v.neutral
     match ne:
-        case NVar():
+        case NVar(name=x):
+            if x in sub:
+                return sub[x]
             return VNeutral(ne, act(neutral_type(v), sub))
         case NDFix(clock=r, closure=c):
             return dfix_v(dm_subst_all(r, sub), act(c, sub),
@@ -642,23 +634,20 @@ def unglue_v(arg: Value) -> Value:
 
 def neutral_type(v: VNeutral) -> Optional[Value]:
     """The type of the stuck value `v`, None where it has none: its given
-    type, a pending one read and evaluated now, or else the one its
-    eliminator's typing rule derives from its head's type
-    (`_derived_type`).  A type it had to compute, or the lack of one
+    type, or else the one its eliminator's typing rule derives from its
+    head's type (`_derived_type`).  A derived type, or the lack of one
     (`False`), is memoized in its `_type` slot."""
-    given = v.type
-    if given is not None and not isinstance(given, PendingType):
-        return given
+    if v.type is not None:
+        return v.type
     ty = v._type
     if ty is None:
-        ty = v._type = (_derived_type(v.neutral) if given is None else
-                        _registered_type(given.env, given.entry)) or False
+        ty = v._type = _derived_type(v.neutral) or False
     return ty or None
 
 
 def _derived_type(ne: Neutral) -> Optional[Value]:
     """The type of a stuck eliminator, from its head's type by its typing
-    rule.  Its free interval names are among those of the head's type,
+    rule.  Its free names are among those of the head's type,
     which are the head's own (`support`, by induction), and of the other
     fields, so `support` need not count it; each rule says why.  The only
     other names it can have are the binders of the stuck compositions
@@ -762,51 +751,26 @@ def make_later(entries, body: Closure) -> Value:
 DFIX_TYPES: dict = {}
 
 
-def register_dfix_type(node, used: frozenset, later: Value,
-                       expansion: Optional[dict] = None):
+def register_dfix_type(node, used, later: Value):
     """Record on a fixed-point node the later type `later` the checker
     established for it (for a `fix`, the type of the `dfix` its binder
-    stands for), to be read back over `used` under the delayed-substitution
-    `expansion` of the enclosing binders (`_readback_ds`).  The entry
-    `[term, pending]` lives as long as the node: the type is read back from
-    `pending` (the readback's arguments) only when the node is first looked
-    up, which is when it is evaluated."""
-    node._dfix_type = [None, (used, later, expansion)]
-
-
-def _dfix_type_term(entry) -> Optional[Term]:
-    """The read-back type of a node's entry, read back on first use.
-    While it is being read back the entry has no term yet, so a lookup of
-    it from inside that readback misses; the β-reduction memo is suspended
-    meanwhile, so that no value evaluated without the type is served later."""
-    pending = entry[1]
-    if pending is not None:
-        used, later, expansion = pending
-        entry[1] = None
-        memo, FUEL.memo = FUEL.memo, None
-        try:
-            entry[0] = readback(used, later, None, expansion)
-        finally:
-            FUEL.memo = memo
-            if entry[0] is None:  # the readback failed: retry on next use
-                entry[1] = pending
-    return entry[0]
+    stands for), and the names `used` in scope there.  The entry lives as
+    long as the node."""
+    node._dfix_type = (used, later)
 
 
 def registered_dfix_type(env: dict, node) -> Optional[Value]:
-    """The later type registered for this fixed-point node, evaluated in
-    `env`, when its free names are all in scope there."""
-    return _registered_type(env, node._dfix_type)
-
-
-def _registered_type(env: dict, entry) -> Optional[Value]:
-    term = None if entry is None else _dfix_type_term(entry)
-    if term is None:
+    """The later type registered for this fixed-point node, instantiated at
+    `env`: each name in scope at the registration that the type mentions is
+    replaced by its value in `env` (`act`).  None if the node has no type,
+    or if one of those names is not bound in `env`."""
+    if node._dfix_type is None:
         return None
-    fvs, fis = S.free_names(term)
-    if not all(n in env for n in fvs | fis):
+    used, later = node._dfix_type
+    names = [n for n in support(later) if n in used]
+    if not all(n in env for n in names):
         return None
-    return eval_term(env, term)
+    return act(later, {n: env[n] for n in names})
 
 
 def dfix_v(clock: IExpr, closure: Closure, ty: Optional[Value] = None) -> Value:
@@ -854,14 +818,10 @@ def _eval_ds(env: dict, t) -> tuple:
 
 
 def _eval_dfix(env: dict, t) -> Value:
-    """The delayed fixed point of a `dfix`, or the one a `fix` binds.  Its
-    type is the node's registered one, read on first use; the entry is the
-    one registered now, and one being read back now gives none."""
-    entry = t._dfix_type
-    pending = (None if entry is None or entry == [None, None]  # being read
-               else PendingType(env, entry))
+    """The delayed fixed point of a `dfix`, or the one a `fix` binds, typed
+    by the node's registered type instantiated at `env` now."""
     return dfix_v(env_iexpr(env, t.clock), capture(env, (t.binder,), t.body),
-                  pending)
+                  registered_dfix_type(env, t))
 
 
 # The evaluator of each term former: a `FORMERS` former's compiled from its
@@ -1455,6 +1415,6 @@ def readback_neutral(used: frozenset, ne: Neutral,
             # keep the checked type attached to the printed fixed point, so
             # normal forms stay inferable when rechecked
             if isinstance(ty, VLaterT) and not ty.entries:
-                register_dfix_type(node, used, ty, expansion)
+                register_dfix_type(node, used, ty)
             return node
     return _readback_former(used, ne, expansion)

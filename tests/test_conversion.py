@@ -283,15 +283,15 @@ def test_dependencies_paired_through_an_exchange_of_identical_bindings():
 
 
 def test_flexible_probe_has_no_support_of_its_own():
-    # its pairing state holds both sides' values, which the interval action
-    # does not walk
+    # its pairing state holds both sides' values, which the action does
+    # not walk, and nothing substitutes for its name
     from gctt.eval import VNeutral, support
 
     p_at_i = ev("p @ i", {"p": neutral_var("p"), "i": IVar("i")})
     side = VNext((("x", p_at_i),), ValueClosure(VNat()))
     flex = conversion._NFlex("?v", conversion._Pairing((), side, side),
                              0)
-    assert support(side) == {"i"} and support(VNeutral(flex)) == set()
+    assert support(side) == {"i", "p"} and support(VNeutral(flex)) == set()
 
 
 def test_later_conversion_agrees_with_readback_on_corpus(corpus_dir,
@@ -435,6 +435,24 @@ def test_closures_over_equal_body_terms_convert_without_applying_them(src):
     b = eval_term({x: neutral_var(v.neutral.name, v.type)
                    for x, v in env.items()}, parse_term(src))
     assert converts_within_20_steps(a, b)
+
+
+def test_arrow_types_over_differently_named_binders_are_alike():
+    """Renaming apart names the inner binder of `A -> A -> B` by its
+    nesting, so two copies of one arrow type close one codomain under
+    different parameter names. Both closures ignore their parameter, so
+    they are alike without being applied; a codomain that reads its
+    parameter is alike only under the same name."""
+    env = alike_env()
+    a, b = [eval_term(dict(env), parse_term(f"({x} : A) -> {deep('(h u)')}"))
+            for x in ("x1", "x2")]
+    assert a.codomain.names != b.codomain.names
+    assert conversion._same_closure(a.codomain, b.codomain)
+    assert converts_within_20_steps(a, b)
+    c, d = [eval_term(dict(env), parse_term(f"({x} : A) -> h {x}"))
+            for x in ("x1", "x2")]
+    assert not conversion._same_closure(c.codomain, d.codomain)
+    assert conv((), c, d)
 
 
 def test_probes_compositions_and_host_closures_are_alike_only_to_themselves():

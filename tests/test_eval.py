@@ -181,6 +181,62 @@ def test_forced_endpoints_agree_with_eager_evaluation_on_corpus(
     assert 0 < forced < 2 * len(built)
 
 
+def test_act_substitutes_a_value_for_a_variable():
+    """A variable in the substitution is replaced by its value, and every
+    eliminator whose head becomes a value runs again; a variable's name is
+    in its support, and one not substituted keeps its acted type."""
+    from gctt.eval import support
+
+    f, a = neutral_var("f"), neutral_var("a", ev("Path N 0 0"))
+    v = ev("(f a @ i, a @ i)", {"f": f, "a": a, "i": IVar("i")})
+    assert support(v) == {"f", "a", "i"}
+    assert norm_v(act(v, {"f": ev(r"\x -> x")})) == "(a @ i, a @ i)"
+    assert norm_v(act(v, {"f": ev(r"\x -> x"), "i": ONE})) == "(0, 0)"
+    assert act(v, {"g": VZero()}) is v
+    x = neutral_var("x", neutral_var("A"))
+    acted = act(x, {"A": VNat()})
+    assert acted.neutral is x.neutral and acted.type is VNat()
+
+
+def test_substituting_the_argument_is_applying_the_lambda_on_corpus(
+        corpus_dir, monkeypatch, capsys):
+    """β by substitution is β by evaluation: for every lambda over a term
+    closure that is applied while the positive corpus is checked, the
+    closure applied to a fresh variable, with the argument then substituted
+    for the variable (`act`), reads back as the closure applied to the
+    argument.  The variable is untyped, since an application does not know
+    the lambda's domain."""
+    import gctt.typechecker as T
+    from gctt.cli import main
+    from gctt.eval import TermClosure, probe_var, support
+
+    applied = {}
+    plain = E.apply_v
+
+    def recording(fn, arg):
+        if isinstance(fn, VLam) and isinstance(fn.closure, TermClosure):
+            applied.setdefault((id(fn.closure), id(arg)), (fn.closure, arg))
+        return plain(fn, arg)
+
+    for mod in (E, T):
+        monkeypatch.setattr(mod, "apply_v", recording)
+    for path in sorted(corpus_dir.glob("*.gctt")):
+        assert main(["check", str(path)]) == 0, path
+    monkeypatch.undo()
+    capsys.readouterr()
+    moved = 0
+    for c, a in applied.values():
+        x = probe_var()
+        by_substitution = act(c.apply(x), {x.neutral.name: a})
+        by_evaluation = c.apply(a)
+        names = support(by_substitution) | support(by_evaluation) | support(a)
+        assert x.neutral.name not in names
+        assert (S.alpha_canonical(readback(names, by_substitution))
+                == S.alpha_canonical(readback(names, by_evaluation)))
+        moved += not c.constant()
+    assert len(applied) > 400 and moved > 400  # 500, 490 using the variable
+
+
 def parse_interval_meet():
     from gctt.parser import parse_interval
 
@@ -275,8 +331,7 @@ def test_a_constant_closure_leaves_its_parameter_unbound():
     """A fixed point's registered type can mention a name its body does
     not, here the parameter `x` of a closure that ignores it. Applied to no
     argument, the closure leaves `x` unbound, so that type is out of scope
-    and the fixed point gets none; a placeholder bound to `x` would be read
-    as a value when the type's endpoint is read."""
+    and the fixed point gets none; applied to 0, it gets the type at 0."""
     node = parse_term("dfix 0 r. r")
     x = neutral_var("x", VNat())
     path = VPathT(VNat(), ValueClosure(x), ValueClosure(x))
@@ -290,9 +345,8 @@ def test_a_constant_closure_leaves_its_parameter_unbound():
 
     v = closure.apply_lazy(no_argument)
     assert isinstance(v, VNeutral) and E.neutral_type(v) is None
-    path = E.neutral_type(closure.apply(None)).body.apply()
-    with pytest.raises(RuntimeError, match="ill-scoped variable 'x'"):
-        E.path_end(path, 0)
+    path = E.neutral_type(closure.apply(VZero())).body.apply()
+    assert E.path_end(path, 0) is VZero() and E.path_end(path, 1) is VZero()
 
 
 def test_every_term_former_has_one_evaluator():
@@ -444,62 +498,6 @@ def test_next_eta_collapse():
 def test_readback_of_next_weakens():
     t = neutral_var("t", VLaterT((), ValueClosure(VNat())))
     assert norm("next [x <- t] 0", {"t": t}) == "next 0"
-
-
-def test_a_fixed_point_type_is_read_back_once_when_first_looked_up():
-    node = parse_term("dfix 0 x. x")
-    seen, runs = [], []
-
-    def body():
-        runs.append(None)
-        if len(runs) == 1:
-            raise RuntimeError("interrupted")
-        # the entry is being read back: looking it up misses
-        seen.append(E.registered_dfix_type({}, node))
-        return VNat()
-
-    E.register_dfix_type(node, frozenset(), VLaterT((), FnClosure(body)))
-    assert runs == []
-    with pytest.raises(RuntimeError):
-        E.registered_dfix_type({}, node)
-    for _ in range(2):  # a failed readback is retried, a done one kept
-        assert norm_v(E.registered_dfix_type({}, node)) == "|> N"
-    assert len(runs) == 2 and seen == [None]
-
-
-def test_a_fixed_point_type_is_read_back_under_its_registration_expansions():
-    """Delayed-substitution bindings are ordered by their contents under the
-    expansions of the enclosing binders recorded with the registration."""
-    later_n = ev("|> N")
-    env = {"u": neutral_var("u", later_n), "w": neutral_var("w", later_n)}
-    inner = ev("|> [a <- u, b <- w] Path N a b", env)
-    ty = VLaterT((), ValueClosure(inner))
-    node = parse_term("dfix 0 x. x")
-    E.register_dfix_type(node, frozenset(env), ty,
-                         {"u": S.Var(None, "z"), "w": S.Var(None, "a")})
-    assert norm_v(ty, env) == "|> (|> [a <- u, b <- w] (Path N a b))"
-    assert term_str(E._dfix_type_term(node._dfix_type)) == (
-        "|> (|> [b <- w, a <- u] (Path N a b))")
-
-
-def test_a_printed_fixed_point_is_registered_under_the_enclosing_expansions():
-    """Readback registers the type of a `dfix` it prints under a `next`
-    with the expansions of the next's binders: its type's bindings are
-    ordered by what `u` and `w` stand for (`z` and `c`), not by their
-    names."""
-    later2_n = ev("|> |> N")
-    env = {"z": neutral_var("z", later2_n), "c": neutral_var("c", later2_n)}
-
-    def body(u, w):
-        inner = ev("|> [a <- u, b <- w] Path N a b", {"u": u, "w": w})
-        return VNeutral(E.NDFix(ZERO, FnClosure(lambda x: x)),
-                        VLaterT((), ValueClosure(inner)))
-
-    v = VNext((("u", env["z"]), ("w", env["c"])), FnClosure(body))
-    printed = readback(frozenset(env), v)
-    assert term_str(printed) == "next (dfix 0 x. x)"
-    assert term_str(E._dfix_type_term(printed.body._dfix_type)) == (
-        "|> (|> [b <- w, a <- u] (Path N a b))")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ counting rather than leaving a cycle for the garbage collector.
 """
 
 import gc
-import sys
 
 import pytest
 
@@ -74,33 +73,6 @@ def test_no_memo_outlives_a_check(capsys, corpus_dir, name):
     code, _, _ = run(capsys, "check", str(corpus_dir / name))
     assert code == (1 if name.startswith("negative") else 0)
     assert E.FUEL.memo is None
-
-
-def test_the_memo_is_suspended_while_a_fixed_point_type_is_read_back(
-        capsys, monkeypatch, corpus_dir):
-    """Values evaluated while a registered type is forced lack that type,
-    so none of them is kept; the memo is back once the type is read."""
-    inside, around = [], []
-    readback, dfix_type_term = E.readback, E._dfix_type_term
-
-    def recording_readback(*args):
-        if sys._getframe(1).f_code is dfix_type_term.__code__:
-            inside.append(E.FUEL.memo)
-        return readback(*args)
-
-    def recording_dfix_type_term(entry):
-        memo = E.FUEL.memo
-        res = dfix_type_term(entry)
-        around.append((memo, E.FUEL.memo is memo))
-        return res
-
-    monkeypatch.setattr(E, "readback", recording_readback)
-    monkeypatch.setattr(E, "_dfix_type_term", recording_dfix_type_term)
-    code, _, err = run(capsys, "check", str(corpus_dir / "zipwith.gctt"))
-    assert (code, err) == (0, "")
-    assert inside and all(memo is None for memo in inside)
-    assert all(restored for _, restored in around)
-    assert any(memo is not None for memo, _ in around)
 
 
 def test_a_check_leaves_little_cyclic_garbage(capsys, corpus_dir):

@@ -1,11 +1,11 @@
 """The type of a stuck value (`eval.neutral_type`).
 
 A variable, a probe and a fixed point are given their type; a fixed
-point's registered type is read back and evaluated only when it is first
-read. An eliminator is built with no type: its type is derived from its
-head's, by the eliminator's typing rule, when something reads it. Nothing
-counts a derived type in `support`, so the interval action's early return
-must stay sound without it.
+point's registered type is instantiated, by `act`, at the environment the
+fixed point is evaluated in. An eliminator is built with no type: its type
+is derived from its head's, by the eliminator's typing rule, when
+something reads it. Nothing counts a derived type in `support`, so the
+action's early return must stay sound without it.
 """
 
 import contextlib
@@ -164,67 +164,62 @@ def test_an_eliminator_of_an_untyped_head_has_no_type():
 
 
 # ---------------------------------------------------------------------------
-# a fixed point's registered type is read on first use
+# a fixed point's registered type is instantiated when it is evaluated
 
 
 def _register_nat(node):
     E.register_dfix_type(node, frozenset(), VLaterT((), ValueClosure(VNat())))
 
 
-def test_a_fixed_point_reads_back_its_registered_type_when_it_is_read(
+def test_a_fixed_point_instantiates_its_registered_type_when_it_is_evaluated(
         count_calls):
     node = parse_term("dfix 0 r. r")
     _register_nat(node)
-    calls = count_calls("readback")
+    calls = count_calls("readback", "readback_value", "readback_neutral")
     v = eval_term({}, node)
-    assert calls["readback"] == 0
-    ty = neutral_type(v)
-    assert calls["readback"] > 0
+    ty = v.type
     assert isinstance(ty, VLaterT) and ty.body.apply() is VNat()
-    read = calls["readback"]
-    again = eval_term({}, node)  # the entry keeps the read-back term
-    assert neutral_type(v) is ty and neutral_type(again) is not ty
-    assert isinstance(neutral_type(again), VLaterT)
-    assert calls["readback"] == read
+    assert neutral_type(v) is ty
+    assert isinstance(eval_term({}, node).type, VLaterT)
+    assert sum(calls.values()) == 0
 
 
-def test_a_pending_fixed_point_type_counts_in_the_support():
-    """A given type is counted in `support`, so a pending one is read for
-    it, and the interval action rebuilds it."""
+def test_a_fixed_point_type_counts_in_the_support():
+    """A given type is counted in `support`, variables too, so the action
+    rebuilds it; a type registered over a variable and an interval name is
+    instantiated at what the environment binds them to."""
     node = parse_term("dfix 0 r. r")
     p = neutral_var("p", VPathT(VUniv(), ValueClosure(neutral_var("a")),
                                 ValueClosure(neutral_var("b"))))
     E.register_dfix_type(node, frozenset({"p", "i"}), VLaterT(
         (), ValueClosure(papp_v(p, IVar("i")))))
     v = eval_term({"p": p, "i": IVar("i")}, node)
-    assert support(v.neutral) == frozenset() and support(v) == {"i"}
+    assert support(v.neutral) == frozenset()
+    assert support(v) == {"i", "p", "a", "b"}
     acted = act(v, {"i": ZERO})
     assert _printed(neutral_type(acted)) == "|> a"
     assert _printed(neutral_type(v)) == "|> (p @ i)"
+    at_one = eval_term({"p": p, "i": ONE}, node)
+    assert _printed(neutral_type(at_one)) == "|> b"
+    q = neutral_var("q", p.type)
+    assert _printed(eval_term({"p": q, "i": IVar("j")}, node).type) == (
+        "|> (q @ j)")
+    # a name the type mentions that the environment does not bind
+    assert eval_term({"p": p}, node).type is None
 
 
-def test_a_fixed_point_keeps_the_registration_it_was_evaluated_under(
-        monkeypatch):
-    """The registration entry is taken when the fixed point is evaluated:
-    one evaluated before its node's type is registered, or while that type
-    is being read back, has none when its type is first read later, as
-    when the type was read at evaluation."""
+def test_a_fixed_point_keeps_the_registration_it_was_evaluated_under():
+    """A fixed point evaluated before its node's type is registered has
+    none, and one evaluated under a registration keeps its type after the
+    node is registered again."""
     node = parse_term("dfix 0 r. r")
     early = eval_term({}, node)
     _register_nat(node)
     late = eval_term({}, node)
-    inside = []
-    readback_ = E.readback
-
-    def reentrant(*args):
-        if not inside:
-            inside.append(eval_term({}, node))
-        return readback_(*args)
-
-    monkeypatch.setattr(E, "readback", reentrant)
-    assert isinstance(neutral_type(late), VLaterT)
-    assert len(inside) == 1 and neutral_type(inside[0]) is None
+    E.register_dfix_type(node, frozenset(), VLaterT((), ValueClosure(VUniv())))
     assert neutral_type(early) is None
+    assert _printed(neutral_type(late)) == "|> N"
+    assert _printed(neutral_type(eval_term({}, node))) == "|> U"
 
 
 # ---------------------------------------------------------------------------
@@ -247,23 +242,27 @@ def _neutrals_built_checking(paths, monkeypatch):
     return built
 
 
-def _composition_binders(x, seen=None) -> set:
-    """The binders of the stuck compositions in a value, closure or
-    neutral, or in a tuple or dict of these."""
+def _bound_and_variables(x, seen=None) -> tuple:
+    """The binders of the stuck compositions, and the names of the
+    variables, in a value, closure or neutral, or in a tuple or dict of
+    these."""
     seen = set() if seen is None else seen
     if id(x) in seen:
-        return set()
+        return set(), set()
     seen.add(id(x))
     if isinstance(x, E.Nominal):
         parts = x.field_values
     elif isinstance(x, (tuple, dict)):
         parts = x.values() if isinstance(x, dict) else x
     else:
-        return set()
-    found = {x.binder} if isinstance(x, NComp) else set()
+        return set(), set()
+    bound = {x.binder} if isinstance(x, NComp) else set()
+    variables = {x.name} if isinstance(x, E.NVar) else set()
     for p in parts:
-        found |= _composition_binders(p, seen)
-    return found
+        b, v = _bound_and_variables(p, seen)
+        bound |= b
+        variables |= v
+    return bound, variables
 
 
 # a line of function types: its domain's variable has a type with a name
@@ -282,7 +281,7 @@ def test_a_derived_type_has_no_name_of_its_own_and_commutes_with_act(
     stuck compositions in the type (drawn while deriving it, and bound
     there), so `act` may return it untouched when none of its names is
     substituted; and the type of the acted value is the acted type, for a
-    substitution of one of its free names by each endpoint."""
+    substitution of one of its free interval names by each endpoint."""
     paths = sorted(corpus_dir.glob("*.gctt"))
     for seed in (1, 2):
         workloads.generate("guarded", seed, tmp_path / f"guarded{seed}")
@@ -299,11 +298,12 @@ def test_a_derived_type_has_no_name_of_its_own_and_commutes_with_act(
         typed += 1
         names = support(v)
         extra = support(ty) - names
-        assert extra <= _composition_binders(ty), (v, sorted(extra))
-        free = names - _composition_binders(v)
+        ty_bound, ty_variables = _bound_and_variables(ty)
+        assert extra <= ty_bound, (v, sorted(extra))
+        free = names.difference(*_bound_and_variables(v))
         if not free:
             continue
-        named += bool(support(ty))
+        named += bool(support(ty) - ty_variables)
         for r in (ZERO, ONE):
             sub = {min(free): r}
             acted = act(v, sub)

@@ -66,7 +66,7 @@ def test_support_and_free_names_return_their_memo():
     v = VNeutral(NPApp(neutral_var("p"), IVar("i")))
     assert v._support is None
     s = support(v)
-    assert s == {"i"} and support(v) is s and v._support is s
+    assert s == {"i", "p"} and support(v) is s and v._support is s
     t = parse_term(r"<i> \y -> f y @ i")
     assert t._free_names is None
     names = free_names(t)

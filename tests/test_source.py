@@ -1,13 +1,14 @@
 """Properties of the source itself: no failure is hidden by a catch-all
 handler, no module asks for an object's identity, no table holds the delayed
-fixed points' types, every field of a host closure is
-acted on by interval substitutions, conversion keeps no module-level table
-and takes no name set, no module-level table hides a function from the
-benchmark's tracer, none grows across invocations, no function rebinds a
-module global and no module numbers names from a counter of its own, the
-source keeps to the oldest Python the package declares, records are made
-one way, and every node is a slotted record that no code writes to after
-building it but through its memo slots."""
+fixed points' types, no value is read back to be evaluated again, every
+field of a host closure is acted on by interval substitutions, conversion
+keeps no module-level table and takes no name set, no module-level table
+hides a function from the benchmark's tracer, none grows across
+invocations, no function rebinds a module global and no module numbers
+names from a counter of its own, the source keeps to the oldest Python the
+package declares, records are made one way, and every node is a slotted
+record that no code writes to after building it but through its memo
+slots."""
 
 import ast
 import importlib.util
@@ -86,6 +87,30 @@ def test_no_global_statement_and_no_module_level_counter():
                 for name, value in vars(mod).items()
                 if isinstance(value, itertools.count)]
     assert rebinds == [] and counters == []
+
+
+def _readback_callers(path) -> list:
+    """The top-level function or method around each call of a readback
+    function (`readback`, `readback_value`, ...) in a module."""
+    callers = []
+    for top in ast.parse(path.read_text()).body:
+        for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+            callers += [fn.name for node in ast.walk(fn)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and re.fullmatch(r"_?readback\w*", node.func.id)]
+    return sorted(set(callers))
+
+
+def test_no_value_is_read_back_to_be_evaluated_again():
+    """The evaluator substitutes and instantiates values by acting on them,
+    never by printing them: in `gctt.eval` only the readback functions call
+    one, and in `gctt.typechecker` only `_show`, which prints a value in a
+    diagnostic, and `abstract`, which turns a value into a term closure."""
+    in_eval = _readback_callers(SOURCE / "eval.py")
+    assert in_eval and all("readback" in name for name in in_eval), in_eval
+    assert _readback_callers(SOURCE / "typechecker.py") == ["_show",
+                                                            "abstract"]
 
 
 def test_records_are_made_one_way():

@@ -2,6 +2,7 @@
 compositions, glue formation, modules, and the negative suite."""
 
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,15 @@ from gctt.eval import (
     equiv_type_value,
     eval_term,
     readback,
+    support,
 )
-from gctt.interval import face_lit
+from gctt.cli import main
+from gctt.interval import ONE, ZERO, face_lit
 from gctt.parser import parse_module, parse_term
 from gctt.syntax import term_str
 from gctt.typechecker import CheckedModule, Checker, Ctx, GcttTypeError
 
+from test_cli import LATER_SHARING, SHADOW
 from test_eval import EQ_NN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -575,38 +579,133 @@ NOT_FROM_TEXT = pytest.mark.xfail(
     reason="FOUND: a printed normal form does not always check again from"
     " its text")
 NF_DECLARATIONS = [
-    pytest.param(stem, decl.name, id=f"{stem}.{decl.name}", marks=(
+    pytest.param(stem, decl.name, None, id=f"{stem}.{decl.name}", marks=(
         NOT_FROM_TEXT if decl.name in ("zipWith_preserves_comm",
                                        "zipWith2_swap") else ()))
     for stem, text in NF_MODULES.items()
     for decl in parse_module(text).declarations]
 
+# The modules, besides the corpus, that `tests/test_cli.py` normalizes
+# expressions in.
+NF_EXPR_MODULES = {
+    "ati": "i : N = 2\n\nf : N -> N = \\x -> suc x",
+    "a": "za : N = 0", "b": "import a",
+    "shadow": SHADOW.format(b="a"), "shadow2": SHADOW.format(b="a2"),
+}
+# The composition's binder is not bound (ROADMAP item 6): its printed
+# normal form fails the base's boundary check
+UNBOUND_BINDER = pytest.mark.xfail(
+    strict=True, raises=GcttTypeError,
+    reason="ROADMAP item 6: the golden univ_comp normal form reuses a"
+    " composition binder")
+
+
+def _kan_items(seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        return workloads.generate("kan_normalize", seed, Path(tmp) / "kan")
+
+
+# Each `--expr` normal form `tests/test_cli.py` pins, the golden one, and
+# each `kan_normalize` item at seeds 1 and 2: (module or None, expression,
+# `--at` arguments).
+NF_EXPRESSIONS = [
+    pytest.param(*case, id=f"cli{k}") for k, case in enumerate([
+        ("streams", "hd N (cons N 2 (next zeros))", ()),
+        (None, r"\(s : |> N) -> next [x <- s] ((\(y : N) -> y) x)", ()),
+        *[("unfold_lemma",
+           r"\(A : U) -> \(f : (|> A) -> A) -> (unfold_path A f) @ i", (at,))
+          for at in ("i=0", "i=1")],
+        (None, "<i> 0", ("i=0",)),
+        (None, r"\(p : Path N 0 0) -> p @ x", ("x=1",)),
+        (None, "comp k N [ (i=1) -> 0 ] 0", ("i=0",)),
+        ("ati", r"\(q : Path N 0 0) -> <k> q @ i", ("i=0",)),
+        ("ati", r"\(p : Path N 0 0) -> <i> p @ i", ("i=0",)),
+        ("ati", "f i", ()),
+        (None, r"(\(A : U) -> \(x : A) -> x) N 0", ()),
+        (None, LATER_SHARING, ()),
+        ("b", "suc za", ()),
+        (None, "0", ()),
+        ("funext", "transp i ((comp j U [ (i=0) -> N ] N) * N) (1, 2)", ()),
+        ("shadow", "f (next 5) 0", ()),
+        ("shadow2", "f (next 5) 0", ()),
+        (None, r"(\(x : N) -> \(x : N) -> \(y : Path N x x) -> y) 0 1", ()),
+        (None, r"\(x : |> N) -> next [x <- x] (<j> x)", ()),
+        (None, r"\(t : |> N) -> next [y <- next [z <- t] (suc z)] y", ()),
+    ])
+] + [
+    pytest.param(None, "<i> comp j U [ (i=0) -> N ] N", (),
+                 id="golden.univ_comp", marks=UNBOUND_BINDER),
+] + [
+    pytest.param("kan", item["argv"][3], (),
+                 id=f"kan_normalize{seed}.{item['group']}")
+    for seed in (1, 2) for item in _kan_items(seed)
+]
+
 
 @pytest.fixture(scope="module")
-def nf_loader(tmp_path_factory):
-    """Checks a module of NF_MODULES, and the modules it imports, once."""
-    from gctt.cli import Loader
-
+def nf_path(tmp_path_factory):
+    """The file of a module of NF_MODULES or NF_EXPR_MODULES, or of the
+    `kan_normalize` prelude, by name."""
     tmp = tmp_path_factory.mktemp("nf")
     (tmp / "zipwith2.gctt").write_text(NF_MODULES["zipwith2"])
+    (tmp / "kan.gctt").write_text(workloads.KAN_PRELUDE)
+    for name, text in NF_EXPR_MODULES.items():
+        (tmp / f"{name}.gctt").write_text(f"module {name} where\n\n{text}\n")
+    return lambda stem: (tmp if (tmp / f"{stem}.gctt").exists()
+                         else ROOT / "corpus") / f"{stem}.gctt"
+
+
+@pytest.fixture(scope="module")
+def nf_loader(nf_path):
+    """Checks a module, and the modules it imports, once."""
+    from gctt.cli import Loader
+
     loader = Loader([str(ROOT / "corpus")])
-    return lambda stem: loader.load(
-        (tmp if stem == "zipwith2" else ROOT / "corpus") / f"{stem}.gctt")
+    return lambda stem: loader.load(nf_path(stem))
 
 
-@pytest.mark.parametrize("stem, name", NF_DECLARATIONS)
-def test_printed_normal_forms_check_again_from_their_text(nf_loader, stem,
-                                                         name):
-    """A declaration's normal form and type, printed as `gctt normalize`
-    prints them and parsed into a module after what the declaration's
-    module has in scope before it, check."""
-    table = nf_loader(stem).table
-    names = list(table)  # the imported names, then the declarations in order
-    before = {k: table[k] for k in names[:names.index(name)]}
-    ty, val = table[name]
-    ty_text = term_str(readback(table.keys(), ty))
-    text = (f"module nf where\n\n{name} : {ty_text}"
-            f" = {term_str(readback(table.keys(), val, ty))}\n")
+def _inferred_type(table, expr, at) -> str:
+    """The type the checker infers for `expr` where `gctt normalize --expr`
+    checks it, with its `--at` substitution applied, printed."""
+    subs = {i: ONE if r == "1" else ZERO
+            for i, r in (a.split("=") for a in at)}
+    ctx = Ctx()
+    for name, (ty, val) in table.items():
+        if name not in subs:
+            ctx = ctx.define(name, ty, val)
+    for name in subs:
+        ctx = ctx.bind_interval(name)
+    ck = Checker()
+    with ck.fuelled():
+        ty = ck.infer(ctx, S.rename_apart(parse_term(expr), ctx.env))
+        return term_str(readback(table.keys(), E.act(ty, subs)))
+
+
+@pytest.mark.parametrize("stem, name, at", NF_DECLARATIONS + NF_EXPRESSIONS)
+def test_printed_normal_forms_check_again_from_their_text(
+        nf_loader, nf_path, capsys, stem, name, at):
+    """A normal form and its type, printed as `gctt normalize` prints them
+    and parsed into a module after what is in scope where it was
+    normalized, check.  It is the normal form of the declaration `name` of
+    the module `stem`, or, given `--at` arguments `at`, that of the
+    expression `name` in that module (in none if `stem` is None), at the
+    type the checker infers for it."""
+    table = nf_loader(stem).table if stem else {}
+    if at is None:
+        names = list(table)  # the imported names, then the declarations
+        before = {k: table[k] for k in names[:names.index(name)]}
+        ty, val = table[name]
+        ty_text = term_str(readback(table.keys(), ty))
+        nf_text = term_str(readback(table.keys(), val, ty))
+    else:
+        before, ty_text = table, _inferred_type(table, name, at)
+        argv = [str(nf_path(stem))] if stem else []
+        for a in at:
+            argv += ["--at", a]
+        assert main(["normalize", *argv, "--expr", name]) == 0
+        nf_text = capsys.readouterr().out.strip()
+        name = S.fresh_name("d", table.keys())
+    text = f"module nf where\n\n{name} : {ty_text} = {nf_text}\n"
     checked = Checker().check_module(parse_module(text),
                                      [CheckedModule("before", before)])
     assert checked.order == (name,)
@@ -640,9 +739,9 @@ def test_no_closed_path_from_zero_to_one(candidate):
 
 def test_checking_never_reads_back_the_type_of_an_unevaluated_fix(
         corpus_dir, count_calls):
-    """Checking zipwith.gctt never evaluates the Löb proof's fixed point, so
-    its registered type stays unread, and the module's readbacks stay few
-    (1048 when each registered type was read back at registration)."""
+    """Checking zipwith.gctt reads back no registered fixed-point type, so
+    the module's readbacks stay few (1048 when each registered type was
+    read back at registration)."""
     ck = Checker()
     streams = ck.check_module(
         parse_module((corpus_dir / "streams.gctt").read_text()))
@@ -656,8 +755,7 @@ def test_checking_never_reads_back_the_type_of_an_unevaluated_fix(
     calls = count_calls("readback", "readback_value", "readback_neutral")
     ck.check_module(module, [streams])
     assert sum(calls.values()) <= 400
-    term, pending = fix._dfix_type
-    assert term is None and pending is not None
+    assert fix._dfix_type is not None
 
 
 def test_a_constant_codomain_is_instantiated_without_its_argument():
@@ -695,38 +793,53 @@ def test_a_shadowing_binder_leaves_a_fixed_point_type_alone():
 
 
 def test_deferred_fixed_point_types_read_back_as_eager_ones(
-        corpus_dir, monkeypatch):
-    """Every fixed-point type registered while the corpus is checked and
-    normalized, read back at the end, is the term a readback at its
-    registration gives."""
+        corpus_dir, tmp_path, monkeypatch):
+    """Every fixed-point type instantiated while the positive corpus and
+    the positive `guarded` modules of seed 1 are checked and normalized
+    reads back, up to the names of its binders, as the type given by the
+    route that reads the registered type back over its names in scope and
+    evaluates the text in the same environment: the action on variables
+    agrees with evaluation.  Where the instantiation gives no type, that
+    route finds a name out of scope too."""
     import gctt.typechecker as T
-    from gctt.cli import CliError, Loader
+    from gctt.cli import Loader
+    from test_conversion import _guarded_positives
 
-    register = E.register_dfix_type
-    recorded = []
+    instantiate = E.registered_dfix_type
+    seen = []
 
-    def register_recording(node, used, later, expansion=None):
-        eager = readback(used, later, None, expansion)
-        register(node, used, later, expansion)
-        recorded.append((node, node._dfix_type, eager))
+    def recording(env, node):
+        ty = instantiate(env, node)
+        seen.append((env, node._dfix_type, ty))
+        return ty
 
     for mod in (E, T):
-        monkeypatch.setattr(mod, "register_dfix_type", register_recording)
-    loader = Loader([str(corpus_dir)])
-    for path in sorted(corpus_dir.rglob("*.gctt")):
-        try:
-            checked = loader.load(path)
-        except CliError:
-            assert path.parent.name == "negative", path
+        monkeypatch.setattr(mod, "registered_dfix_type", recording)
+    for root, names in [(corpus_dir, [p.name for p in
+                                      sorted(corpus_dir.glob("*.gctt"))]),
+                        *_guarded_positives(tmp_path, (1,))]:
+        loader = Loader([str(root)])
+        for name in names:
+            checked = loader.load(root / name)
+            used = frozenset(checked.table)
+            for decl in checked.order:
+                ty, val = checked.table[decl]
+                readback(used, val, ty)
+    monkeypatch.undo()
+    differ = instantiated = 0
+    for env, entry, ty in seen:
+        if entry is None:
             continue
-        used = frozenset(checked.table)
-        for name in checked.order:
-            ty, val = checked.table[name]
-            readback(used, val, ty)
-    differ = []
-    for node, entry, eager in recorded:
-        term = E._dfix_type_term(entry)
-        if term != eager or term_str(term) != term_str(eager):
-            differ.append((term_str(node), term_str(term),
-                           term_str(eager)))
-    assert len(recorded) > 50 and differ == []
+        used, later = entry
+        term = readback(used, later)
+        fvs, fis = S.free_names(term)
+        reference = (eval_term(env, term) if (fvs | fis) <= env.keys()
+                     else None)
+        if ty is None:
+            assert reference is None, term_str(term)
+            continue
+        instantiated += 1
+        names = support(ty) | support(reference) | frozenset(env)
+        differ += (S.alpha_canonical(readback(names, ty))
+                   != S.alpha_canonical(readback(names, reference)))
+    assert instantiated > 900 and differ == 0  # 960 instantiated
