@@ -3,7 +3,8 @@
 Conversion is type-directed where a type is available (eta for functions,
 pairs, paths, and glue) and structural otherwise.  Later types and nexts are
 compared on values, up to weakening, exchange, next-substitution and eta
-(`_conv_later`); a neutral met by a next is eta-expanded.  The pairings of
+(`_conv_later`); a stuck value met by a next is eta-expanded, and two
+stuck values are compared node to node (`_conv_neutral`).  The pairings of
 the enclosing later comparisons travel with the call, innermost last
 (`pairings`); a comparison started afresh passes `()`.  Equality under a
 face restriction is checked clause by clause.
@@ -39,13 +40,13 @@ from .eval import (
     NComp,
     NDFix,
     NVar,
+    Neutral,
     TermClosure,
     VGlueIntro,
     VGlueT,
     VLam,
     VLaterT,
     VNext,
-    VNeutral,
     VPair,
     VPathT,
     VPi,
@@ -106,13 +107,13 @@ def conv(pairings: tuple, a: Value, b: Value,
 
 def _conv_structural(pairings: tuple, a: Value, b: Value) -> bool:
     match (a, b):
-        case (VLam(), VLam() | VNeutral()) | (VNeutral(), VLam()):
+        case (VLam(), VLam() | Neutral()) | (Neutral(), VLam()):
             x = probe_var()
             return conv(pairings, apply_v(a, x), apply_v(b, x))
-        case (VPLam(), VPLam() | VNeutral()) | (VNeutral(), VPLam()):
+        case (VPLam(), VPLam() | Neutral()) | (Neutral(), VPLam()):
             i = IVar(fresh_iname())
             return conv(pairings, papp_v(a, i), papp_v(b, i))
-        case (VPair(), VPair() | VNeutral()) | (VNeutral(), VPair()):
+        case (VPair(), VPair() | Neutral()) | (Neutral(), VPair()):
             return (conv(pairings, fst_v(a), fst_v(b))
                     and conv(pairings, snd_v(a), snd_v(b)))
         case (VPi(domain=d1, codomain=c1), VPi(domain=d2, codomain=c2)) | \
@@ -127,9 +128,9 @@ def _conv_structural(pairings: tuple, a: Value, b: Value) -> bool:
                 for end, c, d in ((0, a.lhs, b.lhs), (1, a.rhs, b.rhs)))
         case (VLaterT(), VLaterT()) | (VNext(), VNext()):
             return _conv_later(pairings, a, b)
-        case (VNext(), VNeutral()):
+        case (VNext(), Neutral()):
             return _conv_later(pairings, a, _eta_next(b))
-        case (VNeutral(), VNext()):
+        case (Neutral(), VNext()):
             return _conv_later(pairings, _eta_next(a), b)
         case (VGlueT(face=f1, partial=p1, equiv=e1, base=b1),
               VGlueT(face=f2, partial=p2, equiv=e2, base=b2)):
@@ -142,13 +143,13 @@ def _conv_structural(pairings: tuple, a: Value, b: Value) -> bool:
             clauses = set(face_clauses(f1)) | set(face_clauses(f2))
             return (conv(pairings, b1, b2) and _conv_clauses(
                 pairings, sorted(clauses, key=sorted), a, b))
-        case (VGlueIntro(), VNeutral()) | (VNeutral(), VGlueIntro()):
+        case (VGlueIntro(), Neutral()) | (Neutral(), VGlueIntro()):
             intro, other = (a, b) if isinstance(a, VGlueIntro) else (b, a)
             return (conv(pairings, intro.base, unglue_v(other))
                     and _conv_clauses(pairings, face_clauses(intro.face),
                                       intro, other))
-        case (VNeutral(neutral=n1), VNeutral(neutral=n2)):
-            return _conv_neutral(pairings, n1, n2)
+        case (Neutral(), Neutral()):
+            return _conv_neutral(pairings, a, b)
     return _conv_fields(pairings, a, b)  # VNat, VUniv, VZero, VSuc
 
 
@@ -247,12 +248,10 @@ def _same_captured(u, v) -> bool:
         return u is v
     if cls is VLam or cls is VPLam:
         return _same_closure(u.closure, v.closure)
-    if cls is VNeutral:
-        m, n = u.neutral, v.neutral
-        if type(m) is NVar is type(n):
-            return m.name == n.name
-        return (type(m) is NDFix is type(n) and m.clock == n.clock
-                and _same_closure(m.closure, n.closure))
+    if cls is NVar:
+        return u.name == v.name
+    if cls is NDFix:
+        return u.clock == v.clock and _same_closure(u.closure, v.closure)
     return isinstance(u, IExpr) and u == v
 
 
@@ -264,7 +263,7 @@ def _conv_bodies(pairings: tuple, c, d, x: Value) -> bool:
 _IDENTITY = FnClosure(lambda v: v)
 
 
-def _eta_next(n: VNeutral) -> VNext:
+def _eta_next(n: Neutral) -> VNext:
     """`next [x <- n] x`, built as is: `make_next` would contract it to n."""
     return VNext((("x", n),), _IDENTITY)
 
@@ -278,9 +277,9 @@ class _Pairing:
         self.probes_a, self.deps_a = ds_binders(
             a.entries, lambda idx, ty: probe_var(ty), pairings)
         self.probes_b, self.deps_b = ds_binders(
-            b.entries, lambda idx, ty: VNeutral(
-                _NFlex(probe_var().neutral.name, self, idx), ty), pairings)
-        self.left = {p.neutral.name: k for k, p in enumerate(self.probes_a)}
+            b.entries, lambda idx, ty: _NFlex(probe_var().name, ty, self, idx),
+            pairings)
+        self.left = {p.name: k for k, p in enumerate(self.probes_a)}
         self.pairs, self.taken = {}, set()
 
     def pair(self, pairings: tuple, j: int, k: int) -> bool:
@@ -318,7 +317,7 @@ def _resolve(x: NVar):
     k = x.pairing.pairs.get(x.index)
     if k is None:
         return x.name, x
-    return x.pairing.probes_a[k].neutral.name, None
+    return x.pairing.probes_a[k].name, None
 
 
 def _pair_dependencies(pairings: tuple, st: _Pairing) -> bool:

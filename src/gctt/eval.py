@@ -4,13 +4,13 @@ Terms evaluate into a semantic domain of weak-head values; composition is
 implemented per type former; `readback` turns values into canonical terms.
 Closures capture their environment.  A path type holds its endpoints as
 closures of no parameter, each evaluated on its first read (`path_end`):
-many are never read.  Values, neutrals and closures are records, and a
-substitution of interval expressions for interval names and of values for
-variables acts on one by acting on its fields (`act`); acting on a
-neutral re-runs its eliminators, which can unstick it (a variable given a
-value, a delayed fixed point whose clock reaches 1, a path application
-reaching an endpoint, a stuck composition whose face becomes total).  A
-fixed point's registered type is instantiated so, not read back.  The
+many are never read.  Values and closures are records, a stuck value one
+node (`Neutral`), and a substitution of interval expressions for interval
+names and of values for variables acts on one by acting on its fields
+(`act`); acting on a stuck value re-runs it, which can unstick it (a
+variable given a value, a delayed fixed point whose clock reaches 1, a
+path application reaching an endpoint, a stuck composition whose face
+becomes total).  A fixed point's registered type is instantiated so.  The
 walks over a node's fields (`support`, `act`) and the evaluators of the
 first-order term formers are compiled per class, on first use, from the
 kinds of its fields (`FIELD_KINDS`).
@@ -241,41 +241,48 @@ class VSystem(Value):
     branches: tuple  # of (clause frozenset, Value valid under the clause)
 
 
-class Neutral(Nominal):
-    pass
+class Neutral(Value, memos=("_type",)):
+    """A stuck value, one node: a variable, a delayed fixed point, or an
+    eliminator or composition stuck on one.  A variable or fixed point
+    carries the type given with it, if any (`type`): a variable's or a
+    probe's, or a fixed point's (`dfix_v`), its registered type
+    instantiated when it was evaluated.  An eliminator's type is derived
+    from its head's when it is read (`neutral_type`), memoized in its
+    `_type` slot."""
 
 
 class NVar(Neutral):
     name: str
+    type: Optional[Value]
 
 
 class NApp(Neutral):
-    fn: VNeutral
+    fn: Neutral
     arg: Value
 
 
 class NPApp(Neutral):
-    fn: VNeutral
+    fn: Neutral
     arg: IExpr
 
 
 class NFst(Neutral):
-    pair: VNeutral
+    pair: Neutral
 
 
 class NSnd(Neutral):
-    pair: VNeutral
+    pair: Neutral
 
 
 class NNatRec(Neutral):
     motive: Value
     base: Value
     step: Value
-    scrutinee: VNeutral
+    scrutinee: Neutral
 
 
 class NUnglue(Neutral):
-    arg: VNeutral
+    arg: Neutral
 
 
 class NComp(Neutral):
@@ -288,16 +295,7 @@ class NComp(Neutral):
 class NDFix(Neutral):
     clock: IExpr  # canonical, not 1
     closure: Closure
-
-
-class VNeutral(Value, memos=("_type",)):
-    """A stuck value.  `type` is the type given with it, if any: a
-    variable's or a probe's, or a fixed point's (`dfix_v`), its registered
-    type instantiated when it was evaluated.  An eliminator is built with
-    none: its type is derived from its head's when it is read
-    (`neutral_type`)."""
-    neutral: Neutral
-    type: Optional[Value] = None
+    type: Optional[Value]
 
 
 # The term former of each constructor value and stuck eliminator, and the
@@ -335,14 +333,14 @@ _FORMER_BUILDERS = {former: _BUILDERS[cls]
                     for cls, (former, _) in FORMERS.items() if former}
 
 
-def neutral_var(name: str, ty: Optional[Value] = None) -> VNeutral:
-    return VNeutral(NVar(name), ty)
+def neutral_var(name: str, ty: Optional[Value] = None) -> NVar:
+    return NVar(name, ty)
 
 
-def probe_var(ty: Optional[Value] = None) -> VNeutral:
+def probe_var(ty: Optional[Value] = None) -> NVar:
     """A fresh variable for conversion probes; the name space is disjoint
     from anything the parser can produce."""
-    return VNeutral(NVar(f"?v{next(FUEL.names)}"), ty)
+    return NVar(f"?v{next(FUEL.names)}", ty)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +383,7 @@ _NODE = ("support({0})", "act({0}, sub)", None)
 _CONTAINER = ("support({0})", "_act_field({0}, sub)", None)
 _OPAQUE = (None, "{0}", None)
 FIELD_KINDS = {
-    "Value": _NODE, "VNeutral": _NODE, "VSystem": _NODE, "Closure": _NODE,
+    "Value": _NODE, "VSystem": _NODE, "Closure": _NODE,
     "Neutral": _NODE, "Optional[Value]": (
         "support({0})", "(None if {0} is None else act({0}, sub))", None),
     "IExpr": ("inames({0})", "dm_subst_all({0}, sub)", "env_iexpr(env, {0})"),
@@ -420,17 +418,25 @@ def _compile(cls, walk: int, params: str, build: Optional[str]):
 
 
 _SUPPORT = _PerClass(lambda cls: _compile(cls, 0, "x", None),
-                     {NVar: lambda x: frozenset((x.name,))})
+                     {NVar: lambda x: support(x.type) | {x.name}})
+# a class with no `FORMERS` function rebuilds itself, whatever module binds
+# its name; a variable in `sub` is replaced by its value, and a fixed point
+# re-runs `dfix_v`, which unfolds it if its clock reaches 1
 _ACT = _PerClass(lambda cls: _compile(cls, 1, "x, sub",
-                                      _BUILDERS.get(cls, cls.__name__)))
+                                      _BUILDERS.get(cls, "type(x)")), {
+    NVar: lambda x, sub: sub[x.name] if x.name in sub
+    else NVar(x.name, act(x.type, sub)),
+    NDFix: lambda x, sub: dfix_v(dm_subst_all(x.clock, sub),
+                                 act(x.closure, sub), act(x.type, sub)),
+})
 
 
 def support(x) -> frozenset:
-    """The free names of x, interval names and variables alike: a value,
-    neutral or closure (by its class's code, memoized in its `_support`
-    slot; a variable counts its name), an interval expression, a face, or a
-    tuple or dict of these.  A name, a term, an integer or a host function
-    has none.  A system's clause names count too."""
+    """The free names of x, interval names and variables alike: a value
+    or closure (by its class's code, memoized in its `_support` slot; a
+    variable counts its name and its type's), an interval expression, a
+    face, or a tuple or dict of these.  A name, a term, an integer or a
+    host function has none.  A system's clause names count too."""
     if isinstance(x, Nominal):
         s = x._support
         if s is None:
@@ -452,14 +458,14 @@ def act(x, sub: dict):
     and of values for variables, applied to a value or closure: the node
     rebuilt from its fields, each acted on by its kind, by its `FORMERS`
     function where it has one (its class's code).  A system rebuilds
-    through `make_system`, and a neutral re-runs its eliminators
-    (`act_neutral`), which may unstick it.  Whatever has no name in `sub`,
-    None included, is returned as it is."""
+    through `make_system`.  A stuck eliminator re-runs on its acted fields,
+    which may unstick it; a variable in `sub` is replaced by its value, so
+    every eliminator over it runs again, and a variable or fixed point
+    otherwise keeps its name and clock with its given type acted on.
+    Whatever has no name in `sub`, None included, is returned as it is."""
     if not sub or support(x).isdisjoint(sub):
         return x
     cls = type(x)
-    if cls is VNeutral:
-        return act_neutral(x, sub)
     if cls is VSystem:
         pieces = [(face_subst_all(clause_face(cl), sub), val)
                   for cl, val in x.branches]
@@ -480,24 +486,6 @@ def _act_field(p, sub: dict):
     if isinstance(p, dict):
         return {k: _act_field(q, sub) for k, q in p.items()}
     return p
-
-
-def act_neutral(v: VNeutral, sub: dict) -> Value:
-    """The eliminator of the stuck value `v` re-run on its acted fields
-    (`FORMERS`, by its class's code), which derives its type anew; a
-    variable in `sub` is replaced by its value, so every eliminator over it
-    runs again, and a variable or delayed fixed point otherwise keeps or
-    rebuilds its given type."""
-    ne = v.neutral
-    match ne:
-        case NVar(name=x):
-            if x in sub:
-                return sub[x]
-            return VNeutral(ne, act(neutral_type(v), sub))
-        case NDFix(clock=r, closure=c):
-            return dfix_v(dm_subst_all(r, sub), act(c, sub),
-                          act(neutral_type(v), sub))
-    return _ACT[type(ne)](ne, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +543,8 @@ def apply_v(fn: Value, arg: Value) -> Value:
             return res
         case VSystem():
             return _by_branch(apply_v, (fn, arg))
-        case VNeutral():
-            return VNeutral(NApp(fn, arg))
+        case Neutral():
+            return NApp(fn, arg)
     raise TypeError(f"cannot apply {fn!r}")
 
 
@@ -567,12 +555,12 @@ def papp_v(fn: Value, arg: IExpr) -> Value:
             return c.apply(r)
         case VSystem():
             return _by_branch(papp_v, (fn, r))
-        case VNeutral():
+        case Neutral():
             if r == ZERO or r == ONE:  # a path's endpoints are in its type
                 ty = neutral_type(fn)
                 if isinstance(ty, VPathT):
                     return path_end(ty, r == ONE)
-            return VNeutral(NPApp(fn, r))
+            return NPApp(fn, r)
     raise TypeError(f"cannot path-apply {fn!r}")
 
 
@@ -591,8 +579,8 @@ def fst_v(pair: Value) -> Value:
             return a
         case VSystem():
             return _by_branch(fst_v, (pair,))
-        case VNeutral():
-            return VNeutral(NFst(pair))
+        case Neutral():
+            return NFst(pair)
     raise TypeError(f"cannot project {pair!r}")
 
 
@@ -602,8 +590,8 @@ def snd_v(pair: Value) -> Value:
             return b
         case VSystem():
             return _by_branch(snd_v, (pair,))
-        case VNeutral():
-            return VNeutral(NSnd(pair))
+        case Neutral():
+            return NSnd(pair)
     raise TypeError(f"cannot project {pair!r}")
 
 
@@ -616,8 +604,8 @@ def natrec_v(motive: Value, base: Value, step: Value,
             return apply_v(apply_v(step, p), natrec_v(motive, base, step, p))
         case VSystem():
             return _by_branch(natrec_v, (motive, base, step, scrutinee), at=3)
-        case VNeutral():
-            return VNeutral(NNatRec(motive, base, step, scrutinee))
+        case Neutral():
+            return NNatRec(motive, base, step, scrutinee)
     raise TypeError(f"natrec on {scrutinee!r}")
 
 
@@ -627,33 +615,34 @@ def unglue_v(arg: Value) -> Value:
             return a
         case VSystem():
             return _by_branch(unglue_v, (arg,))
-        case VNeutral():
-            return VNeutral(NUnglue(arg))
+        case Neutral():
+            return NUnglue(arg)
     raise TypeError(f"cannot unglue {arg!r}")
 
 
-def neutral_type(v: VNeutral) -> Optional[Value]:
-    """The type of the stuck value `v`, None where it has none: its given
-    type, or else the one its eliminator's typing rule derives from its
-    head's type (`_derived_type`).  A derived type, or the lack of one
-    (`False`), is memoized in its `_type` slot."""
-    if v.type is not None:
-        return v.type
+def neutral_type(v: Neutral) -> Optional[Value]:
+    """The type of the stuck value `v`, None where it has none: a variable's
+    or fixed point's given type, or else the one its eliminator's typing
+    rule derives from its head's type (`_derived_type`).  It, or the lack of
+    one (`False`), is memoized in its `_type` slot."""
     ty = v._type
     if ty is None:
-        ty = v._type = _derived_type(v.neutral) or False
+        ty = v._type = _derived_type(v) or False
     return ty or None
 
 
 def _derived_type(ne: Neutral) -> Optional[Value]:
-    """The type of a stuck eliminator, from its head's type by its typing
-    rule.  Its free names are among those of the head's type,
-    which are the head's own (`support`, by induction), and of the other
-    fields, so `support` need not count it; each rule says why.  The only
-    other names it can have are the binders of the stuck compositions
-    evaluated while deriving it, drawn fresh then and bound there, so no
-    substitution on the stuck value names them."""
+    """The type of a stuck value: a variable's or fixed point's given one
+    (a field, which `support` counts), or a stuck eliminator's, from its
+    head's type by its typing rule.  The latter's free names are among
+    those of the head's type, which are the head's own (`support`, by
+    induction), and of the other fields, so `support` need not count it;
+    each rule says why.  The only other names it can have are the binders of
+    the stuck compositions evaluated while deriving it, drawn fresh then and
+    bound there, so no substitution on the stuck value names them."""
     match ne:
+        case NVar(type=ty) | NDFix(type=ty):
+            return ty
         case NApp(fn=f, arg=a):
             # the codomain closure (a field of f's type) applied to a
             ty = neutral_type(f)
@@ -676,7 +665,7 @@ def _derived_type(ne: Neutral) -> Optional[Value]:
             return ty.base if isinstance(ty, VGlueT) else None
         case NComp(binder=k, line=line):
             return line_at(line, k, ONE)  # the line's names, k replaced by 1
-    return None  # a variable's or fixed point's type is given, if at all
+    return None
 
 
 def _clause_branches(pieces) -> tuple:
@@ -718,12 +707,10 @@ def make_glue_intro(face: Face, partial, base) -> Value:
     return VGlueIntro(face, partial, base)
 
 
-def _prune_ds(entries: tuple, body: Closure):
+def _prune_ds(entries: tuple, body: TermClosure):
     """Drop trailing bindings whose closure parameter the body does not use
     (always sound; an inner binding may be needed by a later binding's
     type), narrowing the closure to match."""
-    if not isinstance(body, TermClosure):
-        return entries, body
     used = S.free_names(body.body)[0]
     n = len(entries)
     while n and body.names[n - 1] not in used:
@@ -733,16 +720,15 @@ def _prune_ds(entries: tuple, body: Closure):
     return entries[:n], body
 
 
-def make_next(entries, body: Closure) -> Value:
-    """Next with trailing weakening and eta applied when inspectable."""
+def make_next(entries, body: TermClosure) -> Value:
+    """Next with trailing weakening and eta applied."""
     entries, body = _prune_ds(tuple(entries), body)
-    if isinstance(body, TermClosure) and entries \
-            and body.body == S.Var(name=entries[-1][0]):
+    if entries and body.body == S.Var(name=entries[-1][0]):
         return entries[-1][1]
     return VNext(entries, body)
 
 
-def make_later(entries, body: Closure) -> Value:
+def make_later(entries, body: TermClosure) -> Value:
     entries, body = _prune_ds(tuple(entries), body)
     return VLaterT(entries, body)
 
@@ -776,9 +762,9 @@ def registered_dfix_type(env: dict, node) -> Optional[Value]:
 def dfix_v(clock: IExpr, closure: Closure, ty: Optional[Value] = None) -> Value:
     clock = dm_canonical(clock)
     if dm_is_one(clock):
-        stuck = VNeutral(NDFix(ZERO, closure), ty)
+        stuck = NDFix(ZERO, closure, ty)
         return VNext((), ValueClosure(closure.apply(stuck)))
-    return VNeutral(NDFix(clock, closure), ty)
+    return NDFix(clock, closure, ty)
 
 
 # ---------------------------------------------------------------------------
@@ -900,14 +886,10 @@ def comp_v(binder: str, line: Value, tube: Value, base: Value) -> Value:
         case VSystem(branches=bs):
             if all(n != binder for cl, _ in bs for n, _ in cl):
                 return _by_branch(comp_v, args, at=1)
-            return _stuck_comp(*args)
-        case VLaterT() | VNeutral():
-            return _stuck_comp(*args)
+            return NComp(*args)
+        case VLaterT() | Neutral():
+            return NComp(*args)
     raise TypeError(f"cannot compose at {line!r}")
-
-
-def _stuck_comp(k, line, tube, base):
-    return VNeutral(NComp(k, line, tube, base))
 
 
 def comp_pieces(k: str, line: Value, pieces: list, base: Value) -> Value:
@@ -975,10 +957,10 @@ def comp_nat(k, tube, base):
         case VSuc(pred=p):
             pred_tube = _nat_pred(tube)
             if pred_tube is None:
-                return _stuck_comp(k, VNat(), tube, base)
+                return NComp(k, VNat(), tube, base)
             return VSuc(comp_nat(k, pred_tube, p))
         case _:
-            return _stuck_comp(k, VNat(), tube, base)
+            return NComp(k, VNat(), tube, base)
 
 
 def _nat_pred(v: Value):
@@ -1224,11 +1206,8 @@ def readback_value(used: frozenset, v: Value,
                 (clause_face(cl), readback(used, val, None, expansion))
                 for cl, val in bs
             ))
-        case VNeutral(neutral=ne):
-            # only a fixed point's type is read back with it
-            return readback_neutral(
-                used, ne, neutral_type(v) if isinstance(ne, NDFix) else None,
-                expansion)
+        case Neutral():
+            return readback_neutral(used, v, expansion)
     return _readback_former(used, v, expansion)
 
 
@@ -1387,7 +1366,7 @@ def ds_binders(entries: tuple, make_var, pairings: tuple = ()):
     preceding entries (up to weakening)."""
     vars_, deps = [], []
     for idx, (_, u) in enumerate(entries):
-        lty = neutral_type(u) if isinstance(u, VNeutral) else None
+        lty = neutral_type(u) if isinstance(u, Neutral) else None
         ty, dep = match_later(lty, entries[:idx], vars_,
                               pairings=pairings) or (None, ())
         vars_.append(make_var(idx, ty))
@@ -1396,7 +1375,6 @@ def ds_binders(entries: tuple, make_var, pairings: tuple = ()):
 
 
 def readback_neutral(used: frozenset, ne: Neutral,
-                     ty: Optional[Value] = None,
                      expansion: Optional[dict] = None) -> Term:
     match ne:
         case NVar(name=x):
@@ -1408,7 +1386,7 @@ def readback_neutral(used: frozenset, ne: Neutral,
             tube_t = readback(used | {i}, act(tube, sub), None, expansion)
             return S.Comp(None, i, line_t, tube_t,
                           readback(used, b, None, expansion))
-        case NDFix(clock=r, closure=c):
+        case NDFix(clock=r, closure=c, type=ty):
             x = fresh_name(_preferred_name(c, "x"), used)
             node = S.DFix(None, r, x, readback(
                 used | {x}, c.apply(neutral_var(x)), None, expansion))

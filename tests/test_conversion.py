@@ -285,13 +285,34 @@ def test_dependencies_paired_through_an_exchange_of_identical_bindings():
 def test_flexible_probe_has_no_support_of_its_own():
     # its pairing state holds both sides' values, which the action does
     # not walk, and nothing substitutes for its name
-    from gctt.eval import VNeutral, support
+    from gctt.eval import support
 
     p_at_i = ev("p @ i", {"p": neutral_var("p"), "i": IVar("i")})
     side = VNext((("x", p_at_i),), ValueClosure(VNat()))
-    flex = conversion._NFlex("?v", conversion._Pairing((), side, side),
+    flex = conversion._NFlex("?v", None, conversion._Pairing((), side, side),
                              0)
-    assert support(side) == {"i", "p"} and support(VNeutral(flex)) == set()
+    assert support(side) == {"i", "p"} and support(flex) == set()
+
+
+def test_acting_on_a_flexible_probe_rebuilds_it_with_its_type_acted_on():
+    """A class with no builder of its own, declared outside `gctt.eval`, is
+    rebuilt by the action as its own class: the probe keeps its name,
+    pairing and index, and only its type is acted on."""
+    from gctt.eval import VZero, act, support
+    from gctt.interval import ONE
+
+    p = neutral_var("p", ev("Path U N N", {}))
+    side = VNext((), ValueClosure(VNat()))
+    pairing = conversion._Pairing((), side, side)
+    flex = conversion._NFlex("?v", ev("p @ i", {"p": p, "i": IVar("i")}),
+                             pairing, 3)
+    assert support(flex) == {"i", "p"}
+    acted = act(flex, {"i": ONE})
+    assert type(acted) is conversion._NFlex and acted is not flex
+    assert (acted.name, acted.pairing, acted.index) == ("?v", pairing, 3)
+    assert acted.type is VNat() and support(acted) == frozenset()
+    assert "?v" not in support(acted) | support(flex)
+    assert act(flex, {"?v": VZero()}) is flex  # nothing substitutes for it
 
 
 def test_later_conversion_agrees_with_readback_on_corpus(corpus_dir,
@@ -432,7 +453,7 @@ def test_closures_over_equal_body_terms_convert_without_applying_them(src):
     each captured over variables of one name that are distinct objects."""
     env = alike_env()
     a = eval_term(dict(env), parse_term(src))
-    b = eval_term({x: neutral_var(v.neutral.name, v.type)
+    b = eval_term({x: neutral_var(v.name, v.type)
                    for x, v in env.items()}, parse_term(src))
     assert converts_within_20_steps(a, b)
 
@@ -458,7 +479,7 @@ def test_arrow_types_over_differently_named_binders_are_alike():
 def test_probes_compositions_and_host_closures_are_alike_only_to_themselves():
     """A flexible probe of a later comparison, a stuck composition and a
     host closure never make two closures alike, however they are built."""
-    from gctt.eval import NComp, TermClosure, VLam, VNeutral, VSystem, VZero
+    from gctt.eval import NComp, TermClosure, VLam, VSystem, VZero
 
     side = VNext((), ValueClosure(VNat()))
     pairing = conversion._Pairing((), side, side)
@@ -466,9 +487,8 @@ def test_probes_compositions_and_host_closures_are_alike_only_to_themselves():
     def identity(x):
         return x
 
-    pairs = [[VNeutral(conversion._NFlex("?v", pairing, 0)) for _ in "ab"],
-             [VNeutral(NComp("k", VNat(), VSystem(()), VZero()))
-              for _ in "ab"],
+    pairs = [[conversion._NFlex("?v", None, pairing, 0) for _ in "ab"],
+             [NComp("k", VNat(), VSystem(()), VZero()) for _ in "ab"],
              [VLam(FnClosure(identity)) for _ in "ab"]]
     body = parse_term("g x u")
     for u, v in pairs:

@@ -20,7 +20,6 @@ from gctt.eval import (
     VLam,
     VLaterT,
     VNat,
-    VNeutral,
     VNext,
     VPair,
     VPathT,
@@ -125,7 +124,7 @@ def test_papp_endpoints_from_neutral_type():
     assert papp_v(q, ZERO) is a
     assert papp_v(q, ONE) is b
     stuck = papp_v(q, IVar("i"))
-    assert isinstance(stuck, VNeutral)
+    assert isinstance(stuck, E.NPApp)
 
 
 def test_papp_canonicalizes_argument():
@@ -195,7 +194,8 @@ def test_act_substitutes_a_value_for_a_variable():
     assert act(v, {"g": VZero()}) is v
     x = neutral_var("x", neutral_var("A"))
     acted = act(x, {"A": VNat()})
-    assert acted.neutral is x.neutral and acted.type is VNat()
+    assert type(acted) is E.NVar and acted.name == "x"
+    assert acted.type is VNat() and x.type.name == "A"
 
 
 def test_substituting_the_argument_is_applying_the_lambda_on_corpus(
@@ -227,10 +227,10 @@ def test_substituting_the_argument_is_applying_the_lambda_on_corpus(
     moved = 0
     for c, a in applied.values():
         x = probe_var()
-        by_substitution = act(c.apply(x), {x.neutral.name: a})
+        by_substitution = act(c.apply(x), {x.name: a})
         by_evaluation = c.apply(a)
         names = support(by_substitution) | support(by_evaluation) | support(a)
-        assert x.neutral.name not in names
+        assert x.name not in names
         assert (S.alpha_canonical(readback(names, by_substitution))
                 == S.alpha_canonical(readback(names, by_evaluation)))
         moved += not c.constant()
@@ -265,14 +265,14 @@ def test_comp_nat_neutral_sticks():
     n = neutral_var("n", VNat())
     k = fresh_iname()
     got = comp_v(k, VNat(), make_system([]), n)
-    assert isinstance(got, VNeutral) and isinstance(got.neutral, NComp)
+    assert isinstance(got, NComp)
 
 
 def test_comp_at_later_is_stuck():
     later = VLaterT((), ValueClosure(VNat()))
     k = fresh_iname()
     got = comp_v(k, later, make_system([]), ev("next 0"))
-    assert isinstance(got, VNeutral) and isinstance(got.neutral, NComp)
+    assert isinstance(got, NComp)
 
 
 def test_comp_pi_degenerate_is_pointwise_identity():
@@ -344,7 +344,7 @@ def test_a_constant_closure_leaves_its_parameter_unbound():
         raise AssertionError("a constant closure's argument was evaluated")
 
     v = closure.apply_lazy(no_argument)
-    assert isinstance(v, VNeutral) and E.neutral_type(v) is None
+    assert isinstance(v, E.NDFix) and E.neutral_type(v) is None
     path = E.neutral_type(closure.apply(VZero())).body.apply()
     assert E.path_end(path, 0) is VZero() and E.path_end(path, 1) is VZero()
 
@@ -408,8 +408,8 @@ def test_comp_univ_empty_tube_is_glue_over_base():
 def test_comp_univ_neutral_tube_sticks():
     d = neutral_var("D", None)
     k = fresh_iname()
-    got = comp_v(k, VNeutral(d.neutral, None), make_system([]), d)
-    assert isinstance(got, VNeutral)
+    got = comp_v(k, d, make_system([]), d)
+    assert isinstance(got, NComp)
 
 
 def test_comp_univ_roundtrip_of_numeral():
@@ -646,7 +646,7 @@ def _node_classes():
 def _interval_cases():
     """Per class, per field that can hold an interval name: a node with i
     in that field only (for a system, also one with i in a clause)."""
-    p_at_i = VNeutral(E.NPApp(neutral_var("p"), IVar("i")))  # support {i}
+    p_at_i = E.NPApp(neutral_var("p"), IVar("i"))  # support {i}
     clo = ValueClosure(p_at_i)
     n, m = VNat(), neutral_var("m")
     const = ValueClosure(n)
@@ -677,26 +677,25 @@ def _interval_cases():
         E.VSuc: {"pred": VSuc(p_at_i)},
         E.VSystem: {"branches": sys_j0,
                     "clauses": sys_i1},
-        E.VNeutral: {"neutral": p_at_i, "type": VNeutral(E.NVar("x"), p_at_i)},
-        E.NVar: {},
-        E.NApp: {"fn": VNeutral(E.NApp(p_at_i, n)),
-                 "arg": VNeutral(E.NApp(m, p_at_i))},
-        E.NPApp: {"fn": VNeutral(E.NPApp(p_at_i, ZERO)), "arg": p_at_i},
-        E.NFst: {"pair": VNeutral(E.NFst(p_at_i))},
-        E.NSnd: {"pair": VNeutral(E.NSnd(p_at_i))},
+        E.NVar: {"type": E.NVar("x", p_at_i)},
+        E.NApp: {"fn": E.NApp(p_at_i, n), "arg": E.NApp(m, p_at_i)},
+        E.NPApp: {"fn": E.NPApp(p_at_i, ZERO), "arg": p_at_i},
+        E.NFst: {"pair": E.NFst(p_at_i)},
+        E.NSnd: {"pair": E.NSnd(p_at_i)},
         E.NNatRec: {
-            "motive": VNeutral(E.NNatRec(p_at_i, n, n, m)),
-            "base": VNeutral(E.NNatRec(m, p_at_i, n, m)),
-            "step": VNeutral(E.NNatRec(m, n, p_at_i, m)),
-            "scrutinee": VNeutral(E.NNatRec(m, n, n, p_at_i)),
+            "motive": E.NNatRec(p_at_i, n, n, m),
+            "base": E.NNatRec(m, p_at_i, n, m),
+            "step": E.NNatRec(m, n, p_at_i, m),
+            "scrutinee": E.NNatRec(m, n, n, p_at_i),
         },
-        E.NUnglue: {"arg": VNeutral(E.NUnglue(p_at_i))},
-        E.NComp: {"line": VNeutral(NComp("k", p_at_i, VSystem(()), n)),
-                  "tube": VNeutral(NComp("k", m, sys_j0, n)),
-                  "clauses": VNeutral(NComp("k", m, sys_i1, n)),
-                  "base": VNeutral(NComp("k", m, VSystem(()), p_at_i))},
-        E.NDFix: {"clock": VNeutral(E.NDFix(IVar("i"), const)),
-                  "closure": VNeutral(E.NDFix(ZERO, clo))},
+        E.NUnglue: {"arg": E.NUnglue(p_at_i)},
+        E.NComp: {"line": NComp("k", p_at_i, VSystem(()), n),
+                  "tube": NComp("k", m, sys_j0, n),
+                  "clauses": NComp("k", m, sys_i1, n),
+                  "base": NComp("k", m, VSystem(()), p_at_i)},
+        E.NDFix: {"clock": E.NDFix(IVar("i"), const, None),
+                  "closure": E.NDFix(ZERO, clo, None),
+                  "type": E.NDFix(ZERO, const, p_at_i)},
         E.TermClosure: {
             "env": E.TermClosure({"x": p_at_i, "k": IVar("i")}, ("y",),
                                  S.Var(name="x")),
@@ -772,15 +771,15 @@ def test_compiled_code_looks_its_callees_up_when_it_runs(monkeypatch):
     app = plain_eval(env, parse_term("f a"))
     pair = plain_eval(env, parse_term("(f, a)"))
     assert calls == [S.Var(name="f"), S.Var(name="a")] * 2
-    assert (app.neutral.fn, app.neutral.arg) == (marked, marked)
+    assert (app.fn, app.arg) == (marked, marked)
     assert (pair.fst, pair.snd) == (marked, marked)
-    p_at_i, n = VNeutral(E.NPApp(neutral_var("p"), IVar("i"))), VNat()
+    p_at_i, n = E.NPApp(neutral_var("p"), IVar("i")), VNat()
     calls.clear()
     pair = plain_act(VPair(p_at_i, n), {"i": ZERO})
-    app = plain_act(VNeutral(E.NApp(env["f"], p_at_i)), {"i": ZERO})
+    app = plain_act(E.NApp(env["f"], p_at_i), {"i": ZERO})
     assert calls == [p_at_i, n, env["f"], p_at_i]
     assert (pair.fst, pair.snd) == (marked, marked)
-    assert (app.neutral.fn, app.neutral.arg) == (marked, marked)
+    assert (app.fn, app.arg) == (marked, marked)
 
 
 def test_the_values_without_fields_are_shared():
@@ -789,7 +788,7 @@ def test_the_values_without_fields_are_shared():
     assert eval_term({}, S.Nat()) is VNat()
     assert eval_term({}, S.Zero()) is VZero()
     assert eval_term({}, S.Univ()) is E.VUniv()
-    p_at_i = VNeutral(E.NPApp(neutral_var("p"), IVar("i")))
+    p_at_i = E.NPApp(neutral_var("p"), IVar("i"))
     acted = act(VPair(p_at_i, VZero()), {"i": ZERO})
     assert acted.snd is VZero() and act(VNat(), {"i": ZERO}) is VNat()
 

@@ -31,7 +31,6 @@ from gctt.eval import (
     VLam,
     VLaterT,
     VNat,
-    VNeutral,
     VPathT,
     VPi,
     VSigma,
@@ -137,14 +136,14 @@ def test_an_eliminator_derives_its_type_only_when_it_is_read(cls,
     monkeypatch.setattr(E, "line_at",
                         lambda *args: lines.append(args) or line_at(*args))
     v, expected, args = ELIMINATORS[cls](calls)
-    assert isinstance(v, VNeutral) and type(v.neutral) is cls
-    assert v.type is None and calls == [] and lines == []
+    assert type(v) is cls
+    assert v._type is None and calls == [] and lines == []
     assert neutral_type(v) is expected
     assert neutral_type(v) is expected  # memoized: nothing runs again
     if cls is NSnd:  # the family applied to the first projection
         (arg,), = calls
-        assert isinstance(arg.neutral, NFst)
-        assert arg.neutral.pair is v.neutral.pair
+        assert isinstance(arg, NFst)
+        assert arg.pair is v.pair
     else:
         assert calls == args
     assert len(lines) == (cls is NComp)
@@ -194,7 +193,7 @@ def test_a_fixed_point_type_counts_in_the_support():
     E.register_dfix_type(node, frozenset({"p", "i"}), VLaterT(
         (), ValueClosure(papp_v(p, IVar("i")))))
     v = eval_term({"p": p, "i": IVar("i")}, node)
-    assert support(v.neutral) == frozenset()
+    assert support(v.closure) == frozenset()
     assert support(v) == {"i", "p", "a", "b"}
     acted = act(v, {"i": ZERO})
     assert _printed(neutral_type(acted)) == "|> a"
@@ -227,14 +226,18 @@ def test_a_fixed_point_keeps_the_registration_it_was_evaluated_under():
 
 
 def _neutrals_built_checking(paths, monkeypatch):
-    built = []
-    init = VNeutral.__init__
+    built, stack = [], [E.Neutral]
 
-    def recording(self, *args):
-        init(self, *args)
-        built.append(self)
+    def recording(init):
+        def record(self, *args):
+            init(self, *args)
+            built.append(self)
+        return record
 
-    monkeypatch.setattr(VNeutral, "__init__", recording)
+    while stack:  # every stuck value class, a probe's included
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            monkeypatch.setattr(cls, "__init__", recording(cls.__init__))
     for path in paths:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["check", str(path)]) == 0, path
@@ -307,7 +310,7 @@ def test_a_derived_type_has_no_name_of_its_own_and_commutes_with_act(
         for r in (ZERO, ONE):
             sub = {min(free): r}
             acted = act(v, sub)
-            if not isinstance(acted, VNeutral):
+            if not isinstance(acted, E.Neutral):
                 continue  # it unstuck
             acted_ty = neutral_type(acted)
             assert acted_ty is not None, v

@@ -3,7 +3,6 @@ built from its declaration, and the memo slots."""
 
 from gctt.eval import (
     NPApp,
-    VNeutral,
     VPair,
     VZero,
     neutral_var,
@@ -58,12 +57,16 @@ def test_a_record_is_built_from_its_declaration():
     assert Var(name="x") == Var(None, "x") and Var(name="x").span is None
     assert Lam(None).binder == "" and Lam(None).body is None
     v = neutral_var("p")
-    assert v.type is None and v.field_values == (v.neutral, None)
-    assert repr(v) == "VNeutral(neutral=NVar(name='p'), type=None)"
+    assert v.type is None and v.field_values == ("p", None)
+    assert repr(v) == "NVar(name='p', type=None)"
+    w = NPApp(v, IVar("i"))
+    assert w.field_values == (v, IVar("i")) and not hasattr(w, "type")
+    assert repr(w) == ("NPApp(fn=NVar(name='p', type=None),"
+                       " arg=IVar(name='i'))")
 
 
 def test_support_and_free_names_return_their_memo():
-    v = VNeutral(NPApp(neutral_var("p"), IVar("i")))
+    v = NPApp(neutral_var("p"), IVar("i"))
     assert v._support is None
     s = support(v)
     assert s == {"i", "p"} and support(v) is s and v._support is s
