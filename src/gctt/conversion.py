@@ -9,14 +9,17 @@ the enclosing later comparisons travel with the call, innermost last
 (`pairings`); a comparison started afresh passes `()`.  Equality under a
 face restriction is checked clause by clause.
 
+Two declarations' applications (`VDef`) are compared by head before they
+are unfolded, the one defined later first (`_conv_heads`).
+
 Two sides built alike are equal at once (`_same_captured`): one object,
-or lambdas, variables or delayed fixed points alike.  Closures are alike
-(`_same_closure`) over the same binders, structurally equal body terms and
-captured values alike; they are then equal without applying them to a
-probe, for lambdas, codomains, path endpoints, delayed fixed points and the
-bodies and bindings of later values.  Only closures are entered, never a
-whole value, and a flexible probe, a stuck composition or a host closure is
-alike only to itself.
+or lambdas, variables, delayed fixed points or declarations' applications
+alike.  Closures are alike (`_same_closure`) over the same binders,
+structurally equal body terms and captured values alike; they are then
+equal without applying them to a probe, for lambdas, codomains, path
+endpoints, delayed fixed points and the bodies and bindings of later
+values.  Only closures are entered, never a whole value, and a flexible
+probe, a stuck composition or a host closure is alike only to itself.
 """
 
 from __future__ import annotations
@@ -56,10 +59,12 @@ from .eval import (
     VUniv,
     Value,
     ValueClosure,
+    VDef,
     act,
     apply_v,
     canon_later_value,
     ds_binders,
+    force,
     fresh_iname,
     fst_v,
     neutral_type,
@@ -68,6 +73,7 @@ from .eval import (
     probe_var,
     snd_v,
     tube_face,
+    unfold,
     unglue_v,
 )
 from .syntax import same_term
@@ -82,7 +88,13 @@ def conv(pairings: tuple, a: Value, b: Value,
     FUEL.tick()
     if _same_captured(a, b):
         return True
-    match ty:
+    if type(a) is VDef or type(b) is VDef:
+        if _conv_heads(pairings, a, b):
+            return True
+        a, b = force(a), force(b)
+        if _same_captured(a, b):
+            return True
+    match force(ty):
         case VPi(domain=d, codomain=c):
             x = probe_var(d)
             return conv(pairings, apply_v(a, x), apply_v(b, x), c.apply(x))
@@ -103,6 +115,26 @@ def conv(pairings: tuple, a: Value, b: Value,
                 clauses.update(cl for cl, _ in v.branches)
         return _conv_clauses(pairings, sorted(clauses, key=sorted), a, b, ty)
     return _conv_structural(pairings, a, b)
+
+
+def _conv_heads(pairings: tuple, a: Value, b: Value) -> bool:
+    """While both sides are declarations' applications (`VDef`): with one
+    head and arity, equal if the arguments are, else both unfold, the
+    pairings made undone; else the side at the higher level unfolds (both,
+    at one level).  False: compare the forced sides."""
+    while type(a) is VDef and type(b) is VDef:
+        if a.base is b.base and len(a.args) == len(b.args):
+            sizes = [len(st.pairs) for st in pairings]
+            if all(conv(pairings, x, y) for x, y in zip(a.args, b.args)):
+                return True
+            _undo_pairings(pairings, sizes)
+            a, b = unfold(a), unfold(b)
+        else:
+            la, lb = a.level, b.level
+            a, b = unfold(a) if la >= lb else a, unfold(b) if lb >= la else b
+        if _same_captured(a, b):
+            return True
+    return False
 
 
 def _conv_structural(pairings: tuple, a: Value, b: Value) -> bool:
@@ -188,8 +220,10 @@ def _conv_later(pairings: tuple, a: Value, b: Value) -> bool:
                      b.body.apply(*st.probes_b))
                 and _pair_dependencies(pairings, st))
     finally:
-        # probes that outlive the call in some value are plain variables
+        # probes that outlive the call in some value are plain variables,
+        # and no longer reach their pairing's other probes
         st.pairs, st.left = {}, {}
+        st.probes_b = st.deps_b = ()
 
 
 def _same_later(pairings: tuple, a: Value, b: Value) -> bool:
@@ -203,11 +237,18 @@ def _same_later(pairings: tuple, a: Value, b: Value) -> bool:
     sizes = [len(st.pairs) for st in pairings]
     same = all(_same_captured(u, v) or conv(pairings, u, v)
                for (_, u), (_, v) in zip(a.entries, b.entries))
+    return not _undo_pairings(pairings, sizes) and same
+
+
+def _undo_pairings(pairings: tuple, sizes: list) -> bool:
+    """Undo the pairings made in each enclosing later comparison since it
+    had as many as `sizes` says; whether there were any."""
+    undone = False
     for st, n in zip(pairings, sizes):
         while len(st.pairs) > n:
-            same = False
+            undone = True
             st.taken.discard(st.pairs.popitem()[1])
-    return same
+    return undone
 
 
 def _same_closure(c, d) -> bool:
@@ -252,6 +293,9 @@ def _same_captured(u, v) -> bool:
         return u.name == v.name
     if cls is NDFix:
         return u.clock == v.clock and _same_closure(u.closure, v.closure)
+    if cls is VDef:
+        return u.base is v.base and len(u.args) == len(v.args) and all(
+            map(_same_captured, u.args, v.args))
     return isinstance(u, IExpr) and u == v
 
 

@@ -14,6 +14,11 @@ becomes total).  A fixed point's registered type is instantiated so.  The
 walks over a node's fields (`support`, `act`) and the evaluators of the
 first-order term formers are compiled per class, on first use, from the
 kinds of its fields (`FIELD_KINDS`).
+
+Evaluation is glued: a declaration applied to arguments is one node
+(`VDef`), kept folded until something inspects the class of its value,
+which forces it first (`force`): the declaration's value is applied to
+the arguments (`unfold`) until the value is no such application.
 """
 
 from __future__ import annotations
@@ -241,6 +246,17 @@ class VSystem(Value):
     branches: tuple  # of (clause frozenset, Value valid under the clause)
 
 
+class VDef(Value, memos=("_unfolded",)):
+    """A top-level declaration applied to the arguments `args`, its spine,
+    which applying it extends (`apply_v`).  `base` is the declaration's
+    value, a closed lambda, so `support` and `act` reach only the spine,
+    and `level` its position in the checking order, imports first."""
+    name: str
+    level: int
+    args: tuple
+    base: Closed
+
+
 class Neutral(Value, memos=("_type",)):
     """A stuck value, one node: a variable, a delayed fixed point, or an
     eliminator or composition stuck on one.  A variable or fixed point
@@ -392,6 +408,7 @@ FIELD_KINDS = {
     "Term": (None, "{0}", "eval_term(env, {0})"), "Optional[Term]": (
         None, "{0}", "(None if {0} is None else eval_term(env, {0}))"),
     "tuple": _CONTAINER, "dict": _CONTAINER, "str": _OPAQUE, "int": _OPAQUE,
+    "Closed": _OPAQUE,  # a closed value: no name to act on
     "Callable": _OPAQUE, "_Pairing": _OPAQUE, "Optional[Span]": _OPAQUE}
 
 
@@ -532,14 +549,17 @@ FUEL = _Fuel()
 
 
 def apply_v(fn: Value, arg: Value) -> Value:
+    """A lambda's closure applied, or a declaration's spine extended, each
+    through the β memo: equal applications in a declaration are one value."""
     match fn:
-        case VLam(closure=c):
+        case VLam() | VDef():
             memo = FUEL.memo
-            if memo is None:
-                return c.apply(arg)
-            res = memo.get((fn, arg))
+            res = None if memo is None else memo.get((fn, arg))
             if res is None:
-                res = memo[fn, arg] = c.apply(arg)
+                res = (fn.closure.apply(arg) if type(fn) is VLam else
+                       VDef(fn.name, fn.level, fn.args + (arg,), fn.base))
+                if memo is not None:
+                    memo[fn, arg] = res
             return res
         case VSystem():
             return _by_branch(apply_v, (fn, arg))
@@ -548,8 +568,33 @@ def apply_v(fn: Value, arg: Value) -> Value:
     raise TypeError(f"cannot apply {fn!r}")
 
 
+def unfold(v: VDef) -> Value:
+    """One step of a declaration's application: its value applied to the
+    spine, memoized in the `_unfolded` slot.  It may be another
+    declaration's application."""
+    res = v._unfolded
+    if res is None:
+        res = v._unfolded = reduce(apply_v, v.args, v.base)
+    return res
+
+
+def declared(name: str, level: int, value: Value) -> Value:
+    """A declaration's value as its name is bound in scope: a lambda as its
+    application to no argument (`VDef`), any other value as it is."""
+    return VDef(name, level, (), value) if type(value) is VLam else value
+
+
+def force(v):
+    """`v` unfolded until it is no declaration's application, so that its
+    class can be inspected; anything else, None included, as it is."""
+    while type(v) is VDef:
+        v = unfold(v)
+    return v
+
+
 def papp_v(fn: Value, arg: IExpr) -> Value:
     r = dm_canonical(arg)
+    fn = force(fn)
     match fn:
         case VPLam(closure=c):
             return c.apply(r)
@@ -574,6 +619,7 @@ def path_end(ty: VPathT, end: int) -> Value:
 
 
 def fst_v(pair: Value) -> Value:
+    pair = force(pair)
     match pair:
         case VPair(fst=a):
             return a
@@ -585,6 +631,7 @@ def fst_v(pair: Value) -> Value:
 
 
 def snd_v(pair: Value) -> Value:
+    pair = force(pair)
     match pair:
         case VPair(snd=b):
             return b
@@ -597,6 +644,7 @@ def snd_v(pair: Value) -> Value:
 
 def natrec_v(motive: Value, base: Value, step: Value,
              scrutinee: Value) -> Value:
+    scrutinee = force(scrutinee)
     match scrutinee:
         case VZero():
             return base
@@ -610,6 +658,7 @@ def natrec_v(motive: Value, base: Value, step: Value,
 
 
 def unglue_v(arg: Value) -> Value:
+    arg = force(arg)
     match arg:
         case VGlueIntro(base=a):
             return a
@@ -624,10 +673,10 @@ def neutral_type(v: Neutral) -> Optional[Value]:
     """The type of the stuck value `v`, None where it has none: a variable's
     or fixed point's given type, or else the one its eliminator's typing
     rule derives from its head's type (`_derived_type`).  It, or the lack of
-    one (`False`), is memoized in its `_type` slot."""
+    one (`False`), is memoized, forced (`force`), in its `_type` slot."""
     ty = v._type
     if ty is None:
-        ty = v._type = _derived_type(v) or False
+        ty = v._type = force(_derived_type(v)) or False
     return ty or None
 
 
@@ -869,6 +918,7 @@ def comp_v(binder: str, line: Value, tube: Value, base: Value) -> Value:
     mention the binder."""
     if not isinstance(tube, VSystem):
         return line_at(tube, binder, ONE)
+    line = force(line)
     args = (binder, line, tube, base)
     match line:
         case VPi():
@@ -951,7 +1001,7 @@ def comp_path(k, line, tube, base):
 
 
 def comp_nat(k, tube, base):
-    match base:
+    match force(base):
         case VZero():
             return VZero()
         case VSuc(pred=p):
@@ -964,7 +1014,7 @@ def comp_nat(k, tube, base):
 
 
 def _nat_pred(v: Value):
-    match v:
+    match force(v):
         case VSuc(pred=p):
             return p
         case VSystem(branches=bs):
@@ -1139,6 +1189,7 @@ def readback(used: frozenset, v: Value, ty: Optional[Value] = None,
              expansion: Optional[dict] = None) -> Term:
     """`v` read back over `used`, eta-long at `ty`; `expansion` maps the
     enclosing delayed-substitution binders to their expanded contents."""
+    v, ty = force(v), force(ty)
     match ty:
         case VSigma(first=d, second=c):
             a = fst_v(v)
@@ -1173,6 +1224,7 @@ def _preferred_name(x, default: str) -> str:
 
 def readback_value(used: frozenset, v: Value,
                    expansion: Optional[dict] = None) -> Term:
+    v = force(v)
     match v:
         case VPi(domain=d, codomain=c) | VSigma(first=d, second=c):
             x = fresh_name(_preferred_name(c, "x"), used)
@@ -1317,6 +1369,7 @@ def match_later(lty, entries, vars_, face: Face = FACE_TOP,
     against `entries`, both under `face`, and apply its body to the
     variables `vars_` of the matched entries.  Returns the body and the
     matched positions, or None."""
+    lty = force(lty)
     if not isinstance(lty, VLaterT):
         return None
     lty = canon_later_value(lty, face, pairings)
@@ -1331,6 +1384,7 @@ def match_next(u: Value, entries, face: Face = FACE_TOP,
     """Next-substitution of one binding: if its value u is `next ds' t` and
     ds' matches (under `face`) a subsequence of `entries`, the matched
     positions, at which the binding is inlined as t; else None."""
+    u = force(u)
     if not isinstance(u, VNext):
         return None
     return _match_ds_positions(u.entries, entries, face, pairings)
@@ -1343,10 +1397,12 @@ def canon_later_value(v: Value, face: Face = FACE_TOP,
     subsequence of the bindings kept before it.  One pass in order
     suffices: matching is greedy, so a binding that fails to match a prefix
     cannot match a subset of that prefix."""
+    v = force(v)
     if not isinstance(v, (VLaterT, VNext)) or not v.entries:
         return v
     kept, recipe = [], []
     for i, (_, u) in enumerate(v.entries):
+        u = force(u)
         pos = match_next(u, [v.entries[j] for j in kept], face, pairings)
         if pos is None:
             kept.append(i)
@@ -1366,6 +1422,7 @@ def ds_binders(entries: tuple, make_var, pairings: tuple = ()):
     preceding entries (up to weakening)."""
     vars_, deps = [], []
     for idx, (_, u) in enumerate(entries):
+        u = force(u)
         lty = neutral_type(u) if isinstance(u, Neutral) else None
         ty, dep = match_later(lty, entries[:idx], vars_,
                               pairings=pairings) or (None, ())

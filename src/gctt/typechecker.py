@@ -9,6 +9,7 @@ Checked modules elaborate to a table of type and body values.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from contextlib import contextmanager
 from types import MappingProxyType
@@ -34,8 +35,10 @@ from .eval import (
     apply_v,
     canon_later_value,
     capture,
+    declared,
     equiv_type_value,
     eval_term,
+    force,
     fresh_iname,
     fst_v,
     make_later,
@@ -180,7 +183,7 @@ class Checker:
                     return ctx.types[x]
                 raise GcttTypeError(t.span, "unbound", f"unbound variable {x}")
             case S.App(fn=f, arg=a):
-                fty = self.infer(ctx, f)
+                fty = force(self.infer(ctx, f))
                 if not isinstance(fty, VPi):
                     raise GcttTypeError(
                         t.span, "not-a-function",
@@ -189,7 +192,7 @@ class Checker:
                 self.check(ctx, a, fty.domain)
                 return fty.codomain.apply_lazy(lambda: eval_term(ctx.env, a))
             case S.PApp(fn=f, arg=r):
-                fty = self.infer(ctx, f)
+                fty = force(self.infer(ctx, f))
                 if not isinstance(fty, VPathT):
                     raise GcttTypeError(
                         t.span, "not-a-function",
@@ -198,7 +201,7 @@ class Checker:
                 self.check_interval(ctx, r, t.span)
                 return fty.space
             case S.Fst(pair=p) | S.Snd(pair=p):
-                pty = self.infer(ctx, p)
+                pty = force(self.infer(ctx, p))
                 if not isinstance(pty, VSigma):
                     raise GcttTypeError(t.span, "mismatch",
                                         "projection from a non-pair")
@@ -271,7 +274,7 @@ class Checker:
             case S.GlueT(face=phi, partial=p, equiv=e, base=b):
                 return self.check_glue_type(ctx, phi, p, e, b, t.span)
             case S.Unglue(arg=a):
-                aty = self.infer(ctx, a)
+                aty = force(self.infer(ctx, a))
                 if not isinstance(aty, VGlueT):
                     raise GcttTypeError(t.span, "mismatch",
                                         "unglue of a non-glue term")
@@ -322,6 +325,10 @@ class Checker:
             self._expected.pop()
 
     def _check(self, ctx: Ctx, t: Term, ty: Value):
+        # only an introduction form's rule reads the type's class
+        if isinstance(t, (S.Lam, S.Pair, S.PLam, S.Next, S.DFix,
+                          S.GlueIntro)):
+            ty = force(ty)
         match t:
             case S.Lam(binder=x, annotation=ann, body=b) if isinstance(ty, VPi):
                 if ann is not None:
@@ -445,7 +452,7 @@ class Checker:
         entries, binders, kept = [], [], []
         ctx2 = ctx
         for x, u in ds:
-            uty = self.infer(ctx, u)
+            uty = force(self.infer(ctx, u))
             if not isinstance(uty, VLaterT):
                 raise GcttTypeError(
                     span, "ds-ill-formed",
@@ -465,7 +472,7 @@ class Checker:
                 kept.append(len(entries))
                 ctx2, var = ctx2.bind_term(x, matched[0])
             else:
-                var = value.body.apply(*[binders[kept[p]] for p in pos])
+                var = force(value).body.apply(*[binders[kept[p]] for p in pos])
                 ctx2 = ctx2.define(x, matched[0], var)
             binders.append(var)
             entries.append((x, value))
@@ -550,11 +557,13 @@ class Checker:
             ctx = Ctx()
             table = {}
             reports = ()
+            levels = itertools.count()  # the checking order, imports first
             for imported in imports:
                 for name, (ty, val) in imported.table.items():
                     if name not in table:
                         table[name] = (ty, val)
-                        ctx = ctx.define(name, ty, val)
+                        ctx = ctx.define(name, ty,
+                                         declared(name, next(levels), val))
             order = {}  # the declared names, in order
             for decl in module.declarations:
                 if decl.name in order:
@@ -571,7 +580,8 @@ class Checker:
                 if decl.name in ctx.env:  # the declaration hides an import
                     ctx = Ctx({k: v for k, v in ctx.env.items()
                                if k != decl.name}, ctx.types, ctx.face)
-                ctx = ctx.define(decl.name, ty, value)
+                ctx = ctx.define(decl.name, ty,
+                                 declared(decl.name, next(levels), value))
                 table[decl.name] = (ty, value)
                 order[decl.name] = None
                 millis = (time.monotonic() - start) * 1000.0

@@ -473,8 +473,10 @@ def test_zero_fuel_allows_no_conversion_step(capsys):
 def test_zipwith_checks_within_a_fuel_bound(capsys, corpus_dir):
     # a deterministic work bound: comparing closures built alike without
     # applying them takes zipwith from 2087 conversion steps to 865,
-    # evaluating each application once per declaration to 557, and sharing
-    # the values without fields to 541
+    # evaluating each application once per declaration to 557, sharing
+    # the values without fields to 541, and, at the least `--fuel` that
+    # passes, keeping declarations' applications folded and comparing them
+    # by head from 435 to 326
     code, out, err = run(capsys, "check", "--fuel", "1200",
                          str(corpus_dir / "zipwith.gctt"))
     assert (code, err) == (0, "") and "ok" in out

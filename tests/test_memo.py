@@ -8,13 +8,17 @@ counting rather than leaving a cycle for the garbage collector.
 """
 
 import gc
+import sys
+from pathlib import Path
 
 import pytest
 
 import gctt.eval as E
-import gctt.syntax as S
 from gctt.cli import main
 from gctt.parser import parse_module
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -40,9 +44,10 @@ d2 : gStr A -> gStr A = \\s -> s
 def test_a_declaration_evaluates_an_application_once(capsys, monkeypatch,
                                                      tmp_path):
     """Each evaluation of `gStr A` (in `d1` and `d2`: the only applications
-    of a lambda whose body is a `fix`) is recorded with the memo it ran
-    under. Within one declaration they give one object, so conversion
-    stops at its `a is b` test; two declarations give two objects."""
+    of `gStr`) is recorded with the memo it ran under. Within one
+    declaration they give one object, `gStr`'s application kept folded
+    (`VDef`), so conversion stops at its `a is b` test and whatever unfolds
+    it unfolds it once; two declarations give two objects."""
     path = tmp_path / "twice.gctt"
     path.write_text(TWICE, encoding="utf-8")
     seen = []
@@ -50,7 +55,7 @@ def test_a_declaration_evaluates_an_application_once(capsys, monkeypatch,
 
     def recording(fn, arg):
         res = apply_v(fn, arg)
-        if isinstance(fn, E.VLam) and isinstance(fn.closure.body, S.Fix):
+        if isinstance(fn, E.VDef) and fn.name == "gStr":
             seen.append((E.FUEL.memo, res))
         return res
 
@@ -59,7 +64,7 @@ def test_a_declaration_evaluates_an_application_once(capsys, monkeypatch,
     assert (code, err) == (0, "")
     first = []  # (memo, the first value evaluated under it)
     for memo, res in seen:
-        assert memo is not None
+        assert memo is not None and isinstance(res, E.VDef)
         if not any(m is memo for m, _ in first):
             first.append((memo, res))
         assert next(r for m, r in first if m is memo) is res
@@ -75,21 +80,30 @@ def test_no_memo_outlives_a_check(capsys, corpus_dir, name):
     assert E.FUEL.memo is None
 
 
-def test_a_check_leaves_little_cyclic_garbage(capsys, corpus_dir):
+def test_a_check_leaves_little_cyclic_garbage(capsys, corpus_dir, tmp_path):
     """The values a check builds are freed by reference counting when its
-    memo is dropped. One zipwith check leaves 2055 objects for the cyclic
-    collector (a memo kept on each lambda's closure left 6939)."""
-    path = str(corpus_dir / "zipwith.gctt")
-    run(capsys, "check", path)  # warm up the caches that live on nodes
-    gc.collect()
-    gc.disable()
-    try:
-        code, _, _ = run(capsys, "check", path)
-        left = gc.collect()
-    finally:
-        gc.enable()
-    assert code == 0
-    assert left <= 3000
+    memo is dropped: a check of a positive corpus module or of a positive
+    `guarded` module of seed 1 leaves no object for the cyclic collector.
+    A memo kept on each lambda's closure left 6939 after zipwith, and the
+    probes of later comparisons, each of which kept its pairing and through
+    it the other probes alive, 1630."""
+    root = tmp_path / "guarded1"
+    items = workloads.generate("guarded", 1, root)
+    paths = sorted(corpus_dir.glob("*.gctt")) + [
+        root / item["argv"][1] for item in items
+        if item["expect"]["exit"] == 0]
+    left = {}
+    for path in paths:
+        run(capsys, "check", str(path))  # warm up the caches on nodes
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, _ = run(capsys, "check", str(path))
+            left[path.name] = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0, path
+    assert len(left) == 12 and set(left.values()) == {0}, left
 
 
 def _outputs(corpus_dir, capsys) -> list:

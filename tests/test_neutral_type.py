@@ -268,25 +268,34 @@ def _bound_and_variables(x, seen=None) -> tuple:
     return bound, variables
 
 
-# a line of function types: its domain's variable has a type with a name
+# lines of function types: the domain's variable of one has a type with a
+# name, and the stuck compositions of a round trip along one have types
+# that mention the name `k` bound outside their lines
 TRANSPORT = """module transport where
 
 transportFn : (A : U) -> (P : Path U A A) -> ((x : A) -> A) -> (x : A) -> A
   = \\A P f -> transp i ((x : P @ i) -> P @ i) f
+
+fnRoundtrip : (A : U) -> (P : Path U A A) -> (f : A -> A)
+  -> Path (A -> A) f (transp j ((_ : P @ -j) -> P @ -j)
+                        (transp i ((_ : P @ i) -> P @ i) f))
+  = \\A P f -> <k> comp j ((_ : P @ (k /\\ -j)) -> P @ (k /\\ -j))
+                  [ (k=0) -> f ]
+      (comp i ((_ : P @ (k /\\ i)) -> P @ (k /\\ i)) [ (k=0) -> f ] f)
 """
 
 
 def test_a_derived_type_has_no_name_of_its_own_and_commutes_with_act(
         corpus_dir, tmp_path, monkeypatch):
     """For every stuck value built while checking the positive corpus, the
-    generated `guarded` modules of seeds 1 and 2 and a transport along a
-    line of function types: its type's names are among its own, but for the binders of
+    generated `guarded` modules of seeds 1 to 3 and transports along
+    lines of function types: its type's names are among its own, but for the binders of
     stuck compositions in the type (drawn while deriving it, and bound
     there), so `act` may return it untouched when none of its names is
     substituted; and the type of the acted value is the acted type, for a
     substitution of one of its free interval names by each endpoint."""
     paths = sorted(corpus_dir.glob("*.gctt"))
-    for seed in (1, 2):
+    for seed in (1, 2, 3):
         workloads.generate("guarded", seed, tmp_path / f"guarded{seed}")
         paths += [tmp_path / f"guarded{seed}" / f"zipwith{k}.gctt"
                   for k in workloads.GUARDED_ARITIES]

@@ -275,7 +275,8 @@ def test_every_node_class_is_slotted():
 # the function that memoizes each memo slot, the only one that writes it
 MEMO_WRITERS = {"_support": "support", "_free_names": "free_names",
                 "_captured": "capture", "_dfix_type": "register_dfix_type",
-                "_type": "neutral_type", "_ends": "path_end"}
+                "_type": "neutral_type", "_ends": "path_end",
+                "_unfolded": "unfold"}
 
 
 def _attribute_writes(tree):
