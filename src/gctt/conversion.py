@@ -10,7 +10,9 @@ the enclosing later comparisons travel with the call, innermost last
 face restriction is checked clause by clause.
 
 Two declarations' applications (`VDef`) are compared by head before they
-are unfolded, the one defined later first (`_conv_heads`).
+are unfolded, the one defined later first (`_conv_heads`); a failed
+comparison with such an application is remembered, with the pairings it
+started from (`_conv_defs`).
 
 Two sides built alike are equal at once (`_same_captured`): one object,
 or lambdas, variables, delayed fixed points or declarations' applications
@@ -89,11 +91,34 @@ def conv(pairings: tuple, a: Value, b: Value,
     if _same_captured(a, b):
         return True
     if type(a) is VDef or type(b) is VDef:
-        if _conv_heads(pairings, a, b):
-            return True
-        a, b = force(a), force(b)
-        if _same_captured(a, b):
-            return True
+        return _conv_defs(pairings, a, b, ty)
+    return _conv_typed(pairings, a, b, ty)
+
+
+def _conv_defs(pairings: tuple, a: Value, b: Value, ty) -> bool:
+    """By head first (`_conv_heads`), then forced.  Unfolding applications
+    whose arguments disagree meets those arguments again, so a failure that
+    leaves the pairings as it found them is remembered with them
+    (`FUEL.unequal`): from those pairings, it fails again at once."""
+    failed, key = FUEL.unequal, (a, b, ty, pairings, _paired(pairings))
+    if failed is not None and key in failed:
+        return False
+    if _conv_heads(pairings, a, b):
+        return True
+    a, b = force(a), force(b)
+    if _same_captured(a, b) or _conv_typed(pairings, a, b, ty):
+        return True
+    if failed is not None and key[-1] == _paired(pairings):
+        failed.add(key)
+    return False
+
+
+def _paired(pairings: tuple) -> tuple:
+    """The pairs each enclosing later comparison has made, in order."""
+    return tuple(tuple(st.pairs.items()) for st in pairings)
+
+
+def _conv_typed(pairings: tuple, a: Value, b: Value, ty) -> bool:
     match force(ty):
         case VPi(domain=d, codomain=c):
             x = probe_var(d)

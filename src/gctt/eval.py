@@ -251,7 +251,6 @@ class VDef(Value, memos=("_unfolded",)):
     which applying it extends (`apply_v`).  `base` is the declaration's
     value, a closed lambda, so `support` and `act` reach only the spine,
     and `level` its position in the checking order, imports first."""
-    name: str
     level: int
     args: tuple
     base: Closed
@@ -526,13 +525,15 @@ class FuelExhausted(Exception):
 class _Fuel:
     """The conversion steps a check has left, and its β-reduction memo
     (`apply_v`), None outside a check. Owned by the check, not the closure
-    (which would close a cycle through it), it is freed by refcounting.
+    (which would close a cycle through it), it is freed by refcounting,
+    as is `unequal`, the failed comparisons `conversion.conv` remembers.
     `names` numbers the internal names (`fresh_iname`, `probe_var`); it is
     never reset, since an imported module's values outlive its check."""
 
     def __init__(self):
         self.remaining: Optional[int] = None
         self.memo: Optional[dict] = None
+        self.unequal: Optional[set] = None
         self.names = itertools.count()
 
     def set(self, limit: Optional[int]):
@@ -557,7 +558,7 @@ def apply_v(fn: Value, arg: Value) -> Value:
             res = None if memo is None else memo.get((fn, arg))
             if res is None:
                 res = (fn.closure.apply(arg) if type(fn) is VLam else
-                       VDef(fn.name, fn.level, fn.args + (arg,), fn.base))
+                       VDef(fn.level, fn.args + (arg,), fn.base))
                 if memo is not None:
                     memo[fn, arg] = res
             return res
@@ -578,10 +579,10 @@ def unfold(v: VDef) -> Value:
     return res
 
 
-def declared(name: str, level: int, value: Value) -> Value:
+def declared(level: int, value: Value) -> Value:
     """A declaration's value as its name is bound in scope: a lambda as its
     application to no argument (`VDef`), any other value as it is."""
-    return VDef(name, level, (), value) if type(value) is VLam else value
+    return VDef(level, (), value) if type(value) is VLam else value
 
 
 def force(v):

@@ -225,7 +225,7 @@ class Checker:
                 return VNat()
             case S.NatRec(motive=m, base=z, step=s, scrutinee=n):
                 self.check(ctx, m, _NATREC_MOTIVE)
-                mv = eval_term(ctx.env, m)
+                mv = force(eval_term(ctx.env, m))
                 self.check(ctx, z, apply_v(mv, VZero()))
                 self.check(ctx, s, _NATREC_STEP(mv))
                 self.check(ctx, n, VNat())
@@ -544,13 +544,13 @@ class Checker:
         fuel, and report running out of it as a type error at `span`.
         What runs inside shares one β-reduction memo, dropped at the end."""
         FUEL.set(self.fuel)
-        FUEL.memo = {}
+        FUEL.memo, FUEL.unequal = {}, set()
         try:
             with _fuel_error_at(span):
                 yield
         finally:
             FUEL.set(None)
-            FUEL.memo = None
+            FUEL.memo = FUEL.unequal = None
 
     def check_module(self, module: S.ModuleFile, imports=()) -> CheckedModule:
         with self.fuelled():
@@ -563,14 +563,14 @@ class Checker:
                     if name not in table:
                         table[name] = (ty, val)
                         ctx = ctx.define(name, ty,
-                                         declared(name, next(levels), val))
+                                         declared(next(levels), val))
             order = {}  # the declared names, in order
             for decl in module.declarations:
                 if decl.name in order:
                     raise GcttTypeError(decl.span, "mismatch",
                                         f"duplicate declaration {decl.name}")
                 start = time.monotonic()
-                FUEL.memo = {}  # each declaration is one memo scope
+                FUEL.memo, FUEL.unequal = {}, set()  # a scope per declaration
                 with _fuel_error_at(decl.span):
                     ty = self.check_type(ctx, S.rename_apart(decl.type,
                                                              ctx.env))
@@ -581,7 +581,7 @@ class Checker:
                     ctx = Ctx({k: v for k, v in ctx.env.items()
                                if k != decl.name}, ctx.types, ctx.face)
                 ctx = ctx.define(decl.name, ty,
-                                 declared(decl.name, next(levels), value))
+                                 declared(next(levels), value))
                 table[decl.name] = (ty, value)
                 order[decl.name] = None
                 millis = (time.monotonic() - start) * 1000.0

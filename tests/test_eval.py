@@ -698,7 +698,7 @@ def _interval_cases():
                   "tube": NComp("k", m, sys_j0, n),
                   "clauses": NComp("k", m, sys_i1, n),
                   "base": NComp("k", m, VSystem(()), p_at_i)},
-        E.VDef: {"args": E.VDef("f", 0, (n, p_at_i), VLam(const))},
+        E.VDef: {"args": E.VDef(0, (n, p_at_i), VLam(const))},
         E.NDFix: {"clock": E.NDFix(IVar("i"), const, None),
                   "closure": E.NDFix(ZERO, clo, None),
                   "type": E.NDFix(ZERO, const, p_at_i)},
@@ -719,7 +719,7 @@ def _interval_cases():
 # fields that hold names, terms, integers, host functions or closed values:
 # never acted on
 NO_INTERVALS = {"NVar": {"name"}, "NComp": {"binder"},
-                "VDef": {"name", "level", "base"},
+                "VDef": {"level", "base"},
                 "TermClosure": {"names", "body"}, "FnClosure": {"fn"},
                 "InlinedDsClosure": {"kept"}}
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gctt.eval as E
+import gctt.syntax as S
 from gctt.cli import main
 from gctt.parser import parse_module
 
@@ -55,7 +56,8 @@ def test_a_declaration_evaluates_an_application_once(capsys, monkeypatch,
 
     def recording(fn, arg):
         res = apply_v(fn, arg)
-        if isinstance(fn, E.VDef) and fn.name == "gStr":
+        if isinstance(fn, E.VDef) and isinstance(fn.base.closure.body,
+                                                 S.Fix):  # gStr's body
             seen.append((E.FUEL.memo, res))
         return res
 
